@@ -46,7 +46,10 @@ impl ForwardingAgent {
 }
 
 impl Agent for ForwardingAgent {
-    const USES_END_ROUND: bool = false;
+    fn next_end_round(&self, _round: Round) -> Round {
+        Round::MAX
+    }
+
     fn send(&mut self, round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         // Forward from the round after adoption (a message heard this round is
         // only forwarded starting next round).

@@ -23,7 +23,10 @@ struct VoterAgent {
 }
 
 impl Agent for VoterAgent {
-    const USES_END_ROUND: bool = false;
+    fn next_end_round(&self, _round: Round) -> Round {
+        Round::MAX
+    }
+
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         self.opinion
     }

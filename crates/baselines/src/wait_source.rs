@@ -24,7 +24,10 @@ struct WaitAgent {
 }
 
 impl Agent for WaitAgent {
-    const USES_END_ROUND: bool = false;
+    fn next_end_round(&self, _round: Round) -> Round {
+        Round::MAX
+    }
+
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         self.source_opinion
     }

@@ -2,7 +2,8 @@
 //! channel), used as an ablation reference point: how much of the protocol's
 //! wall-clock cost is the communication substrate versus protocol logic.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use breathe::{BroadcastProtocol, Params};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use flip_model::{
     Agent, BernoulliSkip, BinarySymmetricChannel, Channel, GossipScheduler, Opinion, OpinionDelta,
     Round, RoundPool, RoundRouting, SimRng, Simulation, SimulationConfig,
@@ -11,7 +12,10 @@ use flip_model::{
 struct Beacon(Opinion);
 
 impl Agent for Beacon {
-    const USES_END_ROUND: bool = false;
+    fn next_end_round(&self, _round: Round) -> Round {
+        Round::MAX
+    }
+
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         Some(self.0)
     }
@@ -229,6 +233,32 @@ fn substrate(c: &mut Criterion) {
             .with_faults("byz:0.1".parse().expect("valid directive"));
         let mut sim = Simulation::new(agents, channel, config).expect("valid simulation");
         b.iter(|| sim.step().metrics.messages_sent);
+    });
+
+    // The paper's protocol on the same engine: the first Stage II phase of
+    // a broadcast at n = 10⁴, ε = 0.25.  Every agent sends and takes
+    // deliveries each round, and at the phase end all of them draw their
+    // majority samples.  Construction and Stage I are untimed set-up, so
+    // the time per round beyond `engine_round_all_send/10000` (beacons over
+    // the same routing) is mostly `BreatheAgent`'s protocol step: send,
+    // deliver and end of round.
+    group.bench_function("breathe_broadcast_n1e4", |b| {
+        let params = Params::practical(10_000, 0.25).expect("valid parameters");
+        let protocol = BroadcastProtocol::new(params, Opinion::One);
+        let schedule = protocol.schedule();
+        let first_boost = schedule.phases()[schedule.spreading_phase_count()];
+        b.iter_batched(
+            || {
+                let mut sim = protocol.build_simulation(11).expect("valid simulation");
+                sim.run(first_boost.start);
+                sim
+            },
+            |mut sim| {
+                sim.run(first_boost.len);
+                sim
+            },
+            BatchSize::LargeInput,
+        );
     });
 
     // End-to-end cost of the spec layer itself: protocol resolution plus one

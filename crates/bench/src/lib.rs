@@ -1,5 +1,6 @@
 //! Shared helpers for the Criterion benchmarks that regenerate the paper's
-//! evaluation (experiments E1–E12 of `DESIGN.md`).
+//! evaluation (experiments E1–E12; see the paper-section index in
+//! `docs/ARCHITECTURE.md`).
 //!
 //! Each benchmark measures the wall-clock cost of one experiment's inner
 //! simulation at a reduced scale, and — more importantly for the reproduction

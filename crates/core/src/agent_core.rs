@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use flip_model::{Opinion, SimRng};
 
-use crate::schedule::{Schedule, StageKind};
+use crate::schedule::{Position, Schedule, StageKind};
 use crate::stage1::Stage1State;
 use crate::stage2::Stage2State;
 
@@ -18,11 +18,19 @@ use crate::stage2::Stage2State;
 /// correctness argument for the clock-shifted variant: the decisions of an
 /// agent depend only on the *multiset* of messages it receives in each phase,
 /// never on global time.
+///
+/// Every hook of every agent must find the phase its round falls in.  Time
+/// only moves forward, so the core keeps a cursor on the phase window its
+/// last lookup landed in and checks that window first; only a miss (once
+/// per phase) pays for [`Schedule::shifted_position`]'s binary search.  The
+/// cursor is a hint: any value gives the same answers.
 #[derive(Debug, Clone)]
 pub struct ProtocolCore {
     schedule: Arc<Schedule>,
     stage1: Stage1State,
     stage2: Stage2State,
+    /// Phase index of the last lookup's answer (`phase_count()` once done).
+    cursor: usize,
 }
 
 impl ProtocolCore {
@@ -33,6 +41,47 @@ impl ProtocolCore {
             schedule,
             stage1,
             stage2: Stage2State::new(),
+            cursor: 0,
+        }
+    }
+
+    /// Where local time `time` falls in the schedule shifted by `d`: exactly
+    /// [`Schedule::shifted_position`], with the cursor's window tried first.
+    #[inline]
+    pub(crate) fn locate(&mut self, time: u64, d: u64) -> Position {
+        match self.schedule.shifted_position_near(self.cursor, time, d) {
+            Some(position) => position,
+            None => self.relocate(time, d),
+        }
+    }
+
+    /// The cursor's miss path: a binary search, kept out of line so the
+    /// hit path inlines into the engine's loops.
+    #[cold]
+    fn relocate(&mut self, time: u64, d: u64) -> Position {
+        let position = self.schedule.shifted_position(time, d);
+        self.cursor = match position {
+            Position::Active { phase, .. } | Position::Waiting { next_phase: phase } => phase,
+            Position::Done => self.schedule.phase_count(),
+        };
+        position
+    }
+
+    /// The last local time of the phase window that `time` falls in, or
+    /// waits for, in the schedule shifted by `d`; `None` once the schedule
+    /// is done.  A phase acts at end of round only at this time.
+    #[must_use]
+    #[inline]
+    pub(crate) fn window_last(&self, time: u64, d: u64) -> Option<u64> {
+        let position = match self.schedule.shifted_position_near(self.cursor, time, d) {
+            Some(position) => position,
+            None => self.schedule.shifted_position(time, d),
+        };
+        match position {
+            Position::Active { phase, .. } | Position::Waiting { next_phase: phase } => {
+                Some(self.schedule.window_end(phase, d) - 1)
+            }
+            Position::Done => None,
         }
     }
 
@@ -51,6 +100,7 @@ impl ProtocolCore {
     /// The agent's current opinion: the Stage II opinion once Stage II has
     /// begun, otherwise the Stage I initial opinion.
     #[must_use]
+    #[inline]
     pub fn opinion(&self) -> Option<Opinion> {
         self.stage2
             .opinion()
@@ -59,6 +109,7 @@ impl ProtocolCore {
 
     /// What to push during the phase with the given index (into the schedule).
     #[must_use]
+    #[inline]
     pub fn send_in_phase(&self, phase: usize) -> Option<Opinion> {
         let spec = &self.schedule.phases()[phase];
         match spec.kind {
@@ -68,6 +119,7 @@ impl ProtocolCore {
     }
 
     /// Handles a message attributed to the phase with the given index.
+    #[inline]
     pub fn deliver_in_phase(&mut self, phase: usize, message: Opinion, rng: &mut SimRng) {
         let spec = &self.schedule.phases()[phase];
         match spec.kind {
@@ -79,6 +131,8 @@ impl ProtocolCore {
     /// Handles the end of the phase with the given index.
     pub fn end_phase(&mut self, phase: usize, rng: &mut SimRng) {
         let spec = self.schedule.phases()[phase];
+        // The next lookup falls in the following window (or the gap before it).
+        self.cursor = phase + 1;
         match spec.kind {
             StageKind::Spreading => {
                 self.stage1.end_phase(spec.index_in_stage);

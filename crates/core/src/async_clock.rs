@@ -52,14 +52,14 @@ impl OffsetAgent {
         self.offset
     }
 
+    #[inline]
     fn local_time(&self, round: Round) -> u64 {
         self.offset + round
     }
 
-    fn position(&self, round: Round) -> Position {
-        self.core
-            .schedule()
-            .shifted_position(self.local_time(round), self.d)
+    #[inline]
+    fn position(&mut self, round: Round) -> Position {
+        self.core.locate(self.local_time(round), self.d)
     }
 }
 
@@ -95,6 +95,13 @@ impl Agent for OffsetAgent {
         } else {
             OpinionDelta::NONE
         }
+    }
+
+    fn next_end_round(&self, round: Round) -> Round {
+        // Local and global time differ by the fixed offset.
+        self.core
+            .window_last(self.local_time(round), self.d)
+            .map_or(Round::MAX, |last| last - self.offset)
     }
 
     fn opinion(&self) -> Option<Opinion> {
@@ -158,12 +165,9 @@ impl ResyncAgent {
         }
     }
 
-    fn main_position(&self, round: Round) -> Option<Position> {
-        self.main_start.map(|start| {
-            self.core
-                .schedule()
-                .shifted_position(round.saturating_sub(start), self.d)
-        })
+    fn main_position(&mut self, round: Round) -> Option<Position> {
+        let start = self.main_start?;
+        Some(self.core.locate(round.saturating_sub(start), self.d))
     }
 }
 

@@ -61,16 +61,18 @@ impl BreatheAgent {
 }
 
 impl Agent for BreatheAgent {
+    #[inline(always)]
     fn send(&mut self, round: Round, _rng: &mut SimRng) -> Option<Opinion> {
-        match self.core.schedule().position(round) {
+        match self.core.locate(round, 0) {
             Position::Active { phase, .. } => self.core.send_in_phase(phase),
             Position::Waiting { .. } | Position::Done => None,
         }
     }
 
+    #[inline(always)]
     fn deliver(&mut self, round: Round, message: Opinion, rng: &mut SimRng) -> OpinionDelta {
         let before = self.core.opinion();
-        match self.core.schedule().position(round) {
+        match self.core.locate(round, 0) {
             Position::Active { phase, .. } | Position::Waiting { next_phase: phase } => {
                 self.core.deliver_in_phase(phase, message, rng);
             }
@@ -79,12 +81,13 @@ impl Agent for BreatheAgent {
         OpinionDelta::between(before, self.core.opinion())
     }
 
+    #[inline]
     fn end_round(&mut self, round: Round, rng: &mut SimRng) -> OpinionDelta {
         if let Position::Active {
             phase,
             is_last_round: true,
             ..
-        } = self.core.schedule().position(round)
+        } = self.core.locate(round, 0)
         {
             let before = self.core.opinion();
             self.core.end_phase(phase, rng);
@@ -92,6 +95,11 @@ impl Agent for BreatheAgent {
         } else {
             OpinionDelta::NONE
         }
+    }
+
+    #[inline]
+    fn next_end_round(&self, round: Round) -> Round {
+        self.core.window_last(round, 0).unwrap_or(Round::MAX)
     }
 
     fn opinion(&self) -> Option<Opinion> {

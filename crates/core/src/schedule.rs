@@ -217,24 +217,48 @@ impl Schedule {
         self.position_with_shift(local_time, d)
     }
 
+    /// The local time just past phase `idx`'s window in the schedule
+    /// shifted by `d` (see [`Schedule::shifted_position`]).
+    #[inline]
+    pub(crate) fn window_end(&self, idx: usize, d: u64) -> u64 {
+        self.phases[idx].end() + idx as u64 * d
+    }
+
+    /// [`Schedule::shifted_position`], when `time` lies in phase `idx`'s
+    /// window or in the gap before it (`idx == phase_count()` standing for
+    /// the time after the last window); `None` when it lies elsewhere.
+    ///
+    /// Two comparisons instead of a binary search: callers that walk time
+    /// forward keep the `idx` of their last answer and try it first.
+    #[inline]
+    pub(crate) fn shifted_position_near(&self, idx: usize, time: u64, d: u64) -> Option<Position> {
+        let started = idx == 0 || self.window_end(idx - 1, d) <= time;
+        let open = idx == self.phases.len() || time < self.window_end(idx, d);
+        (started && open).then(|| self.position_in(idx, time, d))
+    }
+
     fn position_with_shift(&self, time: u64, d: u64) -> Position {
         // Binary search for the first phase whose shifted window has not ended.
         let mut lo = 0usize;
         let mut hi = self.phases.len();
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let window_end = self.phases[mid].start + mid as u64 * d + self.phases[mid].len;
-            if window_end <= time {
+            if self.window_end(mid, d) <= time {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        let idx = lo;
-        if idx >= self.phases.len() {
+        self.position_in(lo, time, d)
+    }
+
+    /// The position of `time`, given that phase `idx` is the first whose
+    /// shifted window has not ended by then.
+    #[inline]
+    fn position_in(&self, idx: usize, time: u64, d: u64) -> Position {
+        let Some(phase) = self.phases.get(idx) else {
             return Position::Done;
-        }
-        let phase = &self.phases[idx];
+        };
         let window_start = phase.start + idx as u64 * d;
         if time < window_start {
             Position::Waiting { next_phase: idx }
@@ -251,10 +275,68 @@ impl Schedule {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use flip_model::{Opinion, SimRng};
+
     use super::*;
+    use crate::agent_core::ProtocolCore;
+    use crate::stage1::Stage1State;
 
     fn params() -> Params {
         Params::practical(2_000, 0.25).unwrap()
+    }
+
+    /// Walks two [`ProtocolCore`] cursors over `times` in the given order
+    /// and checks every lookup against the binary search.  One core acts on
+    /// phase ends the way an agent would, which moves its cursor ahead; the
+    /// other only looks up, so its cursor lags behind each phase boundary.
+    fn assert_cursor_matches_binary_search(
+        schedule: &Schedule,
+        d: u64,
+        times: impl IntoIterator<Item = u64>,
+    ) {
+        let schedule = Arc::new(schedule.clone());
+        let core = ProtocolCore::new(schedule.clone(), Stage1State::informed(Opinion::One));
+        let (mut acting, mut passive) = (core.clone(), core);
+        let mut rng = SimRng::from_seed(3);
+        for t in times {
+            let expected = schedule.shifted_position(t, d);
+            let last = match expected {
+                Position::Active { phase, .. } | Position::Waiting { next_phase: phase } => {
+                    let spec = schedule.phases()[phase];
+                    Some(spec.end() + phase as u64 * d - 1)
+                }
+                Position::Done => None,
+            };
+            for core in [&mut acting, &mut passive] {
+                assert_eq!(core.window_last(t, d), last, "window at time {t}, d = {d}");
+                assert_eq!(core.locate(t, d), expected, "time {t}, d = {d}");
+            }
+            if let Position::Active {
+                phase,
+                is_last_round: true,
+                ..
+            } = expected
+            {
+                acting.end_phase(phase, &mut rng);
+            }
+        }
+    }
+
+    /// Every time up to a few past the end, forwards, backwards and in
+    /// strides that skip whole phases.
+    fn assert_cursor_walks(schedule: &Schedule, d: u64) {
+        let horizon = schedule.shifted_total_rounds(d) + 3;
+        assert_cursor_matches_binary_search(schedule, d, 0..horizon);
+        assert_cursor_matches_binary_search(schedule, d, (0..horizon).rev());
+        let stride = schedule.phases()[0].len + d + 1;
+        assert_cursor_matches_binary_search(schedule, d, (0..horizon).step_by(stride as usize));
+        assert_cursor_matches_binary_search(
+            schedule,
+            d,
+            (0..horizon).map(|t| (t * 7_919) % horizon),
+        );
     }
 
     #[test]
@@ -332,6 +414,7 @@ mod tests {
         assert_eq!(active, schedule.total_rounds());
         // One gap of length d before every phase except phase 0.
         assert_eq!(waiting, d * (schedule.phase_count() as u64 - 1));
+        assert_cursor_walks(&schedule, d);
     }
 
     #[test]
@@ -358,6 +441,22 @@ mod tests {
                 schedule.position(round),
                 schedule.shifted_position(round, 0)
             );
+        }
+        assert_cursor_walks(&schedule, 0);
+    }
+
+    #[test]
+    fn cursor_matches_binary_search_on_broadcast_and_majority_schedules() {
+        let p = Params::practical(5_000, 0.3).unwrap();
+        let schedules = [
+            Schedule::broadcast(&p),
+            Schedule::majority_consensus(&p, 10),
+            Schedule::majority_consensus(&p, 3_000),
+        ];
+        for schedule in &schedules {
+            for d in [0, 1, 6] {
+                assert_cursor_walks(schedule, d);
+            }
         }
     }
 

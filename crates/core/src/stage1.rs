@@ -87,6 +87,7 @@ impl Stage1State {
     /// Initially informed agents push from the very first phase; an agent
     /// activated in phase `i` pushes from phase `i + 1` on.
     #[must_use]
+    #[inline]
     pub fn send(&self, phase: usize) -> Option<Opinion> {
         match self.level {
             Some(level) if self.initially_informed || phase > level => self.initial_opinion,
@@ -101,6 +102,7 @@ impl Stage1State {
     /// initial opinion is drawn at the end of the phase.  Messages heard in
     /// later phases are ignored (the paper's agents never revise their initial
     /// opinion during Stage I).
+    #[inline]
     pub fn deliver(&mut self, phase: usize, message: Opinion, rng: &mut SimRng) {
         if self.initial_opinion.is_some() || self.initially_informed {
             return;

@@ -27,6 +27,7 @@ impl Stage2State {
 
     /// The agent's current opinion, if any.
     #[must_use]
+    #[inline]
     pub fn opinion(&self) -> Option<Opinion> {
         self.opinion
     }
@@ -45,11 +46,13 @@ impl Stage2State {
 
     /// The message to push this round: the current opinion (silent if none).
     #[must_use]
+    #[inline]
     pub fn send(&self) -> Option<Opinion> {
         self.opinion
     }
 
     /// Records a message received during the current phase.
+    #[inline]
     pub fn deliver(&mut self, message: Opinion) {
         match message {
             Opinion::Zero => self.zeros_received += 1,

@@ -3,7 +3,8 @@
 //! The paper is theoretical, so its "evaluation" is the collection of
 //! quantitative claims (theorems, lemmas, claims) plus the informal
 //! comparisons of §1.4 and §1.6.  Each becomes an experiment `E1`–`E12`
-//! (see `DESIGN.md` for the index); this crate provides:
+//! (see the paper-section index in `docs/ARCHITECTURE.md`); this crate
+//! provides:
 //!
 //! * [`cli`] — the shared command-line convention of every experiment
 //!   binary (`--full`, `--backend`, `--trials`, `--threads`, `--seed`),
@@ -47,8 +48,7 @@ pub struct ExperimentConfig {
     /// deterministically from `(base_seed, c, t)`.
     pub base_seed: u64,
     /// Quick mode shrinks population sizes and trial counts so that the whole
-    /// suite finishes in minutes; full mode uses the sizes quoted in
-    /// `EXPERIMENTS.md`.
+    /// suite finishes in minutes; full mode uses paper-scale sizes.
     pub quick: bool,
     /// Which simulation engine to use where an experiment supports both: the
     /// exact per-agent engine, or the dense counts-based engine that reaches
@@ -92,7 +92,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// The full preset used to produce `EXPERIMENTS.md`.
+    /// The full preset: paper-scale population sizes and trial counts.
     #[must_use]
     pub fn full() -> Self {
         Self {

@@ -20,8 +20,8 @@ pub const REPORT_TITLE: &str = "Breathe before Speaking — experiment report";
 
 /// The full report's preamble paragraph.
 pub const REPORT_PREAMBLE: &str =
-    "Measured reproductions of every quantitative claim of the paper; see DESIGN.md for the \
-     experiment index and EXPERIMENTS.md for the archived paper-vs-measured discussion.";
+    "Measured reproductions of every quantitative claim of the paper; see the paper-section \
+     index in docs/ARCHITECTURE.md for the code behind each experiment.";
 
 /// A named collection of result tables rendered as one markdown document.
 #[derive(Debug, Clone, Default)]
@@ -87,7 +87,7 @@ impl Report {
 /// [`specs::render`] — the same path the persistent, resumable composed run
 /// uses, so both produce identical markdown for the same config.  With
 /// [`ExperimentConfig::quick`] this takes a few minutes on a laptop; the
-/// full preset reproduces the numbers recorded in `EXPERIMENTS.md`.
+/// full preset runs the paper-scale sizes.
 #[must_use]
 pub fn full_report(cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new(REPORT_TITLE).with_preamble(REPORT_PREAMBLE);

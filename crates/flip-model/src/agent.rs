@@ -128,7 +128,8 @@ impl OpinionDelta {
 ///    message per recipient (uniformly among those that arrived), corrupts the
 ///    bit through the channel, and calls [`deliver`](Agent::deliver) on the
 ///    recipient,
-/// 3. calls [`end_round`](Agent::end_round) on every agent.
+/// 3. calls [`end_round`](Agent::end_round) on every agent, in rounds that
+///    some agent's [`next_end_round`](Agent::next_end_round) may need.
 ///
 /// Agents never learn who they talked to.  The `round` argument is the global
 /// round counter; protocols relying only on local clocks must ignore it.
@@ -143,14 +144,6 @@ impl OpinionDelta {
 /// it has no way to report a delta.  (Debug builds of the engine periodically
 /// recount the population and assert agreement.)
 pub trait Agent {
-    /// Whether this agent type has a non-trivial [`end_round`](Agent::end_round).
-    ///
-    /// Protocols that never act at end of round (most of the simple dynamics:
-    /// rumor spreading, voter models, beacons) can set this to `false`, and
-    /// the engine statically skips its O(n) end-of-round hook loop.  Leave it
-    /// `true` (the default) whenever `end_round` is overridden.
-    const USES_END_ROUND: bool = true;
-
     /// Decides what to transmit this round; `None` means stay silent ("breathe").
     ///
     /// Must not change the opinion reported by [`opinion`](Agent::opinion)
@@ -169,6 +162,33 @@ pub trait Agent {
     fn end_round(&mut self, round: Round, rng: &mut SimRng) -> OpinionDelta {
         let _ = (round, rng);
         OpinionDelta::NONE
+    }
+
+    /// A lower bound on the first round `≥ round` in which
+    /// [`end_round`](Agent::end_round) may change the agent's state or draw
+    /// from the RNG.
+    ///
+    /// The engine runs its O(n) end-of-round loop only in rounds that some
+    /// agent's bound has reached: each time the loop runs in round `r`, it
+    /// calls `end_round(r)` on every agent and then takes the minimum of
+    /// `next_end_round(r + 1)` over the population as the next round to run
+    /// it in.  The first bound, and the first after
+    /// [`Simulation::agents_mut`](crate::Simulation::agents_mut), is the
+    /// minimum of `next_end_round(r)` taken at the end of round `r`.
+    ///
+    /// In every round before the bound, `end_round` must be a pure no-op (no
+    /// state change, no RNG draw, [`OpinionDelta::NONE`]), since the engine
+    /// may skip the call or make it for another agent's sake; caches that
+    /// only speed up later calls may still be updated.  The bound must stay
+    /// valid whatever [`send`](Agent::send) and [`deliver`](Agent::deliver)
+    /// do in between, because the engine does not ask again until the bound
+    /// is reached.
+    ///
+    /// The default returns `round` (act every round), which is always
+    /// valid.  Phase-based protocols return the last round of the current
+    /// phase; agents that never act at end of round return [`Round::MAX`].
+    fn next_end_round(&self, round: Round) -> Round {
+        round
     }
 
     /// The opinion the agent currently holds, if it has adopted one.
@@ -214,6 +234,7 @@ mod tests {
         let mut agent = Silent;
         let mut rng = SimRng::from_seed(0);
         assert_eq!(agent.end_round(0, &mut rng), OpinionDelta::NONE);
+        assert_eq!(agent.next_end_round(7), 7, "the default acts every round");
         assert!(!agent.is_active());
         assert!(!agent.is_done());
     }

@@ -120,7 +120,10 @@ impl RumorAgent {
 }
 
 impl Agent for RumorAgent {
-    const USES_END_ROUND: bool = false;
+    fn next_end_round(&self, _round: Round) -> Round {
+        Round::MAX
+    }
+
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         self.opinion
     }
@@ -390,7 +393,9 @@ impl ZealotAgent {
 }
 
 impl Agent for ZealotAgent {
-    const USES_END_ROUND: bool = false;
+    fn next_end_round(&self, _round: Round) -> Round {
+        Round::MAX
+    }
 
     fn send(&mut self, round: Round, rng: &mut SimRng) -> Option<Opinion> {
         match self {

@@ -1,6 +1,6 @@
 //! The synchronous round engine driving agents over the Flip model.
 
-use crate::agent::{Agent, Round};
+use crate::agent::{Agent, OpinionDelta, Round};
 use crate::channel::Channel;
 use crate::config::SimulationConfig;
 use crate::error::FlipError;
@@ -46,6 +46,60 @@ impl NoiseMode {
             },
             None => NoiseMode::PerMessage,
         }
+    }
+}
+
+/// When the end-of-round loop of a per-agent engine runs next, shared by
+/// [`Simulation`] and [`HybridSimulation`](crate::HybridSimulation).
+///
+/// It holds the minimum of [`Agent::next_end_round`] over the population,
+/// taken the last time the loop ran; `None` before the first round and
+/// after [`Simulation::agents_mut`], when the next round asks every agent
+/// afresh.
+#[derive(Debug, Default)]
+pub(crate) struct EndRoundGate {
+    next_end: Option<Round>,
+}
+
+impl EndRoundGate {
+    /// Whether some agent's bound has reached `round`.
+    pub(crate) fn is_due<A: Agent>(&mut self, agents: &[A], round: Round) -> bool {
+        let next_end = *self.next_end.get_or_insert_with(|| {
+            agents
+                .iter()
+                .map(|agent| agent.next_end_round(round))
+                .min()
+                .unwrap_or(Round::MAX)
+        });
+        round >= next_end
+    }
+
+    /// Runs `end_round` on every agent in index order, so the RNG stream is
+    /// the one an every-round loop would draw, and takes the next bound.
+    /// With a fault plan, a deaf role's protocol is frozen: its hook neither
+    /// runs nor draws from the stream, while its bound still counts, which
+    /// is only ever conservative.
+    pub(crate) fn run<A: Agent>(
+        &mut self,
+        agents: &mut [A],
+        round: Round,
+        faults: Option<&FaultPlan>,
+        rng: &mut SimRng,
+        mut on_delta: impl FnMut(OpinionDelta),
+    ) {
+        let mut next = Round::MAX;
+        for (idx, agent) in agents.iter_mut().enumerate() {
+            if faults.is_none_or(|plan| plan.role(idx).runs_protocol(round)) {
+                on_delta(agent.end_round(round, rng));
+            }
+            next = next.min(agent.next_end_round(round + 1));
+        }
+        self.next_end = Some(next);
+    }
+
+    /// Forgets the bound: the agents may have been replaced.
+    pub(crate) fn reset(&mut self) {
+        self.next_end = None;
     }
 }
 
@@ -95,6 +149,8 @@ pub struct Simulation<A, C> {
     /// Set by [`Simulation::agents_mut`]: the caller may have changed
     /// opinions behind the engine's back, so the next census read recounts.
     census_dirty: bool,
+    /// When the end-of-round loop runs next.
+    end_round: EndRoundGate,
     send_buffer: Vec<(u32, Opinion)>,
     routing: RoundRouting,
     /// Flip positions of the current round's fused noise (reused; sized to
@@ -175,6 +231,7 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             reference: config.reference(),
             census,
             census_dirty: false,
+            end_round: EndRoundGate::default(),
             send_buffer: Vec::with_capacity(n),
             routing,
             flip_buffer: Vec::with_capacity(n),
@@ -387,26 +444,13 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         }
         tel.add(Event::FaultSuppressedDeliveries, suppressed);
 
-        // Phase 3: end-of-round hooks (statically skipped for agent types
-        // that declare the hook unused).
-        if A::USES_END_ROUND {
+        // Phase 3: end-of-round hooks, only in rounds some agent's
+        // `next_end_round` bound has reached (every other call would be a
+        // no-op).
+        if self.end_round.is_due(agents, round) {
             let span = tel.begin();
-            match faults {
-                None => {
-                    for agent in agents.iter_mut() {
-                        census.apply(agent.end_round(round, rng));
-                    }
-                }
-                Some(plan) => {
-                    // A deaf role's protocol is frozen: its hook neither
-                    // runs nor draws from the stream.
-                    for (idx, agent) in agents.iter_mut().enumerate() {
-                        if plan.role(idx).runs_protocol(round) {
-                            census.apply(agent.end_round(round, rng));
-                        }
-                    }
-                }
-            }
+            self.end_round
+                .run(agents, round, faults, rng, |delta| census.apply(delta));
             tel.end(Phase::ProtocolStep, span);
         }
 
@@ -486,9 +530,12 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
     ///
     /// Marks the maintained census dirty: the engine recounts once on the
     /// next [`census`](Simulation::census) read or [`step`](Simulation::step).
+    /// It also forgets the end-of-round schedule, so the next step asks
+    /// every agent for a fresh [`Agent::next_end_round`] bound.
     #[must_use]
     pub fn agents_mut(&mut self) -> &mut [A] {
         self.census_dirty = true;
+        self.end_round.reset();
         &mut self.agents
     }
 

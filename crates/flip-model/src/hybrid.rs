@@ -59,7 +59,7 @@
 use crate::agent::{Agent, Round};
 use crate::channel::Channel;
 use crate::config::SimulationConfig;
-use crate::engine::RoundSummary;
+use crate::engine::{EndRoundGate, RoundSummary};
 use crate::error::FlipError;
 use crate::faults::{FaultPlan, FaultRole};
 use crate::metrics::{Metrics, RoundMetrics};
@@ -88,6 +88,8 @@ pub struct HybridSimulation<A, P, C> {
     metrics: Metrics,
     reference: Option<Opinion>,
     n: u64,
+    /// When the end-of-round loop over the tracked agents runs next.
+    end_round: EndRoundGate,
     /// Fault roles over the tracked prefix — the hybrid engine carries the
     /// faulty agents on its exactly-simulated side, against an honest bulk.
     faults: Option<FaultPlan>,
@@ -178,6 +180,7 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
             next_counts,
             rng: SimRng::from_seed(config.seed()),
             round: 0,
+            end_round: EndRoundGate::default(),
             metrics: Metrics::new(),
             reference: config.reference(),
             n,
@@ -389,22 +392,15 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
             std::mem::swap(&mut stratum.counts, next);
         }
         self.telemetry.end(Phase::CensusApply, span);
-        if A::USES_END_ROUND {
+        if self.end_round.is_due(&self.tracked, round) {
             let span = self.telemetry.begin();
-            match &self.faults {
-                None => {
-                    for agent in &mut self.tracked {
-                        let _ = agent.end_round(round, &mut self.rng);
-                    }
-                }
-                Some(plan) => {
-                    for (idx, agent) in self.tracked.iter_mut().enumerate() {
-                        if plan.role(idx).runs_protocol(round) {
-                            let _ = agent.end_round(round, &mut self.rng);
-                        }
-                    }
-                }
-            }
+            self.end_round.run(
+                &mut self.tracked,
+                round,
+                self.faults.as_ref(),
+                &mut self.rng,
+                |_| {},
+            );
             self.telemetry.end(Phase::ProtocolStep, span);
         }
 

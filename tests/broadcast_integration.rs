@@ -1,8 +1,15 @@
 //! End-to-end integration tests for the noisy broadcast protocol
 //! (Theorem 2.17), spanning the `flip-model` and `breathe` crates.
 
-use breathe::{BroadcastProtocol, Multipliers, Params, Schedule, StageKind};
-use flip_model::Opinion;
+use breathe::{
+    BroadcastProtocol, InitialSet, MajorityConsensusProtocol, Multipliers, OffsetAgent, Params,
+    Schedule, Stage1State, StageKind,
+};
+use flip_model::{
+    Agent, BinarySymmetricChannel, Census, HybridSimulation, Metrics, Opinion, OpinionDelta, Phase,
+    Recorder, Round, RoundSummary, RumorProtocol, SimRng, Simulation, SimulationConfig,
+    StratifiedPopulation,
+};
 
 #[test]
 fn broadcast_reaches_consensus_across_populations_and_noise_levels() {
@@ -116,4 +123,177 @@ fn custom_multipliers_flow_through_to_the_schedule() {
         "{}",
         outcome.fraction_correct
     );
+}
+
+/// Forwards every hook to the wrapped agent but keeps the default
+/// `next_end_round`, so the engine calls its `end_round` in every round.
+#[derive(Clone)]
+struct EveryRound<A>(A);
+
+impl<A: Agent> Agent for EveryRound<A> {
+    fn send(&mut self, round: Round, rng: &mut SimRng) -> Option<Opinion> {
+        self.0.send(round, rng)
+    }
+
+    fn deliver(&mut self, round: Round, message: Opinion, rng: &mut SimRng) -> OpinionDelta {
+        self.0.deliver(round, message, rng)
+    }
+
+    fn end_round(&mut self, round: Round, rng: &mut SimRng) -> OpinionDelta {
+        self.0.end_round(round, rng)
+    }
+
+    fn opinion(&self) -> Option<Opinion> {
+        self.0.opinion()
+    }
+
+    fn is_active(&self) -> bool {
+        self.0.is_active()
+    }
+
+    fn is_done(&self) -> bool {
+        self.0.is_done()
+    }
+}
+
+/// Runs `agents` for `rounds` rounds twice, as they are and wrapped in
+/// [`EveryRound`], and asserts that every round summary, the final census
+/// and the metrics agree: the engine's skipped end-of-round calls must all
+/// have been no-ops.
+fn assert_skipping_changes_nothing<A: Agent + Clone>(
+    agents: Vec<A>,
+    rounds: u64,
+    faults: Option<String>,
+) {
+    let n = agents.len();
+    let channel = BinarySymmetricChannel::from_epsilon(0.3).unwrap();
+    let mut config = SimulationConfig::new(n)
+        .with_seed(0x5EED)
+        .with_reference(Opinion::One);
+    if let Some(directive) = &faults {
+        config = config.with_faults(directive.parse().unwrap());
+    }
+    let wrapped: Vec<EveryRound<A>> = agents.iter().cloned().map(EveryRound).collect();
+    let mut skipping = Simulation::new(agents, channel, config.clone()).unwrap();
+    let mut every = Simulation::new(wrapped, channel, config).unwrap();
+    skipping.enable_telemetry();
+    every.enable_telemetry();
+    for round in 0..rounds {
+        assert_eq!(
+            skipping.step(),
+            every.step(),
+            "round {round}, faults {faults:?}"
+        );
+    }
+    assert_eq!(skipping.census(), every.census(), "faults {faults:?}");
+    assert_eq!(skipping.metrics(), every.metrics(), "faults {faults:?}");
+
+    // Every round times one send loop, plus one end-of-round loop when it
+    // runs: the wrapped run has one in every round, and the phase-aware run
+    // must have skipped most of them.
+    let end_loops = |recorder: Recorder| recorder.phases().get(Phase::ProtocolStep).count - rounds;
+    assert_eq!(end_loops(every.take_telemetry().unwrap()), rounds);
+    let ran = end_loops(skipping.take_telemetry().unwrap());
+    assert!(
+        2 * ran < rounds,
+        "the end-of-round loop ran in {ran} of {rounds} rounds"
+    );
+}
+
+/// `None` (fault-free), a Byzantine tenth, and a tenth that crashes one
+/// round into the second Stage II phase window (shifted by `d`).
+fn fault_plans(schedule: &Schedule, d: u64) -> [Option<String>; 3] {
+    let phase = schedule.spreading_phase_count() + 1;
+    let crash = schedule.phases()[phase].start + phase as u64 * d + 1;
+    [
+        None,
+        Some("byz:0.1".to_string()),
+        Some(format!("crash:0.1@{crash}")),
+    ]
+}
+
+#[test]
+fn skipping_end_of_round_calls_changes_nothing() {
+    let params = Params::practical(300, 0.3).unwrap();
+
+    let broadcast = BroadcastProtocol::new(params.clone(), Opinion::One);
+    let schedule = broadcast.schedule();
+    for faults in fault_plans(schedule, 0) {
+        assert_skipping_changes_nothing(
+            broadcast.build_agents(),
+            schedule.total_rounds() + 2,
+            faults,
+        );
+    }
+
+    let majority =
+        MajorityConsensusProtocol::new(params.clone(), Opinion::One, InitialSet::new(40, 20))
+            .unwrap();
+    let schedule = majority.schedule();
+    for faults in fault_plans(schedule, 0) {
+        assert_skipping_changes_nothing(
+            majority.build_agents(),
+            schedule.total_rounds() + 2,
+            faults,
+        );
+    }
+
+    // Bounded offsets: every agent ends its phases at its own rounds.
+    let d = 5;
+    let schedule = broadcast.schedule();
+    let offset_agents: Vec<OffsetAgent> = (0..params.n())
+        .map(|i| {
+            let stage1 = if i == 0 {
+                Stage1State::informed(Opinion::One)
+            } else {
+                Stage1State::uninformed()
+            };
+            OffsetAgent::new(schedule.clone(), stage1, (i as u64 * 7) % d, d)
+        })
+        .collect();
+    for faults in fault_plans(schedule, d) {
+        assert_skipping_changes_nothing(
+            offset_agents.clone(),
+            schedule.shifted_total_rounds(d) + 2,
+            faults,
+        );
+    }
+}
+
+/// Runs `tracked` agents over an uninformed rumor bulk on the hybrid engine,
+/// so the whole population is n = 300.
+fn hybrid_run<A: Agent>(
+    tracked: Vec<A>,
+    rounds: u64,
+    faults: &Option<String>,
+) -> (Vec<RoundSummary>, Census, Metrics) {
+    let n = 300;
+    let bulk =
+        StratifiedPopulation::single(RumorProtocol::population((n - tracked.len()) as u64, 0, 0));
+    let channel = BinarySymmetricChannel::from_epsilon(0.3).unwrap();
+    let mut config = SimulationConfig::new(n)
+        .with_seed(0x5EED)
+        .with_reference(Opinion::One);
+    if let Some(directive) = faults {
+        config = config.with_faults(directive.parse().unwrap());
+    }
+    let mut sim = HybridSimulation::new(tracked, RumorProtocol, channel, bulk, config).unwrap();
+    let summaries = (0..rounds).map(|_| sim.step()).collect();
+    (summaries, sim.census(), sim.metrics().clone())
+}
+
+#[test]
+fn hybrid_skipping_end_of_round_calls_changes_nothing() {
+    let params = Params::practical(300, 0.3).unwrap();
+    let broadcast = BroadcastProtocol::new(params, Opinion::One);
+    let schedule = broadcast.schedule();
+    let tracked: Vec<_> = broadcast.build_agents().into_iter().take(64).collect();
+    let rounds = schedule.total_rounds() + 2;
+    for faults in fault_plans(schedule, 0) {
+        let wrapped = tracked.iter().cloned().map(EveryRound).collect();
+        assert!(
+            hybrid_run(tracked.clone(), rounds, &faults) == hybrid_run(wrapped, rounds, &faults),
+            "faults {faults:?}"
+        );
+    }
 }

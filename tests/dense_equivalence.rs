@@ -30,7 +30,10 @@ struct Voter {
 }
 
 impl Agent for Voter {
-    const USES_END_ROUND: bool = false;
+    fn next_end_round(&self, _round: Round) -> Round {
+        Round::MAX
+    }
+
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         Some(self.opinion)
     }

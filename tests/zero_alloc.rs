@@ -14,6 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use breathe::{BroadcastProtocol, Params};
 use breathe_paper as _;
 use flip_model::{
     Agent, BinarySymmetricChannel, Opinion, OpinionDelta, Round, RumorAgent, SimRng, Simulation,
@@ -69,7 +70,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 struct Churner(Opinion);
 
 impl Agent for Churner {
-    const USES_END_ROUND: bool = false;
+    fn next_end_round(&self, _round: Round) -> Round {
+        Round::MAX
+    }
+
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         Some(self.0)
     }
@@ -126,6 +130,44 @@ fn simulation_round_loop_is_allocation_free_after_warm_up() {
         after - before,
         0,
         "the rumor round loop allocated {} time(s) after warm-up",
+        after - before
+    );
+}
+
+#[test]
+fn breathe_rounds_are_allocation_free_across_phase_ends() {
+    // The paper's protocol: phase cursors, end-of-round loops at phase
+    // ends, the Stage I to Stage II handover and Stage II's sample draws
+    // all run on the agents' fixed-size state.
+    let params = Params::practical(2_000, 0.3).unwrap();
+    let protocol = BroadcastProtocol::new(params, Opinion::One);
+    let schedule = protocol.schedule();
+    let mut sim = protocol.build_simulation(80).unwrap();
+    // Warm-up runs into phase 1, whose senders (the agents activated in
+    // phase 0) take the sparse routing buffer to its high-water mark.
+    let warm_up = schedule.phases()[0].end() + 1;
+    sim.run(warm_up);
+
+    // Measure up to the end of the second Stage II phase.
+    let second_boost = schedule.phases()[schedule.spreading_phase_count() + 1];
+    let measured = second_boost.end() - warm_up;
+    let phase_ends = schedule
+        .phases()
+        .iter()
+        .filter(|phase| (warm_up..second_boost.end()).contains(&(phase.end() - 1)))
+        .count();
+    assert!(
+        phase_ends >= 2,
+        "the window crosses {phase_ends} phase end(s)"
+    );
+
+    let before = thread_allocations();
+    sim.run(measured);
+    let after = thread_allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "the breathe round loop allocated {} time(s) over {phase_ends} phase ends",
         after - before
     );
 }
