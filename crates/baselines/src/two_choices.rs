@@ -25,7 +25,21 @@ use crate::BaselineOutcome;
 #[derive(Debug, Clone)]
 struct TwoChoicesAgent {
     opinion: Opinion,
-    buffer: Vec<Opinion>,
+    /// The first two messages heard since the last update; only the first
+    /// `heard` entries are set.
+    samples: [Opinion; 2],
+    /// How many messages `samples` holds (stops at two).
+    heard: u8,
+}
+
+impl TwoChoicesAgent {
+    fn new(opinion: Opinion) -> Self {
+        Self {
+            opinion,
+            samples: [opinion; 2],
+            heard: 0,
+        }
+    }
 }
 
 impl Agent for TwoChoicesAgent {
@@ -34,26 +48,25 @@ impl Agent for TwoChoicesAgent {
     }
 
     fn deliver(&mut self, _round: Round, message: Opinion, _rng: &mut SimRng) -> OpinionDelta {
-        self.buffer.push(message);
+        // Only the first two messages are ever used.
+        if let Some(slot) = self.samples.get_mut(usize::from(self.heard)) {
+            *slot = message;
+            self.heard += 1;
+        }
         OpinionDelta::NONE
     }
 
     fn end_round(&mut self, _round: Round, _rng: &mut SimRng) -> OpinionDelta {
-        if self.buffer.len() >= 2 {
+        if usize::from(self.heard) == self.samples.len() {
             let before = self.opinion;
-            let ones = self
-                .buffer
-                .iter()
-                .take(2)
-                .filter(|&&m| m == Opinion::One)
-                .count()
+            let ones = self.samples.iter().filter(|&&m| m == Opinion::One).count()
                 + usize::from(self.opinion == Opinion::One);
             self.opinion = if ones >= 2 {
                 Opinion::One
             } else {
                 Opinion::Zero
             };
-            self.buffer.clear();
+            self.heard = 0;
             OpinionDelta::between(Some(before), Some(self.opinion))
         } else {
             OpinionDelta::NONE
@@ -123,13 +136,12 @@ impl TwoChoicesProtocol {
         }
         let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
         let agents: Vec<TwoChoicesAgent> = (0..self.n)
-            .map(|i| TwoChoicesAgent {
-                opinion: if i < initially_correct {
+            .map(|i| {
+                TwoChoicesAgent::new(if i < initially_correct {
                     correct
                 } else {
                     correct.flipped()
-                },
-                buffer: Vec::with_capacity(2),
+                })
             })
             .collect();
         let config = SimulationConfig::new(self.n)
@@ -189,10 +201,7 @@ mod tests {
     #[test]
     fn majority_update_uses_own_opinion_plus_two_samples() {
         let mut rng = SimRng::from_seed(0);
-        let mut agent = TwoChoicesAgent {
-            opinion: Opinion::Zero,
-            buffer: Vec::new(),
-        };
+        let mut agent = TwoChoicesAgent::new(Opinion::Zero);
         let _ = agent.deliver(0, Opinion::One, &mut rng);
         let _ = agent.end_round(0, &mut rng);
         // Only one sample: no update yet.

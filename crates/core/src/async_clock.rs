@@ -22,17 +22,16 @@ use flip_model::{
 
 use crate::agent_core::ProtocolCore;
 use crate::params::Params;
-use crate::schedule::{Position, Schedule};
+use crate::schedule::Schedule;
 use crate::stage1::Stage1State;
 
 /// §3.1 agent: runs the protocol on a clock offset by a known bounded amount.
 #[derive(Debug, Clone)]
 pub struct OffsetAgent {
+    /// The protocol on the schedule shifted by the clock-skew bound `D`.
     core: ProtocolCore,
     /// This agent's initial clock value, in `[0, D)`.
     offset: u64,
-    /// The clock-skew bound `D` used to shift phase windows.
-    d: u64,
 }
 
 impl OffsetAgent {
@@ -40,9 +39,8 @@ impl OffsetAgent {
     #[must_use]
     pub fn new(schedule: Arc<Schedule>, stage1: Stage1State, offset: u64, d: u64) -> Self {
         Self {
-            core: ProtocolCore::new(schedule, stage1),
+            core: ProtocolCore::shifted(schedule, stage1, d),
             offset,
-            d,
         }
     }
 
@@ -56,51 +54,28 @@ impl OffsetAgent {
     fn local_time(&self, round: Round) -> u64 {
         self.offset + round
     }
-
-    #[inline]
-    fn position(&mut self, round: Round) -> Position {
-        self.core.locate(self.local_time(round), self.d)
-    }
 }
 
 impl Agent for OffsetAgent {
+    #[inline]
     fn send(&mut self, round: Round, _rng: &mut SimRng) -> Option<Opinion> {
-        match self.position(round) {
-            Position::Active { phase, .. } => self.core.send_in_phase(phase),
-            Position::Waiting { .. } | Position::Done => None,
-        }
+        self.core.send(self.local_time(round))
     }
 
+    #[inline]
     fn deliver(&mut self, round: Round, message: Opinion, rng: &mut SimRng) -> OpinionDelta {
-        let before = self.core.opinion();
-        match self.position(round) {
-            Position::Active { phase, .. } | Position::Waiting { next_phase: phase } => {
-                self.core.deliver_in_phase(phase, message, rng);
-            }
-            Position::Done => {}
-        }
-        OpinionDelta::between(before, self.core.opinion())
+        self.core.deliver(self.local_time(round), message, rng);
+        OpinionDelta::NONE
     }
 
     fn end_round(&mut self, round: Round, rng: &mut SimRng) -> OpinionDelta {
-        if let Position::Active {
-            phase,
-            is_last_round: true,
-            ..
-        } = self.position(round)
-        {
-            let before = self.core.opinion();
-            self.core.end_phase(phase, rng);
-            OpinionDelta::between(before, self.core.opinion())
-        } else {
-            OpinionDelta::NONE
-        }
+        self.core.end_round(self.local_time(round), rng)
     }
 
     fn next_end_round(&self, round: Round) -> Round {
         // Local and global time differ by the fixed offset.
         self.core
-            .window_last(self.local_time(round), self.d)
+            .window_last(self.local_time(round))
             .map_or(Round::MAX, |last| last - self.offset)
     }
 
@@ -113,13 +88,13 @@ impl Agent for OffsetAgent {
 /// the §3.1 algorithm with `D = 2·log₂ n`.
 #[derive(Debug, Clone)]
 pub struct ResyncAgent {
+    /// The protocol on the schedule shifted by the post-reset skew bound
+    /// `D = 2·log₂ n`.
     core: ProtocolCore,
     /// Length of the preamble broadcast (`2·log₂ n` rounds).
     preamble_len: u64,
     /// Rounds after first hearing a message at which the clock resets (`4·log₂ n`).
     reset_after: u64,
-    /// Skew bound used after the reset (`D = 2·log₂ n`).
-    d: u64,
     /// Global round at which this agent first heard a message (or `Some(0)` for
     /// initially informed agents).  Only differences of this value are ever
     /// used, which is what a local round counter would provide.
@@ -140,10 +115,9 @@ impl ResyncAgent {
     ) -> Self {
         let informed = stage1.is_initially_informed();
         Self {
-            core: ProtocolCore::new(schedule, stage1),
+            core: ProtocolCore::shifted(schedule, stage1, d),
             preamble_len,
             reset_after,
-            d,
             heard_first: informed.then_some(0),
             main_start: None,
         }
@@ -165,20 +139,18 @@ impl ResyncAgent {
         }
     }
 
-    fn main_position(&mut self, round: Round) -> Option<Position> {
-        let start = self.main_start?;
-        Some(self.core.locate(round.saturating_sub(start), self.d))
+    /// The main clock's reading at `round`, once it has been reset.
+    fn main_time(&mut self, round: Round) -> Option<u64> {
+        self.maybe_reset(round);
+        Some(round.saturating_sub(self.main_start?))
     }
 }
 
 impl Agent for ResyncAgent {
+    #[inline]
     fn send(&mut self, round: Round, rng: &mut SimRng) -> Option<Opinion> {
-        self.maybe_reset(round);
-        if let Some(position) = self.main_position(round) {
-            return match position {
-                Position::Active { phase, .. } => self.core.send_in_phase(phase),
-                Position::Waiting { .. } | Position::Done => None,
-            };
+        if let Some(time) = self.main_time(round) {
+            return self.core.send(time);
         }
         // Preamble: an informed/activated agent pushes an arbitrary (random)
         // bit for `preamble_len` rounds after it was activated.  The content
@@ -189,39 +161,35 @@ impl Agent for ResyncAgent {
         }
     }
 
+    #[inline]
     fn deliver(&mut self, round: Round, message: Opinion, rng: &mut SimRng) -> OpinionDelta {
-        let before = self.core.opinion();
-        self.maybe_reset(round);
-        if let Some(position) = self.main_position(round) {
-            match position {
-                Position::Active { phase, .. } | Position::Waiting { next_phase: phase } => {
-                    self.core.deliver_in_phase(phase, message, rng);
-                }
-                Position::Done => {}
+        match self.main_time(round) {
+            Some(time) => self.core.deliver(time, message, rng),
+            // Preamble messages only matter for activation (clock start).
+            None => {
+                self.heard_first.get_or_insert(round);
             }
-            return OpinionDelta::between(before, self.core.opinion());
         }
-        // Preamble messages only matter for activation (clock start).
-        if self.heard_first.is_none() {
-            self.heard_first = Some(round);
-        }
-        OpinionDelta::between(before, self.core.opinion())
+        OpinionDelta::NONE
     }
 
     fn end_round(&mut self, round: Round, rng: &mut SimRng) -> OpinionDelta {
-        self.maybe_reset(round);
-        if let Some(Position::Active {
-            phase,
-            is_last_round: true,
-            ..
-        }) = self.main_position(round)
-        {
-            let before = self.core.opinion();
-            self.core.end_phase(phase, rng);
-            OpinionDelta::between(before, self.core.opinion())
-        } else {
-            OpinionDelta::NONE
+        match self.main_time(round) {
+            Some(time) => self.core.end_round(time, rng),
+            None => OpinionDelta::NONE,
         }
+    }
+
+    fn next_end_round(&self, round: Round) -> Round {
+        // The main clock reads zero `reset_after` rounds after the agent
+        // first hears a message (as in `maybe_reset`); an agent that has
+        // heard nothing yet hears at `round` at the earliest.  Before then
+        // `end_round` does nothing, and from then on it acts only at the
+        // last time of a main-clock window.
+        let main_start = self.heard_first.unwrap_or(round) + self.reset_after;
+        self.core
+            .window_last(round.saturating_sub(main_start))
+            .map_or(Round::MAX, |last| main_start + last)
     }
 
     fn opinion(&self) -> Option<Opinion> {

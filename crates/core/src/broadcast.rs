@@ -10,7 +10,7 @@ use flip_model::{
 
 use crate::agent_core::ProtocolCore;
 use crate::params::Params;
-use crate::schedule::{Position, Schedule, StageKind};
+use crate::schedule::{Schedule, StageKind};
 use crate::stage1::Stage1State;
 
 /// A fully-synchronous agent running the two-stage protocol.
@@ -63,43 +63,23 @@ impl BreatheAgent {
 impl Agent for BreatheAgent {
     #[inline(always)]
     fn send(&mut self, round: Round, _rng: &mut SimRng) -> Option<Opinion> {
-        match self.core.locate(round, 0) {
-            Position::Active { phase, .. } => self.core.send_in_phase(phase),
-            Position::Waiting { .. } | Position::Done => None,
-        }
+        self.core.send(round)
     }
 
     #[inline(always)]
     fn deliver(&mut self, round: Round, message: Opinion, rng: &mut SimRng) -> OpinionDelta {
-        let before = self.core.opinion();
-        match self.core.locate(round, 0) {
-            Position::Active { phase, .. } | Position::Waiting { next_phase: phase } => {
-                self.core.deliver_in_phase(phase, message, rng);
-            }
-            Position::Done => {}
-        }
-        OpinionDelta::between(before, self.core.opinion())
+        self.core.deliver(round, message, rng);
+        OpinionDelta::NONE
     }
 
     #[inline]
     fn end_round(&mut self, round: Round, rng: &mut SimRng) -> OpinionDelta {
-        if let Position::Active {
-            phase,
-            is_last_round: true,
-            ..
-        } = self.core.locate(round, 0)
-        {
-            let before = self.core.opinion();
-            self.core.end_phase(phase, rng);
-            OpinionDelta::between(before, self.core.opinion())
-        } else {
-            OpinionDelta::NONE
-        }
+        self.core.end_round(round, rng)
     }
 
     #[inline]
     fn next_end_round(&self, round: Round) -> Round {
-        self.core.window_last(round, 0).unwrap_or(Round::MAX)
+        self.core.window_last(round).unwrap_or(Round::MAX)
     }
 
     fn opinion(&self) -> Option<Opinion> {

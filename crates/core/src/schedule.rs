@@ -224,19 +224,6 @@ impl Schedule {
         self.phases[idx].end() + idx as u64 * d
     }
 
-    /// [`Schedule::shifted_position`], when `time` lies in phase `idx`'s
-    /// window or in the gap before it (`idx == phase_count()` standing for
-    /// the time after the last window); `None` when it lies elsewhere.
-    ///
-    /// Two comparisons instead of a binary search: callers that walk time
-    /// forward keep the `idx` of their last answer and try it first.
-    #[inline]
-    pub(crate) fn shifted_position_near(&self, idx: usize, time: u64, d: u64) -> Option<Position> {
-        let started = idx == 0 || self.window_end(idx - 1, d) <= time;
-        let open = idx == self.phases.len() || time < self.window_end(idx, d);
-        (started && open).then(|| self.position_in(idx, time, d))
-    }
-
     fn position_with_shift(&self, time: u64, d: u64) -> Position {
         // Binary search for the first phase whose shifted window has not ended.
         let mut lo = 0usize;
@@ -288,30 +275,51 @@ mod tests {
     }
 
     /// Walks two [`ProtocolCore`] cursors over `times` in the given order
-    /// and checks every lookup against the binary search.  One core acts on
-    /// phase ends the way an agent would, which moves its cursor ahead; the
-    /// other only looks up, so its cursor lags behind each phase boundary.
+    /// and checks every lookup against the binary search: the position, the
+    /// window's last time, what the cached path sends and the stage kind
+    /// and index in stage it gives a delivery.  One core acts on phase ends
+    /// the way an agent would, which moves its cursor ahead; the other only
+    /// looks up, so its cursor lags behind each phase boundary.  The order
+    /// of the cached lookups rotates, so each is sometimes the one that
+    /// misses and refills the window.
     fn assert_cursor_matches_binary_search(
         schedule: &Schedule,
         d: u64,
         times: impl IntoIterator<Item = u64>,
     ) {
         let schedule = Arc::new(schedule.clone());
-        let core = ProtocolCore::new(schedule.clone(), Stage1State::informed(Opinion::One));
+        let core = ProtocolCore::shifted(schedule.clone(), Stage1State::informed(Opinion::One), d);
         let (mut acting, mut passive) = (core.clone(), core);
         let mut rng = SimRng::from_seed(3);
-        for t in times {
+        for (step, t) in times.into_iter().enumerate() {
             let expected = schedule.shifted_position(t, d);
-            let last = match expected {
+            let (last, heard_in) = match expected {
                 Position::Active { phase, .. } | Position::Waiting { next_phase: phase } => {
                     let spec = schedule.phases()[phase];
-                    Some(spec.end() + phase as u64 * d - 1)
+                    (
+                        Some(spec.end() + phase as u64 * d - 1),
+                        Some((spec.kind, spec.index_in_stage)),
+                    )
                 }
-                Position::Done => None,
+                Position::Done => (None, None),
             };
             for core in [&mut acting, &mut passive] {
-                assert_eq!(core.window_last(t, d), last, "window at time {t}, d = {d}");
-                assert_eq!(core.locate(t, d), expected, "time {t}, d = {d}");
+                let sent = match expected {
+                    Position::Active { phase, .. } => core.send_in_phase(phase),
+                    Position::Waiting { .. } | Position::Done => None,
+                };
+                assert_eq!(core.window_last(t), last, "window at time {t}, d = {d}");
+                for lookup in (step..step + 3).map(|k| k % 3) {
+                    match lookup {
+                        0 => assert_eq!(core.locate(t), expected, "time {t}, d = {d}"),
+                        1 => assert_eq!(core.send(t), sent, "send at time {t}, d = {d}"),
+                        _ => assert_eq!(
+                            core.delivery_phase(t),
+                            heard_in,
+                            "delivery at time {t}, d = {d}"
+                        ),
+                    }
+                }
             }
             if let Position::Active {
                 phase,

@@ -20,8 +20,9 @@ pub struct Stage1State {
     /// source, or a member of the initial set `A` in majority consensus).
     initially_informed: bool,
     /// Phase (index into the schedule's spreading phases) in which the agent
-    /// was activated; `Some(0)` for initially informed agents.
-    level: Option<usize>,
+    /// was activated; `Some(0)` for initially informed agents.  Stored in
+    /// 32 bits to keep the per-agent state small.
+    level: Option<u32>,
     /// Messages heard during the activation phase.
     heard_in_level_phase: u32,
     /// Reservoir-sampled candidate among those messages.
@@ -67,7 +68,7 @@ impl Stage1State {
     /// The spreading phase in which this agent was activated, if any.
     #[must_use]
     pub fn level(&self) -> Option<usize> {
-        self.level
+        self.level.map(|level| level as usize)
     }
 
     /// The initial opinion adopted by the agent, if already set.
@@ -89,7 +90,7 @@ impl Stage1State {
     #[must_use]
     #[inline]
     pub fn send(&self, phase: usize) -> Option<Opinion> {
-        match self.level {
+        match self.level() {
             Some(level) if self.initially_informed || phase > level => self.initial_opinion,
             _ => None,
         }
@@ -107,9 +108,9 @@ impl Stage1State {
         if self.initial_opinion.is_some() || self.initially_informed {
             return;
         }
-        match self.level {
+        match self.level() {
             None => {
-                self.level = Some(phase);
+                self.level = Some(u32::try_from(phase).expect("phase indices fit in 32 bits"));
                 self.heard_in_level_phase = 1;
                 self.reservoir = Some(message);
             }
@@ -133,7 +134,7 @@ impl Stage1State {
         if self.initially_informed {
             return;
         }
-        if self.level == Some(phase) && self.initial_opinion.is_none() {
+        if self.level() == Some(phase) && self.initial_opinion.is_none() {
             self.initial_opinion = self.reservoir;
         }
     }

@@ -13,7 +13,9 @@ use rand::Rng;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Stage2State {
     opinion: Option<Opinion>,
-    zeros_received: u64,
+    /// Messages received in the current phase.
+    received: u64,
+    /// How many of them carried [`Opinion::One`].
     ones_received: u64,
 }
 
@@ -41,7 +43,7 @@ impl Stage2State {
     /// Number of messages received so far in the current phase.
     #[must_use]
     pub fn received_in_phase(&self) -> u64 {
-        self.zeros_received + self.ones_received
+        self.received
     }
 
     /// The message to push this round: the current opinion (silent if none).
@@ -52,12 +54,13 @@ impl Stage2State {
     }
 
     /// Records a message received during the current phase.
+    ///
+    /// Counted with arithmetic on the bit: the bit is as good as random,
+    /// so a branch on it would be mispredicted about every other message.
     #[inline]
     pub fn deliver(&mut self, message: Opinion) {
-        match message {
-            Opinion::Zero => self.zeros_received += 1,
-            Opinion::One => self.ones_received += 1,
-        }
+        self.received += 1;
+        self.ones_received += u64::from(message.as_bit());
     }
 
     /// Ends a phase of length `phase_len`, drawing `samples` samples if successful.
@@ -86,7 +89,7 @@ impl Stage2State {
             };
             self.opinion = Some(new_opinion);
         }
-        self.zeros_received = 0;
+        self.received = 0;
         self.ones_received = 0;
         successful
     }
@@ -106,10 +109,11 @@ fn draw_without_replacement(successes: u64, total: u64, samples: u64, rng: &mut 
         if remaining_total == 0 {
             break;
         }
-        if rng.gen_range(0..remaining_total) < remaining_ones {
-            drawn_ones += 1;
-            remaining_ones -= 1;
-        }
+        // Whether the draw is a one is a coin flip for a branch predictor,
+        // so the comparison's result is added instead of branched on.
+        let one = u64::from(rng.gen_range(0..remaining_total) < remaining_ones);
+        drawn_ones += one;
+        remaining_ones -= one;
         remaining_total -= 1;
     }
     drawn_ones

@@ -153,8 +153,10 @@ pub struct Simulation<A, C> {
     end_round: EndRoundGate,
     send_buffer: Vec<(u32, Opinion)>,
     routing: RoundRouting,
-    /// Flip positions of the current round's fused noise (reused; sized to
-    /// the population so even an everyone-flips round cannot reallocate).
+    /// Flip positions of the current round's fused noise, then a
+    /// `u32::MAX` sentinel (reused; sized to the population plus the
+    /// sentinel, so even a round in which every message flips cannot
+    /// reallocate).
     flip_buffer: Vec<u32>,
     /// Persistent worker pool for intra-round parallel routing, present
     /// when [`SimulationConfig::with_threads`] asked for more than one
@@ -234,7 +236,7 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             end_round: EndRoundGate::default(),
             send_buffer: Vec::with_capacity(n),
             routing,
-            flip_buffer: Vec::with_capacity(n),
+            flip_buffer: Vec::with_capacity(n + 1),
             pool,
             faults,
             telemetry: Telemetry::off(),
@@ -397,20 +399,23 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
                 // Geometric skip-sampling positions the flips (gaps
                 // batch-drawn, before any delivery, so the RNG stream
                 // matches the standalone sampler exactly), and the delivery
-                // walk merges them in with a two-pointer scan.
+                // walk merges them in with a two-pointer scan.  A
+                // `u32::MAX` sentinel (no message index reaches it) ends
+                // the list, so the scan needs no end test, and whether a
+                // message flips, a random bit, is never branched on: the
+                // comparison both flips the payload and advances the
+                // pointer.
                 flip_buffer.clear();
                 skip.for_each_success(rng, accepted.len(), |position| {
                     flip_buffer.push(position as u32);
                 });
                 flips = flip_buffer.len() as u64;
-                let mut next_flip = flip_buffer.iter();
-                let mut flip_at = next_flip.next().copied().unwrap_or(u32::MAX);
+                flip_buffer.push(u32::MAX);
+                let mut next_flip = 0;
                 for (i, delivery) in accepted.iter().enumerate() {
-                    let mut payload = delivery.payload;
-                    if i as u32 == flip_at {
-                        payload = payload.flipped();
-                        flip_at = next_flip.next().copied().unwrap_or(u32::MAX);
-                    }
+                    let flip = i as u32 == flip_buffer[next_flip];
+                    next_flip += usize::from(flip);
+                    let payload = delivery.payload.flipped_if(flip);
                     let recipient = delivery.recipient.index();
                     if deaf(recipient) {
                         suppressed += 1;

@@ -38,6 +38,7 @@ impl Opinion {
 
     /// Returns the opposite opinion (the result of a channel bit flip).
     #[must_use]
+    #[inline]
     pub fn flipped(self) -> Self {
         match self {
             Opinion::Zero => Opinion::One,
@@ -45,8 +46,18 @@ impl Opinion {
         }
     }
 
+    /// Returns the opposite opinion when `flip` is set, and `self`
+    /// otherwise.  The choice is arithmetic on the bits, with no branch, so
+    /// a random `flip` costs no misprediction.
+    #[must_use]
+    #[inline]
+    pub fn flipped_if(self, flip: bool) -> Self {
+        Opinion::from_bit(self.as_bit() ^ u8::from(flip))
+    }
+
     /// Encodes the opinion as a bit (`0` or `1`).
     #[must_use]
+    #[inline]
     pub fn as_bit(self) -> u8 {
         match self {
             Opinion::Zero => 0,
@@ -56,6 +67,7 @@ impl Opinion {
 
     /// Decodes an opinion from a bit; any non-zero value maps to [`Opinion::One`].
     #[must_use]
+    #[inline]
     pub fn from_bit(bit: u8) -> Self {
         if bit == 0 {
             Opinion::Zero
@@ -120,6 +132,14 @@ mod tests {
         for op in Opinion::ALL {
             assert_eq!(op.flipped().flipped(), op);
             assert_ne!(op.flipped(), op);
+        }
+    }
+
+    #[test]
+    fn flipped_if_flips_exactly_when_asked() {
+        for op in Opinion::ALL {
+            assert_eq!(op.flipped_if(true), op.flipped());
+            assert_eq!(op.flipped_if(false), op);
         }
     }
 

@@ -2,8 +2,8 @@
 //! (Theorem 2.17), spanning the `flip-model` and `breathe` crates.
 
 use breathe::{
-    BroadcastProtocol, InitialSet, MajorityConsensusProtocol, Multipliers, OffsetAgent, Params,
-    Schedule, Stage1State, StageKind,
+    AsyncBroadcastProtocol, AsyncVariant, BroadcastProtocol, InitialSet, MajorityConsensusProtocol,
+    Multipliers, OffsetAgent, Params, ResyncAgent, Schedule, Stage1State, StageKind,
 };
 use flip_model::{
     Agent, BinarySymmetricChannel, Census, HybridSimulation, Metrics, Opinion, OpinionDelta, Phase,
@@ -159,7 +159,10 @@ impl<A: Agent> Agent for EveryRound<A> {
 /// Runs `agents` for `rounds` rounds twice, as they are and wrapped in
 /// [`EveryRound`], and asserts that every round summary, the final census
 /// and the metrics agree: the engine's skipped end-of-round calls must all
-/// have been no-ops.
+/// have been no-ops.  After every round, both engines' maintained censuses
+/// must also match a full recount, so an agent whose delivery changes its
+/// opinion while reporting no delta fails here in release builds too (debug
+/// builds audit the census only every 64 rounds).
 fn assert_skipping_changes_nothing<A: Agent + Clone>(
     agents: Vec<A>,
     rounds: u64,
@@ -183,6 +186,16 @@ fn assert_skipping_changes_nothing<A: Agent + Clone>(
             skipping.step(),
             every.step(),
             "round {round}, faults {faults:?}"
+        );
+        assert_eq!(
+            skipping.census(),
+            Census::of_agents(skipping.agents()),
+            "census recount after round {round}, faults {faults:?}"
+        );
+        assert_eq!(
+            every.census(),
+            Census::of_agents(every.agents()),
+            "census recount after round {round}, faults {faults:?}"
         );
     }
     assert_eq!(skipping.census(), every.census(), "faults {faults:?}");
@@ -255,6 +268,31 @@ fn skipping_end_of_round_calls_changes_nothing() {
         assert_skipping_changes_nothing(
             offset_agents.clone(),
             schedule.shifted_total_rounds(d) + 2,
+            faults,
+        );
+    }
+
+    // Resynchronised clocks: every agent's windows start `reset_after`
+    // rounds after it first hears a message, at a round the gate cannot
+    // know in advance.
+    let resync =
+        AsyncBroadcastProtocol::new(params.clone(), Opinion::One, AsyncVariant::Resynchronised);
+    let log2n = resync.log2_n();
+    let (d, preamble_len, reset_after) = (2 * log2n, 2 * log2n, 4 * log2n);
+    let resync_agents: Vec<ResyncAgent> = (0..params.n())
+        .map(|i| {
+            let stage1 = if i == 0 {
+                Stage1State::informed(Opinion::One)
+            } else {
+                Stage1State::uninformed()
+            };
+            ResyncAgent::new(schedule.clone(), stage1, preamble_len, reset_after, d)
+        })
+        .collect();
+    for faults in fault_plans(schedule, d) {
+        assert_skipping_changes_nothing(
+            resync_agents.clone(),
+            2 * reset_after + schedule.shifted_total_rounds(d),
             faults,
         );
     }

@@ -17,8 +17,8 @@ use std::cell::Cell;
 use breathe::{BroadcastProtocol, Params};
 use breathe_paper as _;
 use flip_model::{
-    Agent, BinarySymmetricChannel, Opinion, OpinionDelta, Round, RumorAgent, SimRng, Simulation,
-    SimulationConfig,
+    Agent, BinarySymmetricChannel, Channel, Opinion, OpinionDelta, Round, RumorAgent, SimRng,
+    Simulation, SimulationConfig,
 };
 
 thread_local! {
@@ -130,6 +130,81 @@ fn simulation_round_loop_is_allocation_free_after_warm_up() {
         after - before,
         0,
         "the rumor round loop allocated {} time(s) after warm-up",
+        after - before
+    );
+}
+
+/// A fixed-crossover channel that flips all but a 2⁻⁴⁰ share of messages:
+/// the fused noise path's worst case, one flip position per message.
+struct AlmostAlwaysFlips;
+
+impl Channel for AlmostAlwaysFlips {
+    fn transmit(&self, message: Opinion, _rng: &mut SimRng) -> Opinion {
+        message.flipped()
+    }
+
+    fn crossover(&self) -> f64 {
+        1.0 - 2f64.powi(-40)
+    }
+
+    fn fixed_crossover(&self) -> Option<f64> {
+        Some(self.crossover())
+    }
+}
+
+/// Stays silent for `quiet` rounds, then pushes its opinion every round.
+struct LateSender {
+    opinion: Opinion,
+    quiet: Round,
+}
+
+impl Agent for LateSender {
+    fn next_end_round(&self, _round: Round) -> Round {
+        Round::MAX
+    }
+
+    fn send(&mut self, round: Round, _rng: &mut SimRng) -> Option<Opinion> {
+        (round >= self.quiet).then_some(self.opinion)
+    }
+    fn deliver(&mut self, _round: Round, _message: Opinion, _rng: &mut SimRng) -> OpinionDelta {
+        OpinionDelta::NONE
+    }
+    fn opinion(&self) -> Option<Opinion> {
+        Some(self.opinion)
+    }
+}
+
+#[test]
+fn rounds_in_which_every_message_flips_are_allocation_free() {
+    // Two agents are each other's only peer, so once they both push, every
+    // round accepts all n messages; with this channel all of them flip, and
+    // the flip buffer holds n positions plus its end sentinel.  The warm-up
+    // rounds are silent, so the first such round falls in the measured
+    // window.
+    let quiet = 5;
+    let agents: Vec<LateSender> = Opinion::ALL
+        .into_iter()
+        .map(|opinion| LateSender { opinion, quiet })
+        .collect();
+    let n = agents.len();
+    let config = SimulationConfig::new(n).with_seed(81);
+    let mut sim = Simulation::new(agents, AlmostAlwaysFlips, config).unwrap();
+    sim.run(quiet);
+    assert_eq!(sim.metrics().messages_sent, 0);
+
+    let rounds = 20;
+    let before = thread_allocations();
+    sim.run(rounds);
+    let after = thread_allocations();
+    assert_eq!(
+        sim.metrics().bits_flipped,
+        rounds * n as u64,
+        "every accepted message must flip"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "rounds in which every message flips allocated {} time(s)",
         after - before
     );
 }
