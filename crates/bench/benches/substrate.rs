@@ -8,6 +8,7 @@ use flip_model::{
     Agent, BernoulliSkip, BinarySymmetricChannel, Channel, GossipScheduler, Opinion, OpinionDelta,
     Round, RoundPool, RoundRouting, SimRng, Simulation, SimulationConfig,
 };
+use rand::Rng;
 
 struct Beacon(Opinion);
 
@@ -292,7 +293,79 @@ fn substrate(c: &mut Criterion) {
         });
     });
 
+    // The sweep store's record codec: each record written as its shard line
+    // and read back, over 1,000 six-trial records shaped like a dense
+    // `rumor` cell (three metrics, every sketch past initialisation).  A
+    // resumed, exported or reopened sweep pays this once per cell.
+    let records = codec_records(1_000);
+    group.bench_function("record_codec", |b| {
+        b.iter(|| {
+            records
+                .iter()
+                .map(|record| {
+                    let line = record.to_json_line();
+                    sweeps::CellRecord::from_json_line(&line)
+                        .expect("record parses")
+                        .trials
+                })
+                .sum::<u32>()
+        });
+    });
+
+    // The lossless JSON export of a 1,000-cell sweep: every cell's
+    // canonical spec and record line, written into one document.
+    let export_spec = sweeps::SweepSpec {
+        name: "export-bench".into(),
+        protocol: "rumor".into(),
+        backend: flip_model::Backend::Dense,
+        trials: 6,
+        base_seed: 9,
+        point_base: 0,
+        rounds: 500,
+        faults: String::new(),
+        defaults: std::collections::BTreeMap::from([("informed".to_string(), 1.0)]),
+        axes: vec![
+            sweeps::Axis {
+                key: "n".into(),
+                values: (0..10).map(|i| 1e3 * 2f64.powi(i)).collect(),
+            },
+            sweeps::Axis {
+                key: "epsilon".into(),
+                values: (0..100).map(|j| 0.05 + 0.004 * f64::from(j)).collect(),
+            },
+        ],
+    };
+    let export_cells: Vec<_> = export_spec
+        .expand()
+        .expect("valid spec")
+        .into_iter()
+        .zip(records)
+        .collect();
+    group.bench_function("export_json_1000", |b| {
+        b.iter(|| sweeps::export_json(&export_spec, &export_cells).len());
+    });
+
     group.finish();
+}
+
+/// `count` records of six trials each, with the metrics of a dense `rumor`
+/// cell and values from a fixed generator.
+fn codec_records(count: u64) -> Vec<sweeps::CellRecord> {
+    let mut rng = SimRng::from_seed(5);
+    (0..count)
+        .map(|cell| {
+            let trials: Vec<Vec<(&'static str, f64)>> = (0..6)
+                .map(|_| {
+                    vec![
+                        ("fraction_correct", rng.gen::<f64>()),
+                        ("messages_sent", f64::from(rng.gen_range(1..1_000_000u32))),
+                        ("rounds", f64::from(rng.gen_range(10..40u32))),
+                    ]
+                })
+                .collect();
+            sweeps::CellRecord::from_trials(format!("{cell:016x}"), cell, &trials)
+        })
+        .collect()
 }
 
 criterion_group!(benches, substrate);

@@ -11,12 +11,13 @@
 //! deterministic function of the cell spec alone — the property the
 //! byte-identical-resume guarantee rests on.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use analysis::streaming::{P2Quantile, P2State, StreamingEstimator, StreamingMoments};
 
 use crate::error::SweepError;
-use crate::json::Json;
+use crate::json::{put, required, write_f64, write_str, write_u64, Scanner};
 
 /// The quantiles every metric tracks.
 pub const TRACKED_QUANTILES: [f64; 3] = [0.1, 0.5, 0.9];
@@ -55,73 +56,58 @@ impl MetricAggregate {
         self.quantiles[i].estimate()
     }
 
-    /// Serializes the full aggregate state.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
+    /// Appends the full aggregate state as one JSON object: the moments,
+    /// then the three sketches in [`TRACKED_QUANTILES`] order.
+    fn write_json(&self, out: &mut String) {
         let m = &self.moments;
-        Json::object(vec![
-            ("count".into(), Json::UInt(m.count)),
-            ("sum".into(), Json::Float(m.sum)),
-            ("welford_mean".into(), Json::Float(m.welford_mean)),
-            ("m2".into(), Json::Float(m.m2)),
-            ("min".into(), Json::Float(m.min)),
-            ("max".into(), Json::Float(m.max)),
-            (
-                "quantiles".into(),
-                Json::Array(
-                    self.quantiles
-                        .iter()
-                        .map(|s| p2_to_json(&s.snapshot()))
-                        .collect(),
-                ),
-            ),
-        ])
+        out.push_str("{\"count\":");
+        write_u64(out, m.count);
+        for (key, value) in [
+            (",\"sum\":", m.sum),
+            (",\"welford_mean\":", m.welford_mean),
+            (",\"m2\":", m.m2),
+            (",\"min\":", m.min),
+            (",\"max\":", m.max),
+        ] {
+            out.push_str(key);
+            write_f64(out, value);
+        }
+        out.push_str(",\"quantiles\":[");
+        for (i, sketch) in self.quantiles.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_sketch(out, &sketch.snapshot());
+        }
+        out.push_str("]}");
     }
 
-    /// Restores an aggregate from [`MetricAggregate::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError::Store`] on missing fields or inconsistent
-    /// sketch state.
-    pub fn from_json(doc: &Json) -> Result<Self, SweepError> {
-        let moments = StreamingMoments {
-            count: field_u64(doc, "count")?,
-            sum: field_f64(doc, "sum")?,
-            welford_mean: field_f64(doc, "welford_mean")?,
-            m2: field_f64(doc, "m2")?,
-            min: field_f64(doc, "min")?,
-            max: field_f64(doc, "max")?,
-        };
-        let sketches = doc
-            .get("quantiles")
-            .and_then(Json::as_array)
-            .ok_or_else(|| SweepError::Store("aggregate has no `quantiles`".into()))?;
-        if sketches.len() != TRACKED_QUANTILES.len() {
-            return Err(SweepError::Store(format!(
-                "expected {} quantile sketches, found {}",
-                TRACKED_QUANTILES.len(),
-                sketches.len()
-            )));
-        }
-        let mut quantiles = Vec::with_capacity(TRACKED_QUANTILES.len());
-        for (expected_q, sketch) in TRACKED_QUANTILES.iter().zip(sketches) {
-            let state = p2_from_json(sketch)?;
-            if (state.q - expected_q).abs() > 1e-12 {
-                return Err(SweepError::Store(format!(
-                    "quantile sketch order mismatch: expected q={expected_q}, found q={}",
-                    state.q
-                )));
-            }
-            quantiles.push(
-                P2Quantile::restore(state)
-                    .ok_or_else(|| SweepError::Store("inconsistent P² sketch state".into()))?,
-            );
-        }
-        let quantiles: [P2Quantile; 3] = quantiles
-            .try_into()
-            .map_err(|_| SweepError::Store("quantile sketch count mismatch".into()))?;
-        Ok(Self { moments, quantiles })
+    /// Reads an aggregate written by [`MetricAggregate::write_json`], in any
+    /// key order.
+    fn read_json(s: &mut Scanner<'_>) -> Result<Self, String> {
+        let (mut count, mut quantiles) = (None, None);
+        let [mut sum, mut welford_mean, mut m2, mut min, mut max] = [None; 5];
+        s.object(|s, key| match &*key {
+            "count" => put(&mut count, &key, s.u64()?),
+            "sum" => put(&mut sum, &key, s.f64()?),
+            "welford_mean" => put(&mut welford_mean, &key, s.f64()?),
+            "m2" => put(&mut m2, &key, s.f64()?),
+            "min" => put(&mut min, &key, s.f64()?),
+            "max" => put(&mut max, &key, s.f64()?),
+            "quantiles" => put(&mut quantiles, &key, read_sketches(s)?),
+            _ => s.skip_value(),
+        })?;
+        Ok(Self {
+            moments: StreamingMoments {
+                count: required(count, "count")?,
+                sum: required(sum, "sum")?,
+                welford_mean: required(welford_mean, "welford_mean")?,
+                m2: required(m2, "m2")?,
+                min: required(min, "min")?,
+                max: required(max, "max")?,
+            },
+            quantiles: required(quantiles, "quantiles")?,
+        })
     }
 }
 
@@ -131,76 +117,104 @@ impl Default for MetricAggregate {
     }
 }
 
-fn p2_to_json(state: &P2State) -> Json {
-    Json::object(vec![
-        ("q".into(), Json::Float(state.q)),
-        ("count".into(), Json::UInt(state.count)),
-        (
-            "heights".into(),
-            Json::Array(state.heights.iter().map(|&v| Json::Float(v)).collect()),
-        ),
-        (
-            "positions".into(),
-            Json::Array(state.positions.iter().map(|&v| Json::Float(v)).collect()),
-        ),
-        (
-            "desired".into(),
-            Json::Array(state.desired.iter().map(|&v| Json::Float(v)).collect()),
-        ),
-        (
-            "buffer".into(),
-            Json::Array(state.buffer.iter().map(|&v| Json::Float(v)).collect()),
-        ),
-    ])
+fn write_sketch(out: &mut String, state: &P2State) {
+    out.push_str("{\"q\":");
+    write_f64(out, state.q);
+    out.push_str(",\"count\":");
+    write_u64(out, state.count);
+    for (key, values) in [
+        (",\"heights\":[", &state.heights[..]),
+        (",\"positions\":[", &state.positions[..]),
+        (",\"desired\":[", &state.desired[..]),
+        (",\"buffer\":[", &state.buffer[..]),
+    ] {
+        out.push_str(key);
+        for (i, &value) in values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_f64(out, value);
+        }
+        out.push(']');
+    }
+    out.push('}');
 }
 
-fn p2_from_json(doc: &Json) -> Result<P2State, SweepError> {
-    Ok(P2State {
-        q: field_f64(doc, "q")?,
-        count: field_u64(doc, "count")?,
-        heights: field_array5(doc, "heights")?,
-        positions: field_array5(doc, "positions")?,
-        desired: field_array5(doc, "desired")?,
-        buffer: doc
-            .get("buffer")
-            .and_then(Json::as_array)
-            .ok_or_else(|| SweepError::Store("sketch has no `buffer`".into()))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| SweepError::Store("non-numeric buffer entry".into()))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
+/// Reads the three sketches, checking each against its tracked quantile
+/// and restoring it.
+fn read_sketches(s: &mut Scanner<'_>) -> Result<[P2Quantile; 3], String> {
+    let mut sketches = Vec::with_capacity(TRACKED_QUANTILES.len());
+    s.array(|s| {
+        let expected_q = *TRACKED_QUANTILES
+            .get(sketches.len())
+            .ok_or_else(|| format!("more than {} quantile sketches", TRACKED_QUANTILES.len()))?;
+        let state = read_sketch(s)?;
+        if (state.q - expected_q).abs() > 1e-12 {
+            return Err(format!(
+                "quantile sketch order mismatch: expected q={expected_q}, found q={}",
+                state.q
+            ));
+        }
+        sketches.push(
+            P2Quantile::restore(state).ok_or_else(|| "inconsistent P² sketch state".to_string())?,
+        );
+        Ok(())
+    })?;
+    sketches.try_into().map_err(|found: Vec<P2Quantile>| {
+        format!(
+            "expected {} quantile sketches, found {}",
+            TRACKED_QUANTILES.len(),
+            found.len()
+        )
     })
 }
 
-fn field_f64(doc: &Json, key: &str) -> Result<f64, SweepError> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| SweepError::Store(format!("missing or non-numeric `{key}`")))
+fn read_sketch(s: &mut Scanner<'_>) -> Result<P2State, String> {
+    let (mut q, mut count) = (None, None);
+    let [mut heights, mut positions, mut desired] = [None; 3];
+    let mut buffer = None;
+    s.object(|s, key| match &*key {
+        "q" => put(&mut q, &key, s.f64()?),
+        "count" => put(&mut count, &key, s.u64()?),
+        "heights" => put(&mut heights, &key, read_markers(s, &key)?),
+        "positions" => put(&mut positions, &key, read_markers(s, &key)?),
+        "desired" => put(&mut desired, &key, read_markers(s, &key)?),
+        "buffer" => {
+            let mut values = Vec::new();
+            s.array(|s| {
+                values.push(s.f64()?);
+                Ok(())
+            })?;
+            put(&mut buffer, &key, values)
+        }
+        _ => s.skip_value(),
+    })?;
+    Ok(P2State {
+        q: required(q, "q")?,
+        count: required(count, "count")?,
+        heights: required(heights, "heights")?,
+        positions: required(positions, "positions")?,
+        desired: required(desired, "desired")?,
+        buffer: required(buffer, "buffer")?,
+    })
 }
 
-fn field_u64(doc: &Json, key: &str) -> Result<u64, SweepError> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| SweepError::Store(format!("missing or non-integer `{key}`")))
-}
-
-fn field_array5(doc: &Json, key: &str) -> Result<[f64; 5], SweepError> {
-    let items = doc
-        .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| SweepError::Store(format!("missing `{key}` array")))?;
-    let values: Vec<f64> = items
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| SweepError::Store(format!("non-numeric `{key}` entry")))
-        })
-        .collect::<Result<_, _>>()?;
-    values
-        .try_into()
-        .map_err(|_| SweepError::Store(format!("`{key}` must have exactly 5 entries")))
+/// Reads one of a sketch's five-entry marker arrays.
+fn read_markers(s: &mut Scanner<'_>, key: &str) -> Result<[f64; 5], String> {
+    let mut markers = [0.0; 5];
+    let mut len = 0;
+    s.array(|s| {
+        let slot = markers
+            .get_mut(len)
+            .ok_or_else(|| format!("`{key}` must have exactly 5 entries"))?;
+        *slot = s.f64()?;
+        len += 1;
+        Ok(())
+    })?;
+    if len != markers.len() {
+        return Err(format!("`{key}` must have exactly 5 entries"));
+    }
+    Ok(markers)
 }
 
 /// A completed sweep cell: its address, spec echo, and per-metric aggregates.
@@ -247,52 +261,84 @@ impl CellRecord {
     /// One shard-store JSONL line (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        Json::object(vec![
-            ("cell".into(), Json::Str(self.hash.clone())),
-            ("point".into(), Json::UInt(self.point)),
-            ("trials".into(), Json::UInt(u64::from(self.trials))),
-            (
-                "metrics".into(),
-                Json::Object(
-                    self.metrics
-                        .iter()
-                        .map(|(name, agg)| (name.clone(), agg.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string()
+        let mut line = String::new();
+        self.write_json(&mut line);
+        line
+    }
+
+    /// Appends the record's shard-store line (no trailing newline) to `out`:
+    /// `{"cell":…,"point":…,"trials":…,"metrics":{name: aggregate, …}}`, the
+    /// metrics in name order.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"cell\":");
+        write_str(out, &self.hash);
+        out.push_str(",\"point\":");
+        write_u64(out, self.point);
+        out.push_str(",\"trials\":");
+        write_u64(out, u64::from(self.trials));
+        out.push_str(",\"metrics\":{");
+        for (i, (name, aggregate)) in self.metrics.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(out, name);
+            out.push(':');
+            aggregate.write_json(out);
+        }
+        out.push_str("}}");
     }
 
     /// Parses one shard-store line.
+    ///
+    /// Keys may come in any order and unknown keys are skipped; a missing
+    /// field, a duplicated key or metric, or an inconsistent sketch is an
+    /// error.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Store`] on malformed JSON or schema drift.
     pub fn from_json_line(line: &str) -> Result<Self, SweepError> {
-        let doc = crate::json::parse(line).map_err(SweepError::Store)?;
-        let hash = doc
-            .get("cell")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SweepError::Store("record has no `cell` hash".into()))?
-            .to_string();
-        let point = field_u64(&doc, "point")?;
-        let trials = u32::try_from(field_u64(&doc, "trials")?)
-            .map_err(|_| SweepError::Store("`trials` does not fit in u32".into()))?;
-        let metrics = match doc.get("metrics") {
-            Some(Json::Object(pairs)) => pairs
-                .iter()
-                .map(|(name, value)| Ok((name.clone(), MetricAggregate::from_json(value)?)))
-                .collect::<Result<BTreeMap<_, _>, SweepError>>()?,
-            _ => return Err(SweepError::Store("record has no `metrics` object".into())),
-        };
+        let mut scanner = Scanner::new(line);
+        scanner.skip_ws();
+        Self::read_json(&mut scanner)
+            .and_then(|record| scanner.finish().map(|()| record))
+            .map_err(SweepError::Store)
+    }
+
+    /// Reads one record object at the scanner's position (a shard line, or
+    /// a cell of a JSON export).
+    pub(crate) fn read_json(s: &mut Scanner<'_>) -> Result<Self, String> {
+        let (mut hash, mut point, mut trials, mut metrics) = (None, None, None, None);
+        s.object(|s, key| match &*key {
+            "cell" => put(&mut hash, &key, s.string()?.into_owned()),
+            "point" => put(&mut point, &key, s.u64()?),
+            "trials" => put(&mut trials, &key, s.u64()?),
+            "metrics" => put(&mut metrics, &key, read_metrics(s)?),
+            _ => s.skip_value(),
+        })?;
         Ok(Self {
-            hash,
-            point,
-            trials,
-            metrics,
+            hash: required(hash, "cell")?,
+            point: required(point, "point")?,
+            trials: u32::try_from(required(trials, "trials")?)
+                .map_err(|_| "`trials` does not fit in u32".to_string())?,
+            metrics: required(metrics, "metrics")?,
         })
     }
+}
+
+fn read_metrics(s: &mut Scanner<'_>) -> Result<BTreeMap<String, MetricAggregate>, String> {
+    let mut metrics = BTreeMap::new();
+    s.object(|s, name| {
+        let aggregate = MetricAggregate::read_json(s)?;
+        match metrics.entry(name.into_owned()) {
+            Entry::Occupied(entry) => Err(format!("duplicate metric `{}`", entry.key())),
+            Entry::Vacant(entry) => {
+                entry.insert(aggregate);
+                Ok(())
+            }
+        }
+    })?;
+    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -339,13 +385,24 @@ mod tests {
         assert_eq!(parsed.to_json_line(), line);
     }
 
+    /// Writes an aggregate and reads it back with the record codec's
+    /// aggregate reader.
+    fn through_json(aggregate: &MetricAggregate) -> MetricAggregate {
+        let mut text = String::new();
+        aggregate.write_json(&mut text);
+        let mut scanner = Scanner::new(&text);
+        let back = MetricAggregate::read_json(&mut scanner).unwrap();
+        scanner.finish().unwrap();
+        back
+    }
+
     #[test]
     fn aggregate_round_trips_mid_stream_and_continues_identically() {
         let mut original = MetricAggregate::new();
         for i in 0..23 {
             original.observe(f64::from(i * i % 17));
         }
-        let mut restored = MetricAggregate::from_json(&original.to_json()).unwrap();
+        let mut restored = through_json(&original);
         assert_eq!(restored, original);
         for i in 0..50 {
             original.observe(f64::from(i));
@@ -356,7 +413,7 @@ mod tests {
         let mut young = MetricAggregate::new();
         young.observe(3.5);
         young.observe(-1.0);
-        let back = MetricAggregate::from_json(&young.to_json()).unwrap();
+        let back = through_json(&young);
         assert_eq!(back, young);
     }
 
@@ -420,5 +477,18 @@ mod tests {
         // A truncated (torn) line is a parse error, not a panic.
         let line = demo_record().to_json_line();
         assert!(CellRecord::from_json_line(&line[..line.len() / 2]).is_err());
+        // So is anything after the record, and a record nested too deep.
+        assert!(CellRecord::from_json_line(&format!("{line} x")).is_err());
+        assert!(CellRecord::from_json_line(&"[".repeat(1_000_000)).is_err());
+        let deep = format!("{{\"cell\":\"x\",\"extra\":{}", "[".repeat(1_000_000));
+        assert!(CellRecord::from_json_line(&deep).is_err());
+        // A marker array holds exactly five entries.
+        let at = line.find("\"heights\":[").unwrap() + "\"heights\":[".len();
+        let end = at + line[at..].find(']').unwrap();
+        let four = line[at..end].rsplit_once(',').unwrap().0;
+        let short = format!("{}{four}{}", &line[..at], &line[end..]);
+        assert!(CellRecord::from_json_line(&short).is_err());
+        let long = format!("{},1.0{}", &line[..end], &line[end..]);
+        assert!(CellRecord::from_json_line(&long).is_err());
     }
 }

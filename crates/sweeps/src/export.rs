@@ -16,10 +16,11 @@
 //!   [`CellRecord`]s.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::aggregate::CellRecord;
 use crate::error::SweepError;
-use crate::json::{parse, Json};
+use crate::json::{put, required, write_str, Json, Scanner};
 use crate::spec::{ScenarioSpec, SweepSpec};
 
 /// Pairs every grid cell with its persisted record, in grid order.
@@ -68,12 +69,8 @@ fn metric_columns(cells: &[(ScenarioSpec, CellRecord)]) -> Vec<String> {
     names
 }
 
-/// Shortest-round-trip float formatting (`{:?}`), the byte-stable form.
-fn fmt(value: f64) -> String {
-    format!("{value:?}")
-}
-
 /// Renders the summary CSV (see the module docs for the column layout).
+/// Floats use the shortest round-trip form (`{:?}`), the byte-stable form.
 #[must_use]
 pub fn export_csv(cells: &[(ScenarioSpec, CellRecord)]) -> String {
     let params = param_columns(cells);
@@ -94,14 +91,15 @@ pub fn export_csv(cells: &[(ScenarioSpec, CellRecord)]) -> String {
     }
     out.push('\n');
     for (spec, record) in cells {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{},{},{},{},{}",
             record.point, spec.protocol, spec.backend, record.trials, spec.rounds
-        ));
+        );
         for key in &params {
             out.push(',');
             if let Some(v) = spec.params.get(key) {
-                out.push_str(&fmt(*v));
+                let _ = write!(out, "{v:?}");
             }
         }
         for name in &metrics {
@@ -117,8 +115,7 @@ pub fn export_csv(cells: &[(ScenarioSpec, CellRecord)]) -> String {
                         agg.quantile(1),
                         agg.quantile(2),
                     ] {
-                        out.push(',');
-                        out.push_str(&fmt(v));
+                        let _ = write!(out, ",{v:?}");
                     }
                 }
                 None => out.push_str(",,,,,,,"),
@@ -130,55 +127,74 @@ pub fn export_csv(cells: &[(ScenarioSpec, CellRecord)]) -> String {
 }
 
 /// Renders the lossless JSON export: sweep identity plus every cell's full
-/// aggregate state (spec echo included).
+/// aggregate state (spec echo included), as
+/// `{"name":…,"sweep_hash":…,"cells":[{"spec":…,"record":…},…]}` where
+/// `spec` is the cell's canonical JSON and `record` its shard-store line.
+/// Both are written straight into the document.
 #[must_use]
 pub fn export_json(spec: &SweepSpec, cells: &[(ScenarioSpec, CellRecord)]) -> String {
-    let cell_docs: Vec<Json> = cells
-        .iter()
-        .map(|(cell_spec, record)| {
-            Json::object(vec![
-                ("spec".into(), cell_spec.canonical_json()),
-                (
-                    "record".into(),
-                    parse(&record.to_json_line()).expect("records serialize to valid JSON"),
-                ),
-            ])
-        })
-        .collect();
-    Json::object(vec![
-        ("name".into(), Json::Str(spec.name.clone())),
-        ("sweep_hash".into(), Json::Str(spec.hash_hex())),
-        ("cells".into(), Json::Array(cell_docs)),
-    ])
-    .to_string()
+    let mut out = String::new();
+    out.push_str("{\"name\":");
+    write_str(&mut out, &spec.name);
+    out.push_str(",\"sweep_hash\":");
+    write_str(&mut out, &spec.hash_hex());
+    out.push_str(",\"cells\":[");
+    for (i, (cell_spec, record)) in cells.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"spec\":");
+        cell_spec.write_canonical_json(&mut out);
+        out.push_str(",\"record\":");
+        record.write_json(&mut out);
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Parses an [`export_json`] document back into `(spec, record)` pairs —
-/// the lossless round trip the export tests pin down.
+/// the lossless round trip the export tests pin down.  Records are read
+/// with the shard-line codec in place; only each cell's small spec object
+/// becomes a [`Json`] tree, for [`ScenarioSpec::from_json`].
 ///
 /// # Errors
 ///
-/// Returns [`SweepError::Store`] on malformed documents.
+/// Returns [`SweepError::Store`] on malformed documents and
+/// [`SweepError::Spec`] on an invalid cell spec.
 pub fn parse_export_json(text: &str) -> Result<Vec<(ScenarioSpec, CellRecord)>, SweepError> {
-    let doc = parse(text).map_err(SweepError::Store)?;
-    doc.get("cells")
-        .and_then(Json::as_array)
-        .ok_or_else(|| SweepError::Store("export has no `cells` array".into()))?
-        .iter()
-        .map(|cell| {
-            let spec = ScenarioSpec::from_json(
-                cell.get("spec")
-                    .ok_or_else(|| SweepError::Store("cell has no `spec`".into()))?,
-            )?;
-            let record = CellRecord::from_json_line(
-                &cell
-                    .get("record")
-                    .ok_or_else(|| SweepError::Store("cell has no `record`".into()))?
-                    .to_string(),
-            )?;
-            Ok((spec, record))
+    let mut scanner = Scanner::new(text);
+    scanner.skip_ws();
+    let mut cells = None;
+    scanner
+        .object(|s, key| match &*key {
+            "cells" => {
+                let mut list = Vec::new();
+                s.array(|s| {
+                    list.push(read_export_cell(s)?);
+                    Ok(())
+                })?;
+                put(&mut cells, &key, list)
+            }
+            _ => s.skip_value(),
         })
+        .and_then(|()| scanner.finish())
+        .and_then(|()| required(cells, "cells"))
+        .map_err(SweepError::Store)?
+        .into_iter()
+        .map(|(spec, record)| Ok((ScenarioSpec::from_json(&spec)?, record)))
         .collect()
+}
+
+/// One `{"spec":…,"record":…}` cell of a JSON export.
+fn read_export_cell(s: &mut Scanner<'_>) -> Result<(Json, CellRecord), String> {
+    let (mut spec, mut record) = (None, None);
+    s.object(|s, key| match &*key {
+        "spec" => put(&mut spec, &key, s.value()?),
+        "record" => put(&mut record, &key, CellRecord::read_json(s)?),
+        _ => s.skip_value(),
+    })?;
+    Ok((required(spec, "spec")?, required(record, "record")?))
 }
 
 #[cfg(test)]
@@ -267,5 +283,11 @@ mod tests {
         assert!(parse_export_json("{}").is_err());
         assert!(parse_export_json("{\"cells\":[{}]}").is_err());
         assert!(parse_export_json("nope").is_err());
+        let (spec, pairs) = run_demo();
+        let exported = export_json(&spec, &pairs);
+        assert!(parse_export_json(&format!("{exported} x")).is_err());
+        let mut duplicated = exported.clone();
+        duplicated.insert_str(1, "\"cells\":[],");
+        assert!(parse_export_json(&duplicated).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! A minimal JSON value, writer and recursive-descent parser.
+//! A minimal JSON value, writer and scanner.
 //!
 //! The workspace is offline (no `serde_json`; the vendored `serde` is a
 //! marker-trait stand-in), so the sweep subsystem carries its own small JSON
@@ -12,10 +12,25 @@
 //! 2. **Stable output.**  Objects preserve insertion order; writers always
 //!    emit the same bytes for the same value, which is what makes spec
 //!    hashing and byte-identical resume possible.
-//! 3. **Small surface.**  Only what the sweep store needs: no comments, no
+//! 3. **One grammar.**  A `Scanner` holds the whole grammar: whitespace,
+//!    literals, strings with their escapes, numbers, and containers nested at
+//!    most [`MAX_DEPTH`] deep.  [`parse`] builds a [`Json`] tree with it; the
+//!    cell-record codec reads records field by field with the same scanner
+//!    and never builds a tree.  The writers (`write_str`, `write_f64`)
+//!    likewise serve both the tree and the codec, so a record written either
+//!    way has the same bytes.
+//! 4. **Small surface.**  Only what the sweep store needs: no comments, no
 //!    trailing commas, UTF-8 strings with the standard escapes.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::fmt::{self, Write};
+
+/// The deepest container nesting the scanner accepts.  The crate writes at
+/// most 9 levels (a JSON export: document, cell list, cell, record,
+/// metrics, aggregate, sketch list, sketch, marker array; a shard line is
+/// the last 6); the limit keeps a corrupt or hostile document from
+/// exhausting the stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,83 +110,160 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: Write + ?Sized>(&self, out: &mut W) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::Null => push(out, "null"),
+            Json::Bool(true) => push(out, "true"),
+            Json::Bool(false) => push(out, "false"),
+            Json::UInt(v) => write_u64(out, *v),
             Json::Int(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::Float(v) => {
-                if v.is_finite() {
-                    // `{:?}` is Rust's shortest round-trip float form; it
-                    // always contains a `.` or an exponent, so the parser can
-                    // tell it apart from the integer variants.
-                    let _ = write!(out, "{v:?}");
-                } else {
-                    // JSON has no non-finite literals; `null` keeps the
-                    // document well-formed (sweeps never emit non-finite
-                    // metrics, so this is a guard, not a code path).
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Float(v) => write_f64(out, *v),
+            Json::Str(s) => write_str(out, s),
             Json::Array(items) => {
-                out.push('[');
+                push(out, "[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        push(out, ",");
                     }
                     item.write(out);
                 }
-                out.push(']');
+                push(out, "]");
             }
             Json::Object(pairs) => {
-                out.push('{');
+                push(out, "{");
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        push(out, ",");
                     }
-                    write_escaped(out, key);
-                    out.push(':');
+                    write_str(out, key);
+                    push(out, ":");
                     value.write(out);
                 }
-                out.push('}');
+                push(out, "}");
             }
         }
     }
 }
 
-impl std::fmt::Display for Json {
+impl fmt::Display for Json {
     /// The canonical single-line serialization (`value.to_string()` is the
     /// byte-stable form used for hashing and the shard store).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f);
+        Ok(())
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends raw text.  Every sink in this crate (`String`, a hasher, a
+/// `Formatter` writing into a `String`) is infallible.
+pub(crate) fn push<W: Write + ?Sized>(out: &mut W, text: &str) {
+    let _ = out.write_str(text);
+}
+
+/// Writes `s` as a JSON string: quoted, with `"`, `\` and control
+/// characters escaped and everything else (all of UTF-8) verbatim.
+pub(crate) fn write_str<W: Write + ?Sized>(out: &mut W, s: &str) {
+    push(out, "\"");
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `run..i` never splits a character.
+        push(out, &s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            push(out, escape);
+        }
+        run = i + 1;
+    }
+    push(out, &s[run..]);
+    push(out, "\"");
+}
+
+/// Writes a float in Rust's shortest round-trip form (`{:?}`).  That form
+/// always holds a `.` or an exponent, so the scanner reads it back as a
+/// float, never as an integer.  JSON has no non-finite literals: they are
+/// written as `null`, which keeps the document well-formed (sweeps never
+/// emit non-finite metrics, so this is a guard, not a code path).
+///
+/// Integral values below 1e16 — most of a record: counts, ranks, marker
+/// positions — skip the float formatter.  `{:?}` prints them in decimal
+/// notation with every integer digit (an integer that small is the only
+/// value its digits round to, so no shorter digit string exists) and
+/// `.0`, which is what the integer path writes.
+pub(crate) fn write_f64<W: Write + ?Sized>(out: &mut W, value: f64) {
+    if value.fract() == 0.0 && value.abs() < 1e16 {
+        if value.is_sign_negative() {
+            push(out, "-");
+        }
+        write_u64(out, value.abs() as u64);
+        push(out, ".0");
+    } else if value.is_finite() {
+        let _ = write!(out, "{value:?}");
+    } else {
+        push(out, "null");
+    }
+}
+
+/// Writes an unsigned integer in decimal.
+pub(crate) fn write_u64<W: Write + ?Sized>(out: &mut W, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
         }
     }
-    out.push('"');
+    push(
+        out,
+        std::str::from_utf8(&digits[start..]).expect("ASCII digits"),
+    );
+}
+
+/// Reads `-?digits.digits` exactly, without the general float parser, when
+/// the digits (at most 19, so at most 18 after the point) form an integer
+/// `m ≤ 2^53`: `m` and `10^f`, for `f` fraction digits, are then both exact
+/// doubles (powers of ten are exact up to `10^22`), so the one division
+/// `m / 10^f` is correctly rounded — the value `str::parse` returns
+/// (Clinger's fast path).  Anything else returns `None`.
+fn exact_decimal(text: &str) -> Option<f64> {
+    const POW10: [f64; 23] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+        1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    ];
+    let (negative, body) = match text.strip_prefix('-') {
+        Some(body) => (true, body),
+        None => (false, text),
+    };
+    let (int, frac) = body.split_once('.')?;
+    if int.is_empty() || frac.is_empty() || int.len() + frac.len() > 19 {
+        return None;
+    }
+    let mut mantissa = 0u64;
+    for digit in int.bytes().chain(frac.bytes()) {
+        if !digit.is_ascii_digit() {
+            return None;
+        }
+        mantissa = mantissa * 10 + u64::from(digit - b'0');
+    }
+    if mantissa > 1 << 53 {
+        return None;
+    }
+    let value = mantissa as f64 / POW10[frac.len()];
+    Some(if negative { -value } else { value })
 }
 
 /// Parses a JSON document; the whole input must be one value (surrounding
@@ -179,39 +271,62 @@ fn write_escaped(out: &mut String, s: &str) {
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, or of
+/// the container that nests deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing data at byte {}", parser.pos));
-    }
+    let mut scanner = Scanner::new(input);
+    scanner.skip_ws();
+    let value = scanner.value()?;
+    scanner.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over JSON text that reads one token or container at a time.
+///
+/// [`parse`] and the record codec both read through it, so they accept
+/// exactly the same documents.  Container readers ([`Scanner::object`],
+/// [`Scanner::array`]) hand each member to a callback positioned at its
+/// value; the callback reads that value with any reader here, which is how
+/// a typed reader fills a struct field by field without building a tree.
+pub(crate) struct Scanner<'a> {
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+impl<'a> Scanner<'a> {
+    /// A scanner at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
         }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
+    }
+
+    /// Skips JSON whitespace.
+    pub(crate) fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
+    }
+
+    /// Requires the end of the input, after optional whitespace.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
+        }
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), String> {
@@ -228,7 +343,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -236,14 +351,29 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Reads any value as a [`Json`] tree.
+    pub(crate) fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|s| {
+                    items.push(s.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Array(items))
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(|s, key| {
+                    pairs.push((key.into_owned(), s.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Object(pairs))
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected byte `{}` at {}",
@@ -254,143 +384,197 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Reads and discards any value (an unknown field).
+    pub(crate) fn skip_value(&mut self) -> Result<(), String> {
+        self.value().map(drop)
+    }
+
+    /// Opens one container level, failing past [`MAX_DEPTH`].
+    fn enter(&mut self, open: u8) -> Result<(), String> {
+        self.expect(open)?;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!(
+                "containers nest deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
         self.skip_ws();
+        Ok(())
+    }
+
+    /// After an element: consumes `,` (more follow, returns `false`) or the
+    /// closing byte (returns `true`).
+    fn next_or_close(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(false)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(true)
+            }
+            _ => Err(format!(
+                "expected `,` or `{}` at byte {}",
+                char::from(close),
+                self.pos
+            )),
+        }
+    }
+
+    /// Reads an array, calling `item` once per element with the scanner at
+    /// the element's first byte.
+    pub(crate) fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.enter(b'[')?;
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Array(items));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+            item(self)?;
+            if self.next_or_close(b']')? {
+                return Ok(());
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
+    /// Reads an object, calling `member` once per member with its key and
+    /// the scanner at the first byte of its value.  Keys are passed in
+    /// document order; duplicates are the caller's to detect.
+    pub(crate) fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.enter(b'{')?;
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Object(pairs));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
-            self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(pairs));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+            member(self, key)?;
+            if self.next_or_close(b'}')? {
+                return Ok(());
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads a string.  An escape-free string borrows from the input.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
             let start = self.pos;
             // Fast-forward over the plain (unescaped, ASCII-or-UTF-8) run.
-            while let Some(&b) = self.bytes.get(self.pos) {
+            while let Some(&b) = self.bytes().get(self.pos) {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))?,
-            );
+            // The run ends at an ASCII byte (or the end), so it is whole
+            // characters of the `&str` input.
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut text) => {
+                            text.push_str(run);
+                            Cow::Owned(text)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let escape = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(
-                                c.ok_or_else(|| format!("invalid \\u escape at {}", self.pos))?,
-                            );
-                        }
-                        other => {
-                            return Err(format!("unknown escape `\\{}`", char::from(other)));
-                        }
-                    }
+                    let c = self.escape()?;
+                    let text = owned.get_or_insert_with(String::new);
+                    text.push_str(run);
+                    text.push(c);
                 }
                 _ => return Err(format!("unterminated string at byte {}", self.pos)),
             }
         }
     }
 
+    /// Decodes the escape after a `\`.
+    fn escape(&mut self) -> Result<char, String> {
+        let escape = self
+            .peek()
+            .ok_or_else(|| "unterminated escape".to_string())?;
+        self.pos += 1;
+        Ok(match escape {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000C}',
+            b'u' => {
+                let code = self.hex4()?;
+                // A high surrogate must be followed by an escaped low
+                // surrogate; any other code point in D800-DFFF is an error
+                // (`char::from_u32` rejects a lone low surrogate).
+                let c = if (0xD800..0xDC00).contains(&code) {
+                    if self.bytes()[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        if (0xDC00..0xE000).contains(&low) {
+                            char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                        } else {
+                            None
+                        }
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(code)
+                };
+                c.ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?
+            }
+            other => return Err(format!("unknown escape `\\{}`", char::from(other))),
+        })
+    }
+
     fn hex4(&mut self) -> Result<u32, String> {
-        let slice = self
-            .bytes
+        let digits = self
+            .bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| "truncated \\u escape".to_string())?;
-        let text =
-            std::str::from_utf8(slice).map_err(|_| "invalid bytes in \\u escape".to_string())?;
-        let code =
-            u32::from_str_radix(text, 16).map_err(|_| format!("invalid \\u escape `{text}`"))?;
+        let mut code = 0;
+        for &digit in digits {
+            let nibble = char::from(digit)
+                .to_digit(16)
+                .ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?;
+            code = code * 16 + nibble;
+        }
         self.pos += 4;
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Reads a number: `UInt`/`Int` when it has no fraction or exponent and
+    /// fits in 64 bits, `Float` otherwise.
+    pub(crate) fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(format!("expected a number at byte {start}"));
         }
+        self.pos += 1;
         let mut is_float = false;
         while let Some(b) = self.peek() {
             match b {
@@ -402,8 +586,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number bytes".to_string())?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if text.starts_with('-') {
                 if let Ok(v) = text.parse::<i64>() {
@@ -414,10 +597,41 @@ impl Parser<'_> {
             }
             // Integers beyond 64 bits degrade to the float path below.
         }
-        text.parse::<f64>()
+        exact_decimal(text)
+            .map_or_else(|| text.parse::<f64>(), Ok)
             .map(Json::Float)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
     }
+
+    /// Reads a number as `f64` (any numeric form, as [`Json::as_f64`]).
+    pub(crate) fn f64(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        self.number()?
+            .as_f64()
+            .ok_or_else(|| format!("expected a float at byte {start}"))
+    }
+
+    /// Reads a number as `u64` (integral floats included, as
+    /// [`Json::as_u64`]).
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+        let start = self.pos;
+        self.number()?
+            .as_u64()
+            .ok_or_else(|| format!("expected an unsigned integer at byte {start}"))
+    }
+}
+
+/// Fills one field of a record being read: a key seen twice is an error.
+pub(crate) fn put<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), String> {
+    if slot.replace(value).is_some() {
+        return Err(format!("duplicate key `{key}`"));
+    }
+    Ok(())
+}
+
+/// A field every record must have.
+pub(crate) fn required<T>(slot: Option<T>, key: &str) -> Result<T, String> {
+    slot.ok_or_else(|| format!("missing `{key}`"))
 }
 
 #[cfg(test)]
@@ -451,6 +665,68 @@ mod tests {
         }
     }
 
+    /// The fast paths of `write_f64` and `number` against `{:?}` and
+    /// `str::parse`, on edge values and random ones spread over every
+    /// magnitude.
+    #[test]
+    fn number_fast_paths_match_the_general_ones() {
+        use rand::{Rng, SeedableRng};
+
+        let check = |v: f64| {
+            let mut text = String::new();
+            write_f64(&mut text, v);
+            assert_eq!(text, format!("{v:?}"), "write {v:e}");
+            let back = Scanner::new(&text).f64().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "read `{text}`");
+        };
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            9_999_999_999_999_998.0,
+            1e16,
+            1e15,
+            123_456_789_012_345.6,
+            0.1,
+            1e-4,
+            9.999_999_999_999_999e-5,
+            5e-324,
+            f64::MAX,
+        ] {
+            check(v);
+            check(-v);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for _ in 0..100_000 {
+            let scale = 10f64.powi(rng.gen_range(-30..30));
+            let v = rng.gen_range(-1.0..1.0) * scale;
+            check(v);
+            check(v.trunc());
+            check(f64::from_bits(
+                rng.gen::<u64>() & !(0x7FF << 52) | (rng.gen_range(0..2046u64) << 52),
+            ));
+        }
+        // Decimal spellings the writer never produces still read exactly.
+        for _ in 0..50_000 {
+            let int_digits = rng.gen_range(0..10);
+            let int: u64 = rng.gen_range(0..10u64.pow(int_digits));
+            let frac_len = rng.gen_range(1..12usize);
+            let frac: String = (0..frac_len)
+                .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+                .collect();
+            let text = format!("{int}.{frac}");
+            let parsed = Scanner::new(&text).f64().unwrap();
+            assert_eq!(
+                parsed.to_bits(),
+                text.parse::<f64>().unwrap().to_bits(),
+                "{text}"
+            );
+        }
+    }
+
     #[test]
     fn containers_preserve_order() {
         round_trip("[1,2.5,\"x\",[],{}]");
@@ -467,6 +743,46 @@ mod tests {
             parse("\"\\ud83e\\udd80\"").unwrap().as_str().unwrap(),
             "\u{1F980}"
         );
+    }
+
+    #[test]
+    fn malformed_surrogates_are_rejected() {
+        for bad in [
+            // A high surrogate followed by an escape outside DC00-DFFF.
+            "\"\\ud83e\\u0041\"",
+            "\"\\ud83e\\ud83e\"",
+            "\"\\ud83e\\ue000\"",
+            // A high surrogate with no low surrogate after it.
+            "\"\\ud83e\"",
+            "\"\\ud83eA\"",
+            // A lone low surrogate.
+            "\"\\udd80\"",
+            "\"\\udfff\"",
+            // Not four hex digits.
+            "\"\\u+041\"",
+            "\"\\u00g1\"",
+        ] {
+            assert!(parse(bad).is_err(), "`{bad}` should fail");
+        }
+        // The pair bounds themselves decode.
+        assert_eq!(
+            parse("\"\\ud800\\udc00\\udbff\\udfff\"").unwrap().as_str(),
+            Some("\u{10000}\u{10FFFF}")
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(1_000_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nest deeper"), "{err}");
+        let deep_objects = "{\"a\":".repeat(1_000_000);
+        assert!(parse(&deep_objects).unwrap_err().contains("nest deeper"));
+        // Up to the limit is fine; one more level is not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert!(parse(&past_limit).is_err());
     }
 
     #[test]

@@ -151,15 +151,16 @@ impl SweepRunner {
         for cell in &grid {
             registry.resolve(cell)?;
         }
-        let persisted = match store {
+        // Each cell's address is computed once per run: the pending filter,
+        // the record and the outcome all reuse it.
+        let hashes: Vec<String> = grid.iter().map(ScenarioSpec::hash_hex).collect();
+        let mut persisted = match store {
             Some(store) => store.load_cells()?,
             None => std::collections::BTreeMap::new(),
         };
 
-        let pending: Vec<(usize, &ScenarioSpec)> = grid
-            .iter()
-            .enumerate()
-            .filter(|(_, cell)| !persisted.contains_key(&cell.hash_hex()))
+        let pending: Vec<usize> = (0..grid.len())
+            .filter(|&i| !persisted.contains_key(&hashes[i]))
             .take(self.max_cells.unwrap_or(usize::MAX))
             .collect();
         let skipped = persisted.len().min(grid.len());
@@ -188,7 +189,7 @@ impl SweepRunner {
         // before pulling another cell, so a failure on cell 3 of 1000 does
         // not burn hours finishing the other 997 before reporting.
         let abort = AtomicBool::new(false);
-        let pending_ref = &pending;
+        let (grid_ref, hashes_ref, pending_ref) = (&grid, &hashes, &pending);
         let next_ref = &next;
         let abort_ref = &abort;
         let sweep_hub_ref = sweep_hub.as_ref();
@@ -204,13 +205,20 @@ impl SweepRunner {
                     let mut tele_shard = tele_shards.pop();
                     scope.spawn(move || {
                         let mut mine: Vec<(usize, CellRecord)> = Vec::new();
-                        let run = |cell: &ScenarioSpec,
+                        let run = |index: usize,
                                    shard: Option<&mut ShardWriter>,
                                    tele_shard: Option<&mut TelemetryShardWriter>|
                          -> Result<CellRecord, SweepError> {
+                            let cell = &grid_ref[index];
                             let cell_start = Instant::now();
                             let hub = telemetry_on.then(TelemetryHub::new);
-                            let record = run_cell(cell, registry, inner, hub.as_ref())?;
+                            let record = run_cell(
+                                cell,
+                                hashes_ref[index].clone(),
+                                registry,
+                                inner,
+                                hub.as_ref(),
+                            )?;
                             // The result record is the checkpoint; telemetry
                             // rides behind it so a kill in between loses a
                             // profile, never duplicates one.
@@ -246,10 +254,10 @@ impl SweepRunner {
                                 return Ok(mine);
                             }
                             let slot = next_ref.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(grid_index, cell)) = pending_ref.get(slot) else {
+                            let Some(&grid_index) = pending_ref.get(slot) else {
                                 return Ok(mine);
                             };
-                            match run(cell, shard.as_mut(), tele_shard.as_mut()) {
+                            match run(grid_index, shard.as_mut(), tele_shard.as_mut()) {
                                 Ok(record) => mine.push((grid_index, record)),
                                 Err(err) => {
                                     abort_ref.store(true, Ordering::Relaxed);
@@ -276,16 +284,15 @@ impl SweepRunner {
         }
 
         let executed = fresh.len();
-        let mut by_index: std::collections::BTreeMap<usize, CellRecord> =
-            fresh.into_iter().collect();
-        let mut cells = Vec::with_capacity(grid.len());
-        for (i, cell) in grid.iter().enumerate() {
-            if let Some(record) = by_index.remove(&i) {
-                cells.push(record);
-            } else if let Some(record) = persisted.get(&cell.hash_hex()) {
-                cells.push(record.clone());
-            }
+        let mut by_index: Vec<Option<CellRecord>> = (0..grid.len()).map(|_| None).collect();
+        for (i, record) in fresh {
+            by_index[i] = Some(record);
         }
+        let cells: Vec<CellRecord> = by_index
+            .into_iter()
+            .zip(&hashes)
+            .filter_map(|(record, hash)| record.or_else(|| persisted.remove(hash)))
+            .collect();
         let completed = cells.len() == grid.len();
         Ok(SweepOutcome {
             cells,
@@ -305,7 +312,7 @@ impl Default for SweepRunner {
 }
 
 /// Runs every trial of one cell (fanning out over `inner_threads`) and folds
-/// the per-trial metrics into a record, in trial order.
+/// the per-trial metrics into a record addressed by `hash`, in trial order.
 ///
 /// Threads left over after the trial fan-out ([`TrialRunner::round_threads`])
 /// are granted to each trial as intra-round worker lanes, so a cell with few
@@ -313,6 +320,7 @@ impl Default for SweepRunner {
 /// `trial_workers × round_threads` never exceeds `inner_threads`.
 fn run_cell(
     cell: &ScenarioSpec,
+    hash: String,
     registry: &ProtocolRegistry,
     inner_threads: usize,
     hub: Option<&TelemetryHub>,
@@ -330,11 +338,7 @@ fn run_cell(
     for result in results {
         trials.push(result?);
     }
-    Ok(CellRecord::from_trials(
-        cell.hash_hex(),
-        cell.point,
-        &trials,
-    ))
+    Ok(CellRecord::from_trials(hash, cell.point, &trials))
 }
 
 #[cfg(test)]

@@ -74,7 +74,9 @@ pub fn default_threads() -> usize {
 #[derive(Debug, Clone)]
 pub struct TrialRunner {
     trials: u64,
-    threads: usize,
+    /// The budget set with [`TrialRunner::with_threads`]; `None` until then,
+    /// so a runner whose budget is set at once never probes the machine.
+    threads: Option<usize>,
 }
 
 impl TrialRunner {
@@ -83,14 +85,14 @@ impl TrialRunner {
     /// when set, otherwise every core the machine offers) — but never more
     /// threads than trials: a 4-trial run on a 64-core machine gets 4 worker
     /// threads, not 64, since the surplus threads would only be spawned to
-    /// exit immediately.
+    /// exit immediately.  That default is looked up when the runner first
+    /// needs it, not here, and never when [`TrialRunner::with_threads`]
+    /// sets the budget.
     #[must_use]
     pub fn new(trials: u64) -> Self {
-        let available = default_threads();
-        let cap = usize::try_from(trials).unwrap_or(usize::MAX);
         Self {
             trials,
-            threads: available.min(cap).max(1),
+            threads: None,
         }
     }
 
@@ -98,7 +100,7 @@ impl TrialRunner {
     /// route through this).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = Some(threads.max(1));
         self
     }
 
@@ -111,7 +113,10 @@ impl TrialRunner {
     /// The number of worker threads a parallel run will use.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.threads
+        self.threads.unwrap_or_else(|| {
+            let cap = usize::try_from(self.trials).unwrap_or(usize::MAX);
+            default_threads().min(cap).max(1)
+        })
     }
 
     /// The intra-round worker budget each trial may use on top of the trial
@@ -126,9 +131,10 @@ impl TrialRunner {
     /// into the rounds instead of idling.
     #[must_use]
     pub fn round_threads(&self) -> usize {
+        let threads = self.threads();
         let trials = usize::try_from(self.trials).unwrap_or(usize::MAX);
-        let trial_workers = self.threads.min(trials).max(1);
-        (self.threads / trial_workers).max(1)
+        let trial_workers = threads.min(trials).max(1);
+        (threads / trial_workers).max(1)
     }
 
     /// Runs `task` once per trial index (0-based) and collects the results in
@@ -146,7 +152,7 @@ impl TrialRunner {
             return Vec::new();
         }
         let trials = usize::try_from(self.trials).expect("trial count fits in memory");
-        let threads = self.threads.min(trials).max(1);
+        let threads = self.threads().min(trials).max(1);
         if threads == 1 {
             return (0..self.trials).map(task).collect();
         }
@@ -217,7 +223,7 @@ mod tests {
     #[test]
     fn trial_count_is_reported() {
         assert_eq!(TrialRunner::new(7).trials(), 7);
-        assert!(TrialRunner::new(7).with_threads(0).threads >= 1);
+        assert!(TrialRunner::new(7).with_threads(0).threads() >= 1);
     }
 
     #[test]

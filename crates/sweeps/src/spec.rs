@@ -21,11 +21,12 @@
 //! migrated experiment reproduces its historical trials bit for bit.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use flip_model::{Backend, SimRng};
 
 use crate::error::SweepError;
-use crate::json::{parse, Json};
+use crate::json::{parse, push, write_f64, write_str, write_u64, Json};
 
 /// One cell of a sweep: a fully resolved, hash-addressable scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,42 +106,48 @@ impl ScenarioSpec {
         SimRng::stream_seed(SimRng::stream_seed(self.base_seed, self.point), trial)
     }
 
-    /// The canonical JSON form: fixed field order, sorted params.  The
-    /// `faults` field appears only when non-empty, keeping fault-free specs
-    /// hash-stable with pre-fault builds.
-    #[must_use]
-    pub fn canonical_json(&self) -> Json {
-        let mut fields = vec![
-            ("protocol".into(), Json::Str(self.protocol.clone())),
-            ("backend".into(), Json::Str(self.backend.to_string())),
-            ("trials".into(), Json::UInt(u64::from(self.trials))),
-            ("base_seed".into(), Json::UInt(self.base_seed)),
-            ("point".into(), Json::UInt(self.point)),
-            ("rounds".into(), Json::UInt(self.rounds)),
-        ];
-        if !self.faults.is_empty() {
-            fields.push(("faults".into(), Json::Str(self.faults.clone())));
+    /// Writes the canonical JSON form: fixed field order, sorted params.
+    /// The `faults` field appears only when non-empty, keeping fault-free
+    /// specs hash-stable with pre-fault builds.  The one writer behind both
+    /// [`ScenarioSpec::hash_hex`] (written straight into the hash) and the
+    /// JSON export's `spec` echo.
+    pub(crate) fn write_canonical_json<W: fmt::Write>(&self, out: &mut W) {
+        push(out, "{\"protocol\":");
+        write_str(out, &self.protocol);
+        push(out, ",\"backend\":");
+        write_str(out, &self.backend.to_string());
+        for (key, value) in [
+            (",\"trials\":", u64::from(self.trials)),
+            (",\"base_seed\":", self.base_seed),
+            (",\"point\":", self.point),
+            (",\"rounds\":", self.rounds),
+        ] {
+            push(out, key);
+            write_u64(out, value);
         }
-        fields.push((
-            "params".into(),
-            Json::Object(
-                self.params
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Float(*v)))
-                    .collect(),
-            ),
-        ));
-        Json::object(fields)
+        if !self.faults.is_empty() {
+            push(out, ",\"faults\":");
+            write_str(out, &self.faults);
+        }
+        push(out, ",\"params\":{");
+        for (i, (key, value)) in self.params.iter().enumerate() {
+            if i > 0 {
+                push(out, ",");
+            }
+            write_str(out, key);
+            push(out, ":");
+            write_f64(out, *value);
+        }
+        push(out, "}}");
     }
 
     /// The cell's address: FNV-1a (64-bit) over the canonical JSON, as 16
     /// hex digits.
     #[must_use]
     pub fn hash_hex(&self) -> String {
-        format!(
-            "{:016x}",
-            fnv1a(self.canonical_json().to_string().as_bytes())
-        )
+        let mut hash = Fnv1a::new();
+        self.write_canonical_json(&mut hash);
+        format!("{:016x}", hash.0)
     }
 
     /// Parses a cell from its canonical JSON form.
@@ -436,12 +443,33 @@ impl SweepSpec {
 /// what a content address needs (this is not a cryptographic commitment).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut hash = Fnv1a::new();
+    hash.update(bytes);
+    hash.0
+}
+
+/// A running FNV-1a hash that is also a [`fmt::Write`] sink, so a canonical
+/// form can be hashed as it is written, without building its text.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 fn parse_backend(raw: &str) -> Result<Backend, SweepError> {
@@ -516,6 +544,12 @@ fn pretty(value: &Json, indent: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn canonical_json(cell: &ScenarioSpec) -> String {
+        let mut text = String::new();
+        cell.write_canonical_json(&mut text);
+        text
+    }
 
     fn demo_sweep() -> SweepSpec {
         SweepSpec {
@@ -601,7 +635,7 @@ mod tests {
     #[test]
     fn scenario_json_round_trips() {
         let cell = demo_sweep().expand().unwrap().pop().unwrap();
-        let parsed = ScenarioSpec::from_json(&cell.canonical_json()).unwrap();
+        let parsed = ScenarioSpec::from_json(&parse(&canonical_json(&cell)).unwrap()).unwrap();
         assert_eq!(parsed, cell);
         assert_eq!(parsed.hash_hex(), cell.hash_hex());
     }
@@ -634,7 +668,7 @@ mod tests {
         let spec = demo_sweep();
         assert!(!spec.to_json().to_string().contains("\"faults\""));
         let cell = &spec.expand().unwrap()[0];
-        assert!(!cell.canonical_json().to_string().contains("\"faults\""));
+        assert!(!canonical_json(cell).contains("\"faults\""));
         // ... and round-trip back to empty.
         let parsed = SweepSpec::from_json_text(&spec.to_json().to_string()).unwrap();
         assert_eq!(parsed.faults, "");
@@ -669,8 +703,44 @@ mod tests {
         let parsed = SweepSpec::from_json_text(&spec.to_json().to_string()).unwrap();
         assert_eq!(parsed.backend, Backend::Hybrid(64));
         let cell = &spec.expand().unwrap()[0];
-        let reparsed = ScenarioSpec::from_json(&cell.canonical_json()).unwrap();
+        let reparsed = ScenarioSpec::from_json(&parse(&canonical_json(cell)).unwrap()).unwrap();
         assert_eq!(reparsed.backend, Backend::Hybrid(64));
+    }
+
+    #[test]
+    fn canonical_form_and_hash_are_pinned() {
+        // Bytes and addresses written by the tree-building writer this one
+        // replaced: a faulty hybrid cell with a key that needs escaping, and
+        // its fault-free dense twin.
+        let mut cell = ScenarioSpec {
+            protocol: "rumor".into(),
+            backend: Backend::Hybrid(64),
+            trials: 3,
+            base_seed: 7,
+            point: 12,
+            rounds: 400,
+            params: BTreeMap::from([
+                ("epsilon".to_string(), 0.1),
+                ("fault_fraction".to_string(), 0.05),
+                ("n".to_string(), 1e6),
+                ("odd \"key\"\n".to_string(), -0.0),
+            ]),
+            faults: "byz:0.1".into(),
+        };
+        assert_eq!(
+            canonical_json(&cell),
+            "{\"protocol\":\"rumor\",\"backend\":\"hybrid:64\",\"trials\":3,\"base_seed\":7,\
+             \"point\":12,\"rounds\":400,\"faults\":\"byz:0.1\",\"params\":{\"epsilon\":0.1,\
+             \"fault_fraction\":0.05,\"n\":1000000.0,\"odd \\\"key\\\"\\n\":-0.0}}"
+        );
+        assert_eq!(cell.hash_hex(), "a3da8f5e4ee19070");
+        assert_eq!(
+            cell.hash_hex(),
+            format!("{:016x}", fnv1a(canonical_json(&cell).as_bytes()))
+        );
+        cell.faults.clear();
+        cell.backend = Backend::Dense;
+        assert_eq!(cell.hash_hex(), "bff7202714bff7f4");
     }
 
     #[test]

@@ -170,6 +170,7 @@ impl SweepStore {
             .map(|worker| ShardWriter {
                 path: shards_dir.join(format!("shard-{generation:04}-{worker:02}.jsonl")),
                 file: None,
+                line: String::new(),
             })
             .collect())
     }
@@ -272,33 +273,37 @@ fn next_generation(dir: &Path, prefix: &str) -> Result<u64, SweepError> {
 /// An append-only writer for one shard file.
 ///
 /// The file is created lazily on the first append, so workers that never
-/// receive a cell leave no empty shard behind.
+/// receive a cell leave no empty shard behind.  Each record is serialized
+/// into one reused line buffer and handed to the file in a single write.
 #[derive(Debug)]
 pub struct ShardWriter {
     path: PathBuf,
-    file: Option<BufWriter<fs::File>>,
+    file: Option<fs::File>,
+    line: String,
 }
 
 impl ShardWriter {
-    /// Appends one completed cell and flushes — the checkpoint that makes a
-    /// kill at any later instant lose at most the in-flight cells.
+    /// Appends one completed cell's line to the file in a single write,
+    /// with nothing held back in a user-space buffer — the checkpoint that
+    /// makes a kill at any later instant lose at most the in-flight cells.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] on write failures.
     pub fn append(&mut self, record: &CellRecord) -> Result<(), SweepError> {
         if self.file.is_none() {
-            self.file = Some(BufWriter::new(
+            self.file = Some(
                 fs::OpenOptions::new()
                     .create(true)
                     .append(true)
                     .open(&self.path)?,
-            ));
+            );
         }
         let file = self.file.as_mut().expect("just created");
-        file.write_all(record.to_json_line().as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()?;
+        self.line.clear();
+        record.write_json(&mut self.line);
+        self.line.push('\n');
+        file.write_all(self.line.as_bytes())?;
         Ok(())
     }
 
