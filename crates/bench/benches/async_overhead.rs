@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use flip_model::Opinion;
 
 fn async_overhead(c: &mut Criterion) {
-    announce(&experiments::specs::e09_table(&bench_config()).to_markdown());
+    announce(&experiments::specs::table("e09", &bench_config()).to_markdown());
 
     let params = Params::practical(400, 0.3).expect("valid parameters");
     let mut group = c.benchmark_group("e09_async_overhead");

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use flip_model::Opinion;
 
 fn baseline_comparison(c: &mut Criterion) {
-    announce(&experiments::specs::e10_table(&bench_config()).to_markdown());
+    announce(&experiments::specs::table("e10", &bench_config()).to_markdown());
 
     let n = 500;
     let epsilon = 0.25;

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::Opinion;
 
 fn broadcast_rounds(c: &mut Criterion) {
-    announce(&experiments::specs::e01_table(&bench_config()).to_markdown());
+    announce(&experiments::specs::table("e01", &bench_config()).to_markdown());
 
     let mut group = c.benchmark_group("e01_broadcast_rounds_vs_n");
     group.sample_size(10);

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::Opinion;
 
 fn epsilon_scaling(c: &mut Criterion) {
-    announce(&experiments::specs::e02_table(&bench_config()).to_markdown());
+    announce(&experiments::specs::table("e02", &bench_config()).to_markdown());
 
     let mut group = c.benchmark_group("e02_broadcast_rounds_vs_epsilon");
     group.sample_size(10);

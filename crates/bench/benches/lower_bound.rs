@@ -8,8 +8,8 @@ use sweeps::samples_for_confidence;
 
 fn lower_bound(c: &mut Criterion) {
     let cfg = bench_config();
-    announce(&experiments::specs::e11_table(&cfg).to_markdown());
-    announce(&experiments::specs::e12_table(&cfg).to_markdown());
+    announce(&experiments::specs::table("e11", &cfg).to_markdown());
+    announce(&experiments::specs::table("e12", &cfg).to_markdown());
 
     let mut group = c.benchmark_group("e11_e12_lower_bound");
     group.sample_size(20);

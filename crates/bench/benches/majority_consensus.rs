@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::Opinion;
 
 fn majority_consensus(c: &mut Criterion) {
-    announce(&experiments::specs::e08_table(&bench_config()).to_markdown());
+    announce(&experiments::specs::table("e08", &bench_config()).to_markdown());
 
     let params = Params::practical(600, 0.3).expect("valid parameters");
     let mut group = c.benchmark_group("e08_majority_consensus");

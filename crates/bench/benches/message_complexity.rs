@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use flip_model::Opinion;
 
 fn message_complexity(c: &mut Criterion) {
-    announce(&experiments::specs::e03_table(&bench_config()).to_markdown());
+    announce(&experiments::specs::table("e03", &bench_config()).to_markdown());
 
     let params = Params::practical(1_000, 0.25).expect("valid parameters");
     let protocol = BroadcastProtocol::new(params, Opinion::One);

@@ -8,8 +8,8 @@ use flip_model::Opinion;
 
 fn stage1_bias(c: &mut Criterion) {
     let cfg = bench_config();
-    announce(&experiments::specs::e04_table(&cfg).to_markdown());
-    announce(&experiments::specs::e06_table(&cfg).to_markdown());
+    announce(&experiments::specs::table("e04", &cfg).to_markdown());
+    announce(&experiments::specs::table("e06", &cfg).to_markdown());
 
     let params = Params::practical(800, 0.3).expect("valid parameters");
     let protocol = BroadcastProtocol::new(params, Opinion::One);

@@ -27,8 +27,8 @@ fn one_boost_phase(gamma: u64, epsilon: f64, delta: f64, rng: &mut SimRng) -> Op
 
 fn stage2_boost(c: &mut Criterion) {
     let cfg = bench_config();
-    announce(&experiments::specs::e07a_table(&cfg).to_markdown());
-    announce(&experiments::specs::e07b_table(&cfg).to_markdown());
+    announce(&experiments::specs::table("e07a", &cfg).to_markdown());
+    announce(&experiments::specs::table("e07b", &cfg).to_markdown());
 
     let mut group = c.benchmark_group("e07_stage2_boost_phase");
     group.sample_size(20);

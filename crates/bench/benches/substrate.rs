@@ -196,8 +196,8 @@ fn substrate(c: &mut Criterion) {
     // `engine_round_all_send/100000` is the whole observability overhead —
     // gated in the baseline so instrumentation creep shows up as a perf
     // regression, not as a slow mystery.  (Telemetry *off* is the zero-cost
-    // path: `engine_round_all_send` itself runs with the `NullSink`-style
-    // disabled state and is gated separately.)
+    // path: `engine_round_all_send` itself runs with the disabled handle,
+    // which holds no recorder, and is gated separately.)
     group.bench_function("engine_round_telemetry_overhead", |b| {
         let n = 100_000;
         let agents: Vec<Beacon> = (0..n).map(|_| Beacon(Opinion::One)).collect();

@@ -5,7 +5,7 @@
 //! Each benchmark measures the wall-clock cost of one experiment's inner
 //! simulation at a reduced scale, and — more importantly for the reproduction
 //! — prints the corresponding result table once per run so that
-//! `cargo bench` regenerates the same rows as the `e01`…`e12` binaries.
+//! `cargo bench` regenerates the same rows as `sweep table e01`…`e12`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

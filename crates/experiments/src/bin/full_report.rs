@@ -25,6 +25,7 @@ use std::process::ExitCode;
 
 use experiments::report::{Report, REPORT_PREAMBLE, REPORT_TITLE};
 use experiments::{cli, specs};
+use flip_model::Backend;
 use sweeps::{ProtocolRegistry, ReportOutcome, ReportRunner, ReportSpec, ReportStore};
 
 const USAGE: &str = "usage: full_report [--full] [--trials N] [--threads N] [--seed N]
@@ -86,9 +87,8 @@ fn split_args<I: Iterator<Item = String>>(
     Ok((flags, cfg_args))
 }
 
-/// Renders a completed composed run into the report markdown — the same
-/// title, preamble and per-member renderers as the in-memory
-/// [`experiments::report::full_report`], so both paths emit identical bytes.
+/// Renders a completed composed run into the report markdown: the report
+/// title and preamble, then each member's table from its builtin renderer.
 fn render(spec: &ReportSpec, outcome: &ReportOutcome) -> String {
     let mut report = Report::new(REPORT_TITLE).with_preamble(REPORT_PREAMBLE);
     for (member, result) in spec.members.iter().zip(&outcome.members) {
@@ -107,8 +107,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let cfg = experiments::config_from_args(cfg_args);
-    experiments::require_agents_backend(&cfg, "full_report");
+    let cfg = cli::parse_config(cfg_args);
+    if cfg.backend != Backend::Agents {
+        eprintln!(
+            "full_report: the report's members run on the per-agent engine; drop --backend {}",
+            cfg.backend
+        );
+        return ExitCode::FAILURE;
+    }
     cli::require_no_rounds_override(&cfg, "full_report");
 
     let spec = specs::report_spec(&cfg);

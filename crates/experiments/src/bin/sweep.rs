@@ -5,6 +5,10 @@
 //!                                     #   composed specs, registry protocols
 //! sweep gen e01 [--full] [--trials N] [--seed N]
 //!                                     # print a builtin spec as JSON
+//! sweep table e01 [--full] [--backend agents|dense|hybrid:k] [--trials N]
+//!                 [--threads N] [--seed N] [--faults D]
+//!                                     # run an experiment in memory and
+//!                                     #   print its tables as markdown
 //! sweep run spec.json --out DIR [--threads N] [--max-cells N]
 //!                    [--telemetry] [--progress]
 //!                                     # execute, checkpointing each cell
@@ -42,7 +46,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use experiments::{specs, ExperimentConfig};
+use experiments::{cli, specs, ExperimentConfig};
 use sweeps::{
     export_csv, export_json, is_report_store, ordered_cells, ProtocolRegistry, ReportRunner,
     ReportSpec, ReportStore, SweepError, SweepRunner, SweepSpec, SweepStore,
@@ -52,6 +56,7 @@ use telemetry::Recorder;
 const USAGE: &str = "usage:
   sweep list
   sweep gen <name> [--full] [--trials N] [--seed N] [--rounds N] [--faults D]
+  sweep table <experiment> [--full] [--backend B] [--trials N] [--threads N] [--seed N] [--faults D] [--allow-supermajority-faults]
   sweep run <spec.json> --out <dir> [--threads N] [--max-cells N] [--telemetry] [--progress]
   sweep run report --out <dir> [--full] [--trials N] [--seed N] [--threads N] [--max-cells N] [--telemetry] [--progress]
   sweep resume <dir> [--threads N] [--max-cells N] [--telemetry] [--progress]
@@ -69,6 +74,7 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
         Some("gen") => cmd_gen(&args[1..]),
+        Some("table") => cmd_table(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("resume") => cmd_resume(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
@@ -93,17 +99,20 @@ fn main() -> ExitCode {
 fn cmd_list() -> Result<(), SweepError> {
     println!("builtin sweeps (sweep gen <name>), by experiment family:");
     let cfg = ExperimentConfig::quick();
-    for (family, names) in specs::SWEEP_FAMILIES {
-        println!("  {family}:");
-        for name in names {
-            let spec = specs::builtin(name, &cfg).expect("family names resolve");
-            println!(
-                "    {name:<10} protocol={} backend={} cells={}",
-                spec.protocol,
-                spec.backend,
-                spec.grid_len()
-            );
+    let mut family = "";
+    for experiment in specs::EXPERIMENTS {
+        if experiment.family != family {
+            family = experiment.family;
+            println!("  {family}:");
         }
+        let spec = (experiment.build)(&cfg);
+        println!(
+            "    {:<10} protocol={} backend={} cells={}",
+            experiment.name,
+            spec.protocol,
+            spec.backend,
+            spec.grid_len()
+        );
     }
     let report = specs::report_spec(&cfg);
     println!("composed specs (sweep run report --out <dir>):");
@@ -121,33 +130,41 @@ fn cmd_list() -> Result<(), SweepError> {
     Ok(())
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), SweepError> {
-    // The sweep name must come first; everything after it (flags and their
-    // values) goes to the shared experiment-config parser.  Requiring the
-    // name up front keeps `gen --trials 2 e01` from misreading `2` as the
-    // name and `e01` as a flag value.
+/// Splits `gen`/`table` arguments into the name and the experiment-config
+/// flags after it.  Requiring the name up front keeps `gen --trials 2 e01`
+/// from misreading `2` as the name and `e01` as a flag value.
+fn name_first<'a>(
+    command: &str,
+    args: &'a [String],
+) -> Result<(&'a String, &'a [String]), SweepError> {
     let Some((name, cfg_args)) = args.split_first() else {
-        return Err(SweepError::Spec(format!("gen needs a name\n{USAGE}")));
+        return Err(SweepError::Spec(format!("{command} needs a name\n{USAGE}")));
     };
     if name.starts_with('-') {
         return Err(SweepError::Spec(format!(
-            "gen takes the sweep name first, then flags (got `{name}`)\n{USAGE}"
+            "{command} takes the name first, then flags (got `{name}`)\n{USAGE}"
         )));
     }
+    Ok((name, cfg_args))
+}
+
+fn cmd_gen(args: &[String]) -> Result<(), SweepError> {
+    let (name, cfg_args) = name_first("gen", args)?;
     if name == specs::REPORT_SPEC_NAME {
         return Err(SweepError::Spec(
             "the composed report is not a single spec; run it with: sweep run report --out <dir>"
                 .into(),
         ));
     }
-    let cfg = experiments::config_from_args(cfg_args.to_vec());
+    let cfg = cli::parse_config(cfg_args.to_vec());
     let mut spec = specs::builtin(name, &cfg).ok_or_else(|| {
         let suggestion = specs::nearest_builtin(name)
             .map(|near| format!(" did you mean `{near}`?"))
             .unwrap_or_default();
+        let names: Vec<&str> = specs::EXPERIMENTS.iter().map(|e| e.name).collect();
         SweepError::Spec(format!(
             "unknown builtin sweep `{name}`;{suggestion} available: {}",
-            specs::BUILTIN_SWEEPS.join(", ")
+            names.join(", ")
         ))
     })?;
     if let Some(rounds) = cfg.rounds {
@@ -156,6 +173,19 @@ fn cmd_gen(args: &[String]) -> Result<(), SweepError> {
         spec.rounds = rounds;
     }
     println!("{}", spec.to_pretty_json());
+    Ok(())
+}
+
+/// `sweep table`: runs an experiment's builtin sweeps in memory and prints
+/// their tables as markdown.  `--backend` picks the experiment's sweep on
+/// that engine family (`e01 --backend dense` runs `e01-dense`).
+fn cmd_table(args: &[String]) -> Result<(), SweepError> {
+    let (binary, cfg_args) = name_first("table", args)?;
+    let cfg = cli::parse_config(cfg_args.to_vec());
+    cli::require_no_rounds_override(&cfg, &format!("sweep table {binary}"));
+    for name in specs::binary_sweeps(binary, &cfg).map_err(SweepError::Spec)? {
+        println!("{}", specs::table(name, &cfg).to_markdown());
+    }
     Ok(())
 }
 
@@ -345,7 +375,7 @@ fn cmd_run_report(args: &[String]) -> Result<(), SweepError> {
         .out
         .clone()
         .ok_or_else(|| SweepError::Spec("run report needs --out <dir>".into()))?;
-    let cfg = experiments::config_from_args(cfg_args);
+    let cfg = cli::parse_config(cfg_args);
     let spec = specs::report_spec(&cfg);
     let store = ReportStore::create(&out, &spec)?;
     execute_report(&spec, &store, &flags)

@@ -1,8 +1,8 @@
-//! The shared command-line convention of every experiment binary.
+//! The shared command-line convention of the experiment surfaces.
 //!
-//! Before this module each of the 14 binaries re-implemented its own
-//! argument handling; they now all call [`run_tables`] (or [`parse_config`]
-//! directly) so a flag means the same thing everywhere:
+//! `sweep table`, `sweep gen`, `sweep run report` and `full_report` all
+//! parse their experiment flags with [`parse_config`], so a flag means the
+//! same thing everywhere:
 //!
 //! | flag                         | effect                                               |
 //! |------------------------------|------------------------------------------------------|
@@ -26,8 +26,7 @@
 //! `--allow-supermajority-faults` waiver (the E13 family sweeps past the
 //! bound on purpose; a stray `byz:0.4` elsewhere is a typo).
 
-use crate::{require_agents_backend, ExperimentConfig};
-use analysis::Table;
+use crate::ExperimentConfig;
 
 /// Parses the shared flags into an [`ExperimentConfig`].
 ///
@@ -123,30 +122,9 @@ fn parse_number<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
         .unwrap_or_else(|_| panic!("invalid {flag} value `{raw}`: expected a number"))
 }
 
-/// The whole body of an experiment binary: parse `std::env::args`, enforce
-/// the backend guard for agents-only experiments, run, print markdown.
-///
-/// # Panics
-///
-/// Panics on invalid flags (see [`parse_config`]) and when `agents_only`
-/// rejects a `--backend dense` selection.
-pub fn run_tables<F>(binary: &str, agents_only: bool, experiment: F)
-where
-    F: FnOnce(&ExperimentConfig) -> Vec<Table>,
-{
-    let cfg = parse_config(std::env::args().skip(1));
-    require_no_rounds_override(&cfg, binary);
-    if agents_only {
-        require_agents_backend(&cfg, binary);
-    }
-    for table in experiment(&cfg) {
-        println!("{}", table.to_markdown());
-    }
-}
-
 /// Rejects a `--rounds` override on surfaces that do not consume it.
 ///
-/// The experiment binaries run each experiment's own schedule; only
+/// `sweep table` and `full_report` run each experiment's own schedule; only
 /// `sweep gen` applies `cfg.rounds` (to the generated spec).  Accepting the
 /// flag and ignoring it would silently run a default configuration — the
 /// exact failure mode this module exists to prevent.

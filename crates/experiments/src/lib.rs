@@ -6,24 +6,24 @@
 //! (see the paper-section index in `docs/ARCHITECTURE.md`); this crate
 //! provides:
 //!
-//! * [`cli`] — the shared command-line convention of every experiment
-//!   binary (`--full`, `--backend`, `--trials`, `--threads`, `--seed`),
-//! * [`specs`] — every experiment family (E1–E13 and the ablations A1–A3)
-//!   expressed as a declarative [`sweeps::SweepSpec`] over the sweep
-//!   registry, plus renderers that rebuild each results table from
-//!   streaming sweep aggregates (pinned digit-for-digit against the
-//!   original hand-rolled runners in `tests/spec_equivalence.rs`),
+//! * [`cli`] — the shared command-line convention of the `sweep table`,
+//!   `sweep gen` and `full_report` surfaces (`--full`, `--backend`,
+//!   `--trials`, `--threads`, `--seed`, `--faults`),
+//! * [`specs`] — the [`specs::EXPERIMENTS`] table: every experiment family
+//!   (E1–E13 and the ablations A1–A3) as a declarative
+//!   [`sweeps::SweepSpec`] over the sweep registry, plus the renderer that
+//!   rebuilds its results table from streaming sweep aggregates (pinned
+//!   digit-for-digit against the original hand-rolled runners in
+//!   `tests/spec_equivalence.rs`),
 //! * [`scaling`] and [`consensus`] — the shared quick/full parameter grids
 //!   those specs sweep,
 //! * [`report`] — assembling the tables into a markdown report.
 //!
-//! Multi-trial fan-out lives in [`sweeps::TrialRunner`] (re-exported here as
-//! [`TrialRunner`]); grid-level orchestration, persistence and resume live in
-//! the [`sweeps`] crate driven by the `sweep` binary.
-//!
-//! Every experiment function takes an [`ExperimentConfig`] and returns one or
-//! more [`analysis::Table`]s, so the same code path serves the `e01`…`e12`
-//! binaries, the integration tests and the Criterion benchmarks.
+//! Grid-level orchestration, persistence and resume live in the [`sweeps`]
+//! crate, driven by the `sweep` binary.  [`specs::table`] runs one builtin
+//! sweep in memory for an [`ExperimentConfig`] and renders its
+//! [`analysis::Table`], so the same code path serves `sweep table`, the
+//! integration tests and the Criterion benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +35,6 @@ pub mod scaling;
 pub mod specs;
 
 pub use report::Report;
-pub use sweeps::{runner, TrialRunner};
 
 use flip_model::{Backend, FaultSpec};
 
@@ -135,18 +134,6 @@ impl ExperimentConfig {
         use flip_model::SimRng;
         SimRng::stream_seed(SimRng::stream_seed(self.base_seed, point), trial)
     }
-
-    /// A [`TrialRunner`] for one configuration point, honouring the
-    /// `--threads` override (and, through [`TrialRunner::new`], the
-    /// `FLIP_THREADS` environment variable).
-    #[must_use]
-    pub fn runner(&self) -> TrialRunner {
-        let runner = TrialRunner::new(u64::from(self.trials));
-        match self.threads {
-            Some(threads) => runner.with_threads(threads),
-            None => runner,
-        }
-    }
 }
 
 impl Default for ExperimentConfig {
@@ -155,50 +142,17 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// Parses the standard command-line convention of the experiment binaries
-/// (see [`cli::parse_config`] for the accepted flags).
-///
-/// # Panics
-///
-/// Panics with a usage message on unknown flags or invalid values, so a typo
-/// fails a binary invocation loudly instead of silently running a default.
-#[must_use]
-pub fn config_from_args<I: IntoIterator<Item = String>>(args: I) -> ExperimentConfig {
-    cli::parse_config(args)
-}
-
-/// Guard for binaries whose experiments exist only on the per-agent engine:
-/// rejects a `--backend dense`/`hybrid:k` selection loudly instead of
-/// silently running the default engine and letting the user mistake the
-/// numbers for counts-engine results.  (`e01` and `e08` have non-agents
-/// variants and dispatch through [`specs::backend_tables`] instead.)
-///
-/// # Panics
-///
-/// Panics when `cfg.backend` is not [`Backend::Agents`].
-pub fn require_agents_backend(cfg: &ExperimentConfig, binary: &str) {
-    assert!(
-        cfg.backend == Backend::Agents,
-        "`{binary}` runs only on the per-agent engine; drop `--backend {}` \
-         (dense and hybrid variants exist for e01, dense for e08)",
-        cfg.backend
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn agents_only_binaries_reject_the_dense_backend() {
-        require_agents_backend(&ExperimentConfig::quick(), "e03");
-        let result = std::panic::catch_unwind(|| {
-            require_agents_backend(
-                &ExperimentConfig::quick().with_backend(Backend::Dense),
-                "e03",
-            );
-        });
-        assert!(result.is_err(), "dense must be rejected loudly");
+        let quick = ExperimentConfig::quick();
+        assert_eq!(specs::binary_sweeps("e03", &quick), Ok(vec!["e03"]));
+        let message = specs::binary_sweeps("e03", &quick.with_backend(Backend::Dense))
+            .expect_err("dense must be rejected loudly");
+        assert!(message.contains("--backend dense"), "{message}");
     }
 
     #[test]
@@ -222,15 +176,15 @@ mod tests {
     #[test]
     fn args_select_the_preset() {
         assert_eq!(
-            config_from_args(vec!["e01".to_string()]),
+            cli::parse_config(vec!["e01".to_string()]),
             ExperimentConfig::quick()
         );
         assert_eq!(
-            config_from_args(vec!["--full".to_string()]),
+            cli::parse_config(vec!["--full".to_string()]),
             ExperimentConfig::full()
         );
         assert_eq!(
-            config_from_args(Vec::<String>::new()),
+            cli::parse_config(Vec::<String>::new()),
             ExperimentConfig::quick()
         );
     }
@@ -238,18 +192,18 @@ mod tests {
     #[test]
     fn args_select_the_backend() {
         assert_eq!(
-            config_from_args(Vec::<String>::new()).backend,
+            cli::parse_config(Vec::<String>::new()).backend,
             Backend::Agents
         );
         assert_eq!(
-            config_from_args(vec!["--backend".to_string(), "dense".to_string()]).backend,
+            cli::parse_config(vec!["--backend".to_string(), "dense".to_string()]).backend,
             Backend::Dense
         );
         assert_eq!(
-            config_from_args(vec!["--backend=dense".to_string()]).backend,
+            cli::parse_config(vec!["--backend=dense".to_string()]).backend,
             Backend::Dense
         );
-        let cfg = config_from_args(vec!["--full".to_string(), "--backend=agents".to_string()]);
+        let cfg = cli::parse_config(vec!["--full".to_string(), "--backend=agents".to_string()]);
         assert_eq!(cfg.backend, Backend::Agents);
         assert!(!cfg.quick);
         assert_eq!(
@@ -263,17 +217,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid --backend")]
     fn unknown_backend_fails_loudly() {
-        let _ = config_from_args(vec!["--backend".to_string(), "gpu".to_string()]);
-    }
-
-    #[test]
-    fn runner_honours_the_threads_override() {
-        let mut cfg = ExperimentConfig::quick();
-        cfg.trials = 64;
-        cfg.threads = Some(3);
-        assert_eq!(cfg.runner().threads(), 3);
-        assert_eq!(cfg.runner().trials(), 64);
-        cfg.threads = None;
-        assert!(cfg.runner().threads() >= 1);
+        let _ = cli::parse_config(vec!["--backend".to_string(), "gpu".to_string()]);
     }
 }

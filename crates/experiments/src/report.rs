@@ -1,13 +1,11 @@
 //! Assembling experiment tables into a markdown report.
 //!
-//! The report's member list, title and preamble live here so the in-memory
-//! [`full_report`] and the composed, resumable `full_report` binary (which
-//! runs the same members through the `sweeps` store) render byte-identical
-//! markdown from the same definitions.
+//! The report's member list, title and preamble live here; the composed,
+//! resumable `full_report` binary runs the members through the `sweeps`
+//! orchestrator (in memory or against a store) and renders them with
+//! [`crate::specs::render`].
 
 use analysis::Table;
-
-use crate::{specs, ExperimentConfig};
 
 /// The builtin sweeps assembled into the full report, in presentation order:
 /// every quantitative claim of the paper, E1–E12.
@@ -54,17 +52,6 @@ impl Report {
         self.tables.push(table);
     }
 
-    /// Adds several tables to the report.
-    pub fn extend<I: IntoIterator<Item = Table>>(&mut self, tables: I) {
-        self.tables.extend(tables);
-    }
-
-    /// The tables collected so far.
-    #[must_use]
-    pub fn tables(&self) -> &[Table] {
-        &self.tables
-    }
-
     /// Renders the whole report as markdown.
     #[must_use]
     pub fn to_markdown(&self) -> String {
@@ -81,26 +68,10 @@ impl Report {
     }
 }
 
-/// Runs every experiment (E1–E12) in memory and assembles the full report.
-///
-/// Each member is the registry-backed builtin sweep rendered through
-/// [`specs::render`] — the same path the persistent, resumable composed run
-/// uses, so both produce identical markdown for the same config.  With
-/// [`ExperimentConfig::quick`] this takes a few minutes on a laptop; the
-/// full preset runs the paper-scale sizes.
-#[must_use]
-pub fn full_report(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new(REPORT_TITLE).with_preamble(REPORT_PREAMBLE);
-    for name in REPORT_MEMBERS {
-        let spec = specs::builtin(name, cfg).expect("report members are builtin sweeps");
-        report.push(specs::render(name, &specs::run_in_memory(&spec, cfg)));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{specs, ExperimentConfig};
 
     #[test]
     fn report_renders_title_preamble_and_tables() {
@@ -108,8 +79,7 @@ mod tests {
         let mut table = Table::new("t1", &["a"]);
         table.push_row(&["1"]);
         report.push(table);
-        report.extend(vec![Table::new("t2", &["b"])]);
-        assert_eq!(report.tables().len(), 2);
+        report.push(Table::new("t2", &["b"]));
         let md = report.to_markdown();
         assert!(md.starts_with("# demo"));
         assert!(md.contains("hello"));

@@ -3,18 +3,19 @@
 //! Every experiment family — the scaling sweeps E1/E1-D/E1-H/E2/E3, the
 //! per-stage claims E4–E7, the consensus sweeps E8/E8-D, the async/baseline
 //! comparisons E9–E12, the ablations A1–A3 and the fault-injection family
-//! E13 — is expressed here as a declarative [`SweepSpec`]
-//! instead of a hand-rolled loop.  The binaries are thin wrappers: build
-//! the spec, run it through the [`sweeps`] orchestrator, render the legacy
-//! table from the streamed aggregates.
+//! E13 — is one row of [`EXPERIMENTS`]: a declarative [`SweepSpec`] builder
+//! and the renderer that rebuilds its table from the streamed aggregates.
+//! Everything that lists the experiments reads that one table: [`builtin`],
+//! [`render`], [`table`], the `sweep list`/`gen`/`table` subcommands and the
+//! golden and smoke tests.
 //!
 //! **The migration contract:** for every migrated experiment, the sweep uses
 //! the same protocol constructions, the same grid order and the same
 //! `(base_seed, point, trial)` seed derivation as the legacy loop — so the
 //! rendered table is digit-for-digit identical to the legacy function's
 //! (`tests/spec_equivalence.rs` pins this).  The same specs serialized to
-//! `specs/*.json` drive the standalone `sweep` binary, which adds
-//! persistence, resume and CSV/JSON export on top.
+//! `specs/*.json` drive `sweep run`, which adds persistence, resume and
+//! CSV/JSON export on top.
 
 use std::collections::BTreeMap;
 
@@ -25,8 +26,9 @@ use analysis::tables::fmt_float;
 use analysis::theory;
 use analysis::Table;
 use baselines::chain_correct_probability;
-use breathe::{InitialSet, Multipliers, Params, Schedule};
+use breathe::{InitialSet, Schedule};
 use flip_model::{Backend, DEFAULT_HYBRID_TRACKED};
+use sweeps::registry::params_from_spec;
 use sweeps::{
     Axis, CellRecord, MetricAggregate, ProtocolRegistry, ReportSpec, ScenarioSpec, SweepRunner,
     SweepSpec,
@@ -37,47 +39,72 @@ use crate::{consensus, scaling, ExperimentConfig};
 /// A sweep result in grid order: each cell's resolved spec with its record.
 pub type CellPairs = Vec<(ScenarioSpec, CellRecord)>;
 
-/// The names accepted by [`builtin`] (and the `sweep gen`/`sweep list`
-/// subcommands), in presentation order.
-pub const BUILTIN_SWEEPS: [&str; 20] = [
-    "e01",
-    "e01-dense",
-    "e01-hybrid",
-    "e02",
-    "e03",
-    "e04",
-    "e05",
-    "e06",
-    "e07a",
-    "e07b",
-    "e08",
-    "e08-dense",
-    "e09",
-    "e10",
-    "e11",
-    "e12",
-    "a1",
-    "a2",
-    "a3",
-    "e13",
-];
+/// One builtin sweep and what the tools need to know about it.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The sweep's name: the argument of `sweep gen`, the spec's `name` and
+    /// the file name of its golden table.
+    pub name: &'static str,
+    /// The `sweep list` heading the sweep is grouped under.
+    pub family: &'static str,
+    /// The experiment (`sweep table <binary>`) that prints the sweep's
+    /// table.  `--backend` picks among an experiment's sweeps by the engine
+    /// family their specs run on.
+    pub binary: &'static str,
+    /// Builds the sweep for a configuration.
+    pub build: fn(&ExperimentConfig) -> SweepSpec,
+    /// Renders the sweep's table from its cells in grid order.
+    pub render: fn(&CellPairs) -> Table,
+}
 
-/// The builtin sweeps grouped by experiment family, in presentation order —
-/// the structure behind `sweep list`.  Together the groups cover
-/// [`BUILTIN_SWEEPS`] exactly (pinned by a test below).
-pub const SWEEP_FAMILIES: [(&str, &[&str]); 6] = [
-    (
-        "scaling (E1-E3)",
-        &["e01", "e01-dense", "e01-hybrid", "e02", "e03"],
-    ),
-    (
-        "stage claims (E4-E7)",
-        &["e04", "e05", "e06", "e07a", "e07b"],
-    ),
-    ("consensus (E8)", &["e08", "e08-dense"]),
-    ("comparisons (E9-E12)", &["e09", "e10", "e11", "e12"]),
-    ("ablations (A1-A3)", &["a1", "a2", "a3"]),
-    ("fault injection (E13)", &["e13"]),
+const fn experiment(
+    name: &'static str,
+    family: &'static str,
+    binary: &'static str,
+    build: fn(&ExperimentConfig) -> SweepSpec,
+    render: fn(&CellPairs) -> Table,
+) -> Experiment {
+    Experiment {
+        name,
+        family,
+        binary,
+        build,
+        render,
+    }
+}
+
+const SCALING: &str = "scaling (E1-E3)";
+const STAGES: &str = "stage claims (E4-E7)";
+const CONSENSUS: &str = "consensus (E8)";
+const COMPARISONS: &str = "comparisons (E9-E12)";
+const ABLATIONS: &str = "ablations (A1-A3)";
+const FAULTS: &str = "fault injection (E13)";
+
+/// Every builtin sweep, in presentation order.  A family and an experiment
+/// each occupy one contiguous run of rows.
+#[rustfmt::skip]
+pub const EXPERIMENTS: &[Experiment] = &[
+    //         name          family       binary       build             render
+    experiment("e01",        SCALING,     "e01",       e01_sweep,        render_e01),
+    experiment("e01-dense",  SCALING,     "e01",       e01_dense_sweep,  render_e01_dense),
+    experiment("e01-hybrid", SCALING,     "e01",       e01_hybrid_sweep, render_e01_dense),
+    experiment("e02",        SCALING,     "e02",       e02_sweep,        render_e02),
+    experiment("e03",        SCALING,     "e03",       e03_sweep,        render_e03),
+    experiment("e04",        STAGES,      "e04",       e04_sweep,        render_e04),
+    experiment("e05",        STAGES,      "e05",       e05_sweep,        render_e05),
+    experiment("e06",        STAGES,      "e06",       e06_sweep,        render_e06),
+    experiment("e07a",       STAGES,      "e07",       e07a_sweep,       render_e07a),
+    experiment("e07b",       STAGES,      "e07",       e07b_sweep,       render_e07b),
+    experiment("e08",        CONSENSUS,   "e08",       e08_sweep,        render_e08),
+    experiment("e08-dense",  CONSENSUS,   "e08",       e08_dense_sweep,  render_e08_dense),
+    experiment("e09",        COMPARISONS, "e09",       e09_sweep,        render_e09),
+    experiment("e10",        COMPARISONS, "e10",       e10_sweep,        render_e10),
+    experiment("e11",        COMPARISONS, "e11",       e11_sweep,        render_e11),
+    experiment("e12",        COMPARISONS, "e12",       e12_sweep,        render_e12),
+    experiment("a1",         ABLATIONS,   "ablations", a1_sweep,         render_a1),
+    experiment("a2",         ABLATIONS,   "ablations", a2_sweep,         render_a2),
+    experiment("a3",         ABLATIONS,   "ablations", a3_sweep,         render_a3),
+    experiment("e13",        FAULTS,      "e13",       e13_sweep,        render_e13),
 ];
 
 /// The name of the composed full-report spec accepted by `sweep run` and
@@ -102,33 +129,85 @@ pub fn report_spec(cfg: &ExperimentConfig) -> ReportSpec {
     ReportSpec::new(REPORT_SPEC_NAME, members).expect("builtin member names are valid and unique")
 }
 
+fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
 /// Builds the named builtin sweep for the given configuration; `None` for
 /// unknown names.
 #[must_use]
 pub fn builtin(name: &str, cfg: &ExperimentConfig) -> Option<SweepSpec> {
-    match name {
-        "e01" => Some(e01_sweep(cfg)),
-        "e01-dense" => Some(e01_dense_sweep(cfg)),
-        "e01-hybrid" => Some(e01_hybrid_sweep(cfg)),
-        "e02" => Some(e02_sweep(cfg)),
-        "e03" => Some(e03_sweep(cfg)),
-        "e04" => Some(e04_sweep(cfg)),
-        "e05" => Some(e05_sweep(cfg)),
-        "e06" => Some(e06_sweep(cfg)),
-        "e07a" => Some(e07a_sweep(cfg)),
-        "e07b" => Some(e07b_sweep(cfg)),
-        "e08" => Some(e08_sweep(cfg)),
-        "e08-dense" => Some(e08_dense_sweep(cfg)),
-        "e09" => Some(e09_sweep(cfg)),
-        "e10" => Some(e10_sweep(cfg)),
-        "e11" => Some(e11_sweep(cfg)),
-        "e12" => Some(e12_sweep(cfg)),
-        "a1" => Some(a1_sweep(cfg)),
-        "a2" => Some(a2_sweep(cfg)),
-        "a3" => Some(a3_sweep(cfg)),
-        "e13" => Some(e13_sweep(cfg)),
-        _ => None,
+    find(name).map(|e| (e.build)(cfg))
+}
+
+/// Renders the named builtin sweep's table from its aggregates.
+///
+/// # Panics
+///
+/// Panics on a name with no renderer — a bug in the caller's dispatch.
+#[must_use]
+pub fn render(name: &str, cells: &CellPairs) -> Table {
+    let experiment = find(name).unwrap_or_else(|| panic!("no renderer for sweep `{name}`"));
+    (experiment.render)(cells)
+}
+
+/// Runs the named builtin sweep in memory and renders its table.
+///
+/// A `cfg.backend` of the spec's own engine family replaces the spec's
+/// backend, so `hybrid:3` runs three tracked agents where the builtin spec
+/// tracks [`DEFAULT_HYBRID_TRACKED`]; a backend of another family leaves
+/// the spec as built.
+///
+/// # Panics
+///
+/// Panics on an unknown name and when the sweep fails (see
+/// [`run_in_memory`]).
+#[must_use]
+pub fn table(name: &str, cfg: &ExperimentConfig) -> Table {
+    let mut spec = builtin(name, cfg).unwrap_or_else(|| panic!("no builtin sweep `{name}`"));
+    if spec.backend.same_family(cfg.backend) {
+        spec.backend = cfg.backend;
     }
+    render(name, &run_in_memory(&spec, cfg))
+}
+
+/// The sweeps `sweep table <binary>` prints for `cfg.backend`: the binary's
+/// sweeps whose specs run on that engine family, in presentation order.
+///
+/// # Errors
+///
+/// An unknown binary (the message lists the known ones), or a binary with
+/// no sweep on `cfg.backend`'s family (the message names `--backend` and the
+/// families the binary supports).
+pub fn binary_sweeps(binary: &str, cfg: &ExperimentConfig) -> Result<Vec<&'static str>, String> {
+    let sweeps: Vec<(&str, Backend)> = EXPERIMENTS
+        .iter()
+        .filter(|e| e.binary == binary)
+        .map(|e| (e.name, (e.build)(cfg).backend))
+        .collect();
+    if sweeps.is_empty() {
+        let mut binaries: Vec<&str> = EXPERIMENTS.iter().map(|e| e.binary).collect();
+        binaries.dedup();
+        return Err(format!(
+            "unknown experiment `{binary}`; available: {}",
+            binaries.join(", ")
+        ));
+    }
+    let chosen: Vec<&str> = sweeps
+        .iter()
+        .filter(|(_, backend)| backend.same_family(cfg.backend))
+        .map(|(name, _)| *name)
+        .collect();
+    if chosen.is_empty() {
+        let mut supported: Vec<&str> = sweeps.iter().map(|(_, backend)| backend.as_str()).collect();
+        supported.dedup();
+        return Err(format!(
+            "`{binary}` has no --backend {} variant; supported: {}",
+            cfg.backend,
+            supported.join(", ")
+        ));
+    }
+    Ok(chosen)
 }
 
 /// The closest builtin name (including the composed [`REPORT_SPEC_NAME`])
@@ -137,7 +216,7 @@ pub fn builtin(name: &str, cfg: &ExperimentConfig) -> Option<SweepSpec> {
 /// plausibly close, so a garbled path never draws a misleading suggestion.
 #[must_use]
 pub fn nearest_builtin(name: &str) -> Option<&'static str> {
-    let candidates = BUILTIN_SWEEPS.iter().copied().chain([REPORT_SPEC_NAME]);
+    let candidates = EXPERIMENTS.iter().map(|e| e.name).chain([REPORT_SPEC_NAME]);
     candidates
         .map(|candidate| (edit_distance(name, candidate), candidate))
         .filter(|(distance, candidate)| {
@@ -168,118 +247,14 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The builtin sweeps that run experiment family `binary` on `backend`'s
-/// engine family (most binaries render one table, `e07` renders its a/b
-/// pair and `ablations` all three), or `None` when no variant exists there.
-///
-/// Keyed on [`Backend::as_str`] (the family name), not on enum variants, so
-/// adding a backend to [`Backend::ALL`] does not force edits here — a family
-/// without a variant simply stays unlisted.
-#[must_use]
-pub fn variant_for(binary: &str, backend: Backend) -> Option<&'static [&'static str]> {
-    let variants: &[(&str, &'static [&'static str])] = match binary {
-        "e01" => &[
-            ("agents", &["e01"]),
-            ("dense", &["e01-dense"]),
-            ("hybrid", &["e01-hybrid"]),
-        ],
-        "e02" => &[("agents", &["e02"])],
-        "e03" => &[("agents", &["e03"])],
-        "e04" => &[("agents", &["e04"])],
-        "e05" => &[("agents", &["e05"])],
-        "e06" => &[("agents", &["e06"])],
-        "e07" => &[("agents", &["e07a", "e07b"])],
-        "e08" => &[("agents", &["e08"]), ("dense", &["e08-dense"])],
-        "e09" => &[("agents", &["e09"])],
-        "e10" => &[("agents", &["e10"])],
-        "e11" => &[("agents", &["e11"])],
-        "e12" => &[("agents", &["e12"])],
-        "ablations" => &[("agents", &["a1", "a2", "a3"])],
-        "e13" => &[("agents", &["e13"])],
-        _ => return None,
-    };
-    variants
-        .iter()
-        .find(|(family, _)| *family == backend.as_str())
-        .map(|(_, names)| *names)
-}
-
-/// Renders the named builtin sweep's table from its aggregates.
-///
-/// # Panics
-///
-/// Panics on a name with no renderer — a bug in the caller's dispatch.
-#[must_use]
-pub fn render(name: &str, cells: &CellPairs) -> Table {
-    match name {
-        "e01" => render_e01(cells),
-        "e01-dense" | "e01-hybrid" => render_e01_dense(cells),
-        "e02" => render_e02(cells),
-        "e03" => render_e03(cells),
-        "e04" => render_e04(cells),
-        "e05" => render_e05(cells),
-        "e06" => render_e06(cells),
-        "e07a" => render_e07a(cells),
-        "e07b" => render_e07b(cells),
-        "e08" => render_e08(cells),
-        "e08-dense" => render_e08_dense(cells),
-        "e09" => render_e09(cells),
-        "e10" => render_e10(cells),
-        "e11" => render_e11(cells),
-        "e12" => render_e12(cells),
-        "a1" => render_a1(cells),
-        "a2" => render_a2(cells),
-        "a3" => render_a3(cells),
-        "e13" => render_e13(cells),
-        other => panic!("no renderer for sweep `{other}`"),
-    }
-}
-
-/// The single backend dispatch point for the experiment binaries: resolves
-/// `cfg.backend` to the family's sweep variant, runs it through the registry
-/// and renders its table.  This replaces the per-binary
-/// `match cfg.backend {...}` blocks, so binaries stay untouched when a
-/// backend family gains or loses a variant.
-///
-/// The sweep keeps `cfg.backend` verbatim (`--backend hybrid:64` runs with
-/// 64 tracked agents, not the builtin spec's default).
-///
-/// # Panics
-///
-/// Panics, naming `--backend`, when the family has no variant on the
-/// configured backend.
-#[must_use]
-pub fn backend_tables(binary: &str, cfg: &ExperimentConfig) -> Vec<Table> {
-    let names = variant_for(binary, cfg.backend).unwrap_or_else(|| {
-        let supported: Vec<&str> = Backend::ALL
-            .iter()
-            .filter(|b| variant_for(binary, **b).is_some())
-            .map(|b| b.as_str())
-            .collect();
-        panic!(
-            "`{binary}` has no --backend {} variant; supported: {}",
-            cfg.backend,
-            supported.join(", ")
-        )
-    });
-    names
-        .iter()
-        .map(|name| {
-            let mut spec = builtin(name, cfg).expect("variant_for only names builtin sweeps");
-            spec.backend = cfg.backend;
-            render(name, &run_in_memory(&spec, cfg))
-        })
-        .collect()
-}
-
 /// Runs a spec in memory (no store) with the builtin registry, honouring the
 /// configuration's `--threads` override, and pairs each cell spec with its
 /// record in grid order.
 ///
 /// # Panics
 ///
-/// Panics when the sweep fails — for builtin specs that means a bug, and the
-/// experiment binaries have no useful way to continue.
+/// Panics when the sweep fails — for builtin specs that means a bug, and
+/// `sweep table` has no useful way to continue.
 #[must_use]
 pub fn run_in_memory(spec: &SweepSpec, cfg: &ExperimentConfig) -> CellPairs {
     let mut runner = SweepRunner::new();
@@ -322,33 +297,24 @@ fn constant_u64(record: &CellRecord, name: &str) -> u64 {
     agg.moments.min as u64
 }
 
-/// The `--faults` directive as a sweep-spec string: empty when the
-/// configuration carries no directive, so fault-free specs (and their
-/// hashes) are byte-identical to the pre-fault era.
-fn faults_directive(cfg: &ExperimentConfig) -> String {
-    cfg.faults.map(|f| f.to_string()).unwrap_or_default()
-}
-
-/// The protocol [`Params`] a cell resolves to — the renderer-side mirror of
-/// the registry's construction, so renderers can quote schedule-derived
-/// quantities (`beta_s`, `gamma`, round budgets) the metrics do not carry.
-fn spec_params(spec: &ScenarioSpec) -> Params {
-    let practical = Multipliers::practical();
-    let multipliers = Multipliers {
-        s_mult: spec.param_or("s_mult", practical.s_mult),
-        beta_mult: spec.param_or("beta_mult", practical.beta_mult),
-        f_mult: spec.param_or("f_mult", practical.f_mult),
-        gamma_mult: spec.param_or("gamma_mult", practical.gamma_mult),
-        extra_boost_phases: spec.param_or("extra_boost_phases", practical.extra_boost_phases as f64)
-            as usize,
-        final_mult: spec.param_or("final_mult", practical.final_mult),
-    };
-    Params::with_multipliers(
-        usize::try_from(spec.n()).expect("n fits in usize"),
-        spec.epsilon(),
-        multipliers,
-    )
-    .expect("grid parameters are valid")
+/// The fields every builtin sweep starts from: the per-agent engine,
+/// `cfg.trials` trials from `cfg.base_seed`, no round cap, and the
+/// `--faults` directive — empty when the configuration carries none, so
+/// fault-free specs (and their hashes) are byte-identical to the pre-fault
+/// era.
+fn base(name: &str, protocol: &str, point_base: u64, cfg: &ExperimentConfig) -> SweepSpec {
+    SweepSpec {
+        name: name.into(),
+        protocol: protocol.into(),
+        backend: Backend::Agents,
+        trials: cfg.trials,
+        base_seed: cfg.base_seed,
+        point_base,
+        rounds: 0,
+        faults: cfg.faults.map(|f| f.to_string()).unwrap_or_default(),
+        defaults: BTreeMap::new(),
+        axes: vec![],
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -357,17 +323,8 @@ fn spec_params(spec: &ScenarioSpec) -> Params {
 
 /// The migrated E1 sweep: `broadcast` over [`scaling::population_grid`] at
 /// `ε = 0.2`, seed points `0, 1, …` — the legacy loop's numbering.
-#[must_use]
-pub fn e01_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e01_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e01".into(),
-        protocol: "broadcast".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 0,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("epsilon", 0.2)]),
         axes: vec![Axis {
             key: "n".into(),
@@ -376,19 +333,12 @@ pub fn e01_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 .map(|n| n as f64)
                 .collect(),
         }],
+        ..base("e01", "broadcast", 0, cfg)
     }
 }
 
-/// Runs the migrated E1 sweep and renders the legacy table (digit-identical
-/// to the retired `scaling::e01_rounds_vs_n`).
-#[must_use]
-pub fn e01_table(cfg: &ExperimentConfig) -> Table {
-    render_e01(&run_in_memory(&e01_sweep(cfg), cfg))
-}
-
 /// Renders E1 from sweep aggregates (also used on persisted stores).
-#[must_use]
-pub fn render_e01(cells: &CellPairs) -> Table {
+fn render_e01(cells: &CellPairs) -> Table {
     let epsilon = 0.2;
     let mut table = Table::new(
         "E1: broadcast rounds vs n (epsilon = 0.2, Theorem 2.17)",
@@ -439,17 +389,10 @@ pub fn render_e01(cells: &CellPairs) -> Table {
 /// The migrated E1-D sweep: dense `rumor` over
 /// [`scaling::dense_population_grid`], 1000 informed agents, `ε = 0.2`,
 /// capped at 500 rounds, seed points `1300, 1301, …`.
-#[must_use]
-pub fn e01_dense_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e01_dense_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e01-dense".into(),
-        protocol: "rumor".into(),
         backend: Backend::Dense,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 1_300,
         rounds: 500,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("epsilon", 0.2), ("informed", 1_000.0)]),
         axes: vec![Axis {
             key: "n".into(),
@@ -458,6 +401,7 @@ pub fn e01_dense_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 .map(|n| n as f64)
                 .collect(),
         }],
+        ..base("e01-dense", "rumor", 1_300, cfg)
     }
 }
 
@@ -465,8 +409,7 @@ pub fn e01_dense_sweep(cfg: &ExperimentConfig) -> SweepSpec {
 /// backend — `DEFAULT_HYBRID_TRACKED` agents simulated exactly against the
 /// dense bulk.  Seed points `2600, 2601, …` keep it disjoint from every
 /// other sweep's numbering.
-#[must_use]
-pub fn e01_hybrid_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e01_hybrid_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
         name: "e01-hybrid".into(),
         backend: Backend::Hybrid(DEFAULT_HYBRID_TRACKED),
@@ -475,17 +418,9 @@ pub fn e01_hybrid_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E1-D sweep and renders the legacy table
-/// (digit-identical to the retired `scaling::e01_dense_scaling` on the dense backend).
-#[must_use]
-pub fn e01_dense_table(cfg: &ExperimentConfig) -> Table {
-    render_e01_dense(&run_in_memory(&e01_dense_sweep(cfg), cfg))
-}
-
 /// Renders E1-D from sweep aggregates.  The title reports the backend the
 /// cells actually ran on (`dense` or `hybrid:k`).
-#[must_use]
-pub fn render_e01_dense(cells: &CellPairs) -> Table {
+fn render_e01_dense(cells: &CellPairs) -> Table {
     let backend = cells.first().map_or_else(
         || Backend::Dense.to_string(),
         |(s, _)| s.backend.to_string(),
@@ -521,36 +456,20 @@ pub fn render_e01_dense(cells: &CellPairs) -> Table {
 /// The migrated E2 sweep: `broadcast` over [`scaling::epsilon_grid`] at
 /// `n = pick(1000, 2000)`, seed points `100, 101, …` — the legacy loop's
 /// numbering.
-#[must_use]
-pub fn e02_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e02_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     let n = cfg.pick(1_000, 2_000);
     SweepSpec {
-        name: "e02".into(),
-        protocol: "broadcast".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 100,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("n", n as f64)]),
         axes: vec![Axis {
             key: "epsilon".into(),
             values: scaling::epsilon_grid(cfg),
         }],
+        ..base("e02", "broadcast", 100, cfg)
     }
 }
 
-/// Runs the migrated E2 sweep and renders the legacy table (digit-identical
-/// to the retired `scaling::e02_rounds_vs_epsilon`).
-#[must_use]
-pub fn e02_table(cfg: &ExperimentConfig) -> Table {
-    render_e02(&run_in_memory(&e02_sweep(cfg), cfg))
-}
-
 /// Renders E2 from sweep aggregates.
-#[must_use]
-pub fn render_e02(cells: &CellPairs) -> Table {
+fn render_e02(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E2: broadcast rounds vs epsilon (Theorem 2.17)",
         &[
@@ -582,18 +501,8 @@ pub fn render_e02(cells: &CellPairs) -> Table {
 /// The migrated E3 sweep: `broadcast` over
 /// [`scaling::e03_population_grid`] × [`scaling::E03_EPSILONS`] (row-major,
 /// `n` outer — the legacy nesting), seed points `200, 201, …`.
-#[must_use]
-pub fn e03_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e03_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e03".into(),
-        protocol: "broadcast".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 200,
-        rounds: 0,
-        faults: faults_directive(cfg),
-        defaults: BTreeMap::new(),
         axes: vec![
             Axis {
                 key: "n".into(),
@@ -607,19 +516,12 @@ pub fn e03_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 values: scaling::E03_EPSILONS.to_vec(),
             },
         ],
+        ..base("e03", "broadcast", 200, cfg)
     }
 }
 
-/// Runs the migrated E3 sweep and renders the legacy table (digit-identical
-/// to the retired `scaling::e03_message_complexity`).
-#[must_use]
-pub fn e03_table(cfg: &ExperimentConfig) -> Table {
-    render_e03(&run_in_memory(&e03_sweep(cfg), cfg))
-}
-
 /// Renders E3 from sweep aggregates.
-#[must_use]
-pub fn render_e03(cells: &CellPairs) -> Table {
+fn render_e03(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E3: message complexity (Theorem 2.17)",
         &[
@@ -655,36 +557,20 @@ pub const E04_EPSILONS: [f64; 3] = [0.15, 0.2, 0.3];
 
 /// The migrated E4 sweep: `broadcast-detailed` over [`E04_EPSILONS`] at
 /// `n = pick(1000, 4000)`, seed points `400, 401, …`.
-#[must_use]
-pub fn e04_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e04_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     let n = cfg.pick(1_000, 4_000);
     SweepSpec {
-        name: "e04".into(),
-        protocol: "broadcast-detailed".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 400,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("n", n as f64)]),
         axes: vec![Axis {
             key: "epsilon".into(),
             values: E04_EPSILONS.to_vec(),
         }],
+        ..base("e04", "broadcast-detailed", 400, cfg)
     }
 }
 
-/// Runs the migrated E4 sweep and renders the legacy table (digit-identical
-/// to the retired `stage_claims::e04_phase0_seeding`).
-#[must_use]
-pub fn e04_table(cfg: &ExperimentConfig) -> Table {
-    render_e04(&run_in_memory(&e04_sweep(cfg), cfg))
-}
-
 /// Renders E4 from sweep aggregates.
-#[must_use]
-pub fn render_e04(cells: &CellPairs) -> Table {
+fn render_e04(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E4: phase-0 activation and bias (Claim 2.2)",
         &[
@@ -699,7 +585,7 @@ pub fn render_e04(cells: &CellPairs) -> Table {
     );
     for (spec, record) in cells {
         let epsilon = spec.epsilon();
-        let params = spec_params(spec);
+        let params = params_from_spec(spec).expect("grid parameters are valid");
         let (lo, hi, min_bias) = theory::claim_2_2_bounds(params.beta_s(), epsilon);
         table.push_row(&[
             fmt_float(epsilon),
@@ -736,34 +622,17 @@ fn layered_defaults(n: usize, epsilon: f64) -> BTreeMap<String, f64> {
 
 /// The migrated E5 sweep: a single `broadcast-detailed` cell at
 /// `n = pick(8000, 20000)`, `ε = 0.45`, layered multipliers, seed point 500.
-#[must_use]
-pub fn e05_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e05_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e05".into(),
-        protocol: "broadcast-detailed".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 500,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: layered_defaults(cfg.pick(8_000, 20_000), 0.45),
-        axes: vec![],
+        ..base("e05", "broadcast-detailed", 500, cfg)
     }
-}
-
-/// Runs the migrated E5 sweep and renders the legacy table (digit-identical
-/// to the retired `stage_claims::e05_layer_growth`).
-#[must_use]
-pub fn e05_table(cfg: &ExperimentConfig) -> Table {
-    render_e05(&run_in_memory(&e05_sweep(cfg), cfg))
 }
 
 /// Renders E5 from sweep aggregates: one row per intermediate Stage I level
 /// (walked by metric presence — the registry records `level_cum_{i}` for
 /// every level but the last), then the all-activated summary row.
-#[must_use]
-pub fn render_e05(cells: &CellPairs) -> Table {
+fn render_e05(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E5: Stage I layer growth (Claim 2.4)",
         &[
@@ -775,7 +644,7 @@ pub fn render_e05(cells: &CellPairs) -> Table {
         ],
     );
     for (spec, record) in cells {
-        let params = spec_params(spec);
+        let params = params_from_spec(spec).expect("grid parameters are valid");
         let beta = params.beta();
         // The legacy display bounds: the trial-mean X0 (source included),
         // rounded, pushed through Claim 2.4.
@@ -806,27 +675,11 @@ pub fn render_e05(cells: &CellPairs) -> Table {
 
 /// The migrated E6 sweep: a single `broadcast-detailed` cell at
 /// `n = pick(4000, 10000)`, `ε = 0.45`, layered multipliers, seed point 600.
-#[must_use]
-pub fn e06_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e06_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e06".into(),
-        protocol: "broadcast-detailed".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 600,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: layered_defaults(cfg.pick(4_000, 10_000), 0.45),
-        axes: vec![],
+        ..base("e06", "broadcast-detailed", 600, cfg)
     }
-}
-
-/// Runs the migrated E6 sweep and renders the legacy table (digit-identical
-/// to the retired `stage_claims::e06_bias_decay`).
-#[must_use]
-pub fn e06_table(cfg: &ExperimentConfig) -> Table {
-    render_e06(&run_in_memory(&e06_sweep(cfg), cfg))
 }
 
 /// Renders E6 from sweep aggregates.  A level whose bias metric is absent
@@ -834,8 +687,7 @@ pub fn e06_table(cfg: &ExperimentConfig) -> Table {
 /// `biases.is_empty()` continue; the per-level statistics aggregate only
 /// the trials that activated the level, exactly as the legacy per-trial skip
 /// did.
-#[must_use]
-pub fn render_e06(cells: &CellPairs) -> Table {
+fn render_e06(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E6: per-level bias decay (Claim 2.8) and end-of-Stage-I bias (Lemma 2.3)",
         &[
@@ -885,17 +737,9 @@ pub const E07_DELTAS: [f64; 6] = [0.005, 0.01, 0.02, 0.05, 0.1, 0.25];
 /// `n = pick(1000, 2000)`, `ε = 0.2`, seed points `700, 701, …`.  One cell
 /// trial runs the whole `mc_trials`-sample Monte-Carlo estimate (the legacy
 /// loop's single pass), so `trials` is 1.
-#[must_use]
-pub fn e07a_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e07a_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e07a".into(),
-        protocol: "mc-boost".into(),
-        backend: Backend::Agents,
         trials: 1,
-        base_seed: cfg.base_seed,
-        point_base: 700,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[
             ("n", cfg.pick(1_000, 2_000) as f64),
             ("epsilon", 0.2),
@@ -905,19 +749,12 @@ pub fn e07a_sweep(cfg: &ExperimentConfig) -> SweepSpec {
             key: "delta".into(),
             values: E07_DELTAS.to_vec(),
         }],
+        ..base("e07a", "mc-boost", 700, cfg)
     }
 }
 
-/// Runs the migrated E7a sweep and renders the legacy table (digit-identical
-/// to the first table of the retired `stage_claims::e07_stage2_boost`).
-#[must_use]
-pub fn e07a_table(cfg: &ExperimentConfig) -> Table {
-    render_e07a(&run_in_memory(&e07a_sweep(cfg), cfg))
-}
-
 /// Renders E7a from sweep aggregates.
-#[must_use]
-pub fn render_e07a(cells: &CellPairs) -> Table {
+fn render_e07a(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E7a: majority-of-noisy-samples boost (Lemma 2.11)",
         &[
@@ -931,7 +768,9 @@ pub fn render_e07a(cells: &CellPairs) -> Table {
     for (spec, record) in cells {
         let epsilon = spec.epsilon();
         let delta = spec.param_or("delta", 0.0);
-        let gamma = spec_params(spec).gamma();
+        let gamma = params_from_spec(spec)
+            .expect("grid parameters are valid")
+            .gamma();
         table.push_row(&[
             fmt_float(delta),
             gamma.to_string(),
@@ -945,34 +784,17 @@ pub fn render_e07a(cells: &CellPairs) -> Table {
 
 /// The migrated E7b sweep: a single `broadcast-detailed` cell at
 /// `n = pick(1000, 2000)`, `ε = 0.2`, seed point 710.
-#[must_use]
-pub fn e07b_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e07b_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e07b".into(),
-        protocol: "broadcast-detailed".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 710,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("n", cfg.pick(1_000, 2_000) as f64), ("epsilon", 0.2)]),
-        axes: vec![],
+        ..base("e07b", "broadcast-detailed", 710, cfg)
     }
-}
-
-/// Runs the migrated E7b sweep and renders the legacy table (digit-identical
-/// to the second table of the retired `stage_claims::e07_stage2_boost`).
-#[must_use]
-pub fn e07b_table(cfg: &ExperimentConfig) -> Table {
-    render_e07b(&run_in_memory(&e07b_sweep(cfg), cfg))
 }
 
 /// Renders E7b from sweep aggregates: the bias trajectory from the last
 /// spreading phase through every boosting phase, with the per-phase growth
 /// factor chained off the displayed means.
-#[must_use]
-pub fn render_e07b(cells: &CellPairs) -> Table {
+fn render_e07b(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E7b: bias trajectory over Stage II phases (Lemma 2.14)",
         &[
@@ -983,7 +805,7 @@ pub fn render_e07b(cells: &CellPairs) -> Table {
         ],
     );
     for (spec, record) in cells {
-        let params = spec_params(spec);
+        let params = params_from_spec(spec).expect("grid parameters are valid");
         let spreading_count = Schedule::broadcast(&params).spreading_phase_count();
         let mut phases = 0usize;
         while record.metrics.contains_key(&format!("phase_frac_{phases}")) {
@@ -1025,8 +847,7 @@ pub fn render_e07b(cells: &CellPairs) -> Table {
 /// (set larger than `n`, or a bias that rounds to a tie) — the declarative
 /// grid is a plain cross product, so a skip would silently shift every
 /// later seed point off the legacy numbering.
-#[must_use]
-pub fn e08_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e08_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     let n = cfg.pick(1_000, 4_000);
     let sizes = consensus::initial_set_grid(cfg);
     let biases = consensus::bias_grid(cfg);
@@ -1041,14 +862,6 @@ pub fn e08_sweep(cfg: &ExperimentConfig) -> SweepSpec {
         }
     }
     SweepSpec {
-        name: "e08".into(),
-        protocol: "majority-consensus".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 800,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("n", n as f64), ("epsilon", 0.3)]),
         axes: vec![
             Axis {
@@ -1060,19 +873,12 @@ pub fn e08_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 values: biases,
             },
         ],
+        ..base("e08", "majority-consensus", 800, cfg)
     }
 }
 
-/// Runs the migrated E8 sweep and renders the legacy table (digit-identical
-/// to the retired `consensus::e08_majority_consensus`).
-#[must_use]
-pub fn e08_table(cfg: &ExperimentConfig) -> Table {
-    render_e08(&run_in_memory(&e08_sweep(cfg), cfg))
-}
-
 /// Renders E8 from sweep aggregates.
-#[must_use]
-pub fn render_e08(cells: &CellPairs) -> Table {
+fn render_e08(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E8: noisy majority-consensus (Corollary 2.18)",
         &[
@@ -1107,17 +913,9 @@ pub fn render_e08(cells: &CellPairs) -> Table {
 /// The migrated E8-D sweep: dense `majority-sampler` over
 /// [`consensus::dense_majority_grid`] × [`consensus::dense_bias_grid`] at
 /// `ε = 0.3`, seed points `1800, 1801, …`.
-#[must_use]
-pub fn e08_dense_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e08_dense_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e08-dense".into(),
-        protocol: "majority-sampler".into(),
         backend: Backend::Dense,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 1_800,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("epsilon", 0.3)]),
         axes: vec![
             Axis {
@@ -1132,19 +930,12 @@ pub fn e08_dense_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 values: consensus::dense_bias_grid(cfg),
             },
         ],
+        ..base("e08-dense", "majority-sampler", 1_800, cfg)
     }
 }
 
-/// Runs the migrated E8-D sweep and renders the legacy table
-/// (digit-identical to the retired `consensus::e08_dense_majority`).
-#[must_use]
-pub fn e08_dense_table(cfg: &ExperimentConfig) -> Table {
-    render_e08_dense(&run_in_memory(&e08_dense_sweep(cfg), cfg))
-}
-
 /// Renders E8-D from sweep aggregates.
-#[must_use]
-pub fn render_e08_dense(cells: &CellPairs) -> Table {
+fn render_e08_dense(cells: &CellPairs) -> Table {
     let epsilon = 0.3f64;
     let phase_len = ((2.0 / (epsilon * epsilon)).ceil() as u64) | 1;
     let mut table = Table::new(
@@ -1179,17 +970,8 @@ pub fn render_e08_dense(cells: &CellPairs) -> Table {
 /// [`scaling::e09_population_grid`] × the two async variants (`0` = bounded
 /// offsets, `1` = resynchronised) at `ε = 0.3`, seed points `900, 901, …` —
 /// the legacy `point += 1` walk with `n` outer.
-#[must_use]
-pub fn e09_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e09_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e09".into(),
-        protocol: "async-broadcast".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 900,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("epsilon", 0.3)]),
         axes: vec![
             Axis {
@@ -1204,20 +986,13 @@ pub fn e09_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 values: vec![0.0, 1.0],
             },
         ],
+        ..base("e09", "async-broadcast", 900, cfg)
     }
-}
-
-/// Runs the migrated E9 sweep and renders the legacy table (digit-identical
-/// to the retired `scaling::e09_async_overhead`).
-#[must_use]
-pub fn e09_table(cfg: &ExperimentConfig) -> Table {
-    render_e09(&run_in_memory(&e09_sweep(cfg), cfg))
 }
 
 /// Renders E9 from sweep aggregates.  The round counts quote trial 0 (the
 /// legacy display choice); the registry records them on trial 0 alone.
-#[must_use]
-pub fn render_e09(cells: &CellPairs) -> Table {
+fn render_e09(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E9: removing the global clock (Theorem 3.1)",
         &[
@@ -1272,17 +1047,8 @@ pub const E10_BASELINE_NAMES: [&str; 6] = [
 /// The migrated E10 sweep: `baseline-compare` over [`E10_EPSILONS`] × the
 /// six baselines at `n = pick(600, 2000)`, seed points `1000, 1001, …` —
 /// the legacy `point += 1` walk with `ε` outer.
-#[must_use]
-pub fn e10_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e10_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e10".into(),
-        protocol: "baseline-compare".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 1_000,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("n", cfg.pick(600, 2_000) as f64)]),
         axes: vec![
             Axis {
@@ -1294,19 +1060,12 @@ pub fn e10_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 values: vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
             },
         ],
+        ..base("e10", "baseline-compare", 1_000, cfg)
     }
 }
 
-/// Runs the migrated E10 sweep and renders the legacy table (digit-identical
-/// to the retired `comparisons::e10_baseline_comparison`).
-#[must_use]
-pub fn e10_table(cfg: &ExperimentConfig) -> Table {
-    render_e10(&run_in_memory(&e10_sweep(cfg), cfg))
-}
-
 /// Renders E10 from sweep aggregates.
-#[must_use]
-pub fn render_e10(cells: &CellPairs) -> Table {
+fn render_e10(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E10: protocol comparison on the broadcast problem",
         &[
@@ -1319,7 +1078,9 @@ pub fn render_e10(cells: &CellPairs) -> Table {
     );
     for (spec, record) in cells {
         let idx = spec.param_or("baseline", 0.0) as usize;
-        let budget = spec_params(spec).total_rounds();
+        let budget = params_from_spec(spec)
+            .expect("grid parameters are valid")
+            .total_rounds();
         table.push_row(&[
             fmt_float(spec.epsilon()),
             E10_BASELINE_NAMES[idx].to_string(),
@@ -1346,17 +1107,9 @@ pub const E11_HOPS: [f64; 6] = [1.0, 2.0, 3.0, 5.0, 8.0, 12.0];
 /// `samples`-draw chain estimate (the legacy loop's single call), so
 /// `trials` is 1; the runner derives its seed from `hops` alone, matching
 /// the legacy ε-independent seeding.
-#[must_use]
-pub fn e11_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e11_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e11".into(),
-        protocol: "chain-relay".into(),
-        backend: Backend::Agents,
         trials: 1,
-        base_seed: cfg.base_seed,
-        point_base: 1_100,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[
             ("n", 1.0),
             ("samples", f64::from(cfg.pick(20_000u32, 100_000u32))),
@@ -1371,19 +1124,12 @@ pub fn e11_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 values: E11_HOPS.to_vec(),
             },
         ],
+        ..base("e11", "chain-relay", 1_100, cfg)
     }
 }
 
-/// Runs the migrated E11 sweep and renders the legacy table (digit-identical
-/// to the retired `comparisons::e11_path_deterioration`).
-#[must_use]
-pub fn e11_table(cfg: &ExperimentConfig) -> Table {
-    render_e11(&run_in_memory(&e11_sweep(cfg), cfg))
-}
-
 /// Renders E11 from sweep aggregates.
-#[must_use]
-pub fn render_e11(cells: &CellPairs) -> Table {
+fn render_e11(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E11: per-hop reliability decay (section 1.6)",
         &[
@@ -1423,35 +1169,20 @@ pub fn e12_epsilon_grid(cfg: &ExperimentConfig) -> Vec<f64> {
 /// The migrated E12 sweep: `two-party-samples` over [`e12_epsilon_grid`] at
 /// 99% confidence, seed points `1200, 1201, …`.  The search is deterministic
 /// (no RNG), so `trials` is 1.
-#[must_use]
-pub fn e12_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e12_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "e12".into(),
-        protocol: "two-party-samples".into(),
-        backend: Backend::Agents,
         trials: 1,
-        base_seed: cfg.base_seed,
-        point_base: 1_200,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("n", 1.0), ("confidence", 0.99)]),
         axes: vec![Axis {
             key: "epsilon".into(),
             values: e12_epsilon_grid(cfg),
         }],
+        ..base("e12", "two-party-samples", 1_200, cfg)
     }
 }
 
-/// Runs the migrated E12 sweep and renders the legacy table (digit-identical
-/// to the retired `comparisons::e12_two_party_lower_bound`).
-#[must_use]
-pub fn e12_table(cfg: &ExperimentConfig) -> Table {
-    render_e12(&run_in_memory(&e12_sweep(cfg), cfg))
-}
-
 /// Renders E12 from sweep aggregates.
-#[must_use]
-pub fn render_e12(cells: &CellPairs) -> Table {
+fn render_e12(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "E12: two-party channel uses for one reliable bit (section 1.4)",
         &[
@@ -1485,35 +1216,19 @@ pub const A1_BIASES: [f64; 5] = [0.002, 0.01, 0.03, 0.08, 0.2];
 /// The migrated A1 sweep: `majority-consensus` with the whole population as
 /// the initial set (the registry's `initial_size` default) over [`A1_BIASES`]
 /// at `n = pick(1000, 2000)`, `ε = 0.25`, seed points `2000, 2001, …`.
-#[must_use]
-pub fn a1_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn a1_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "a1".into(),
-        protocol: "majority-consensus".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 2_000,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("n", cfg.pick(1_000, 2_000) as f64), ("epsilon", 0.25)]),
         axes: vec![Axis {
             key: "initial_bias".into(),
             values: A1_BIASES.to_vec(),
         }],
+        ..base("a1", "majority-consensus", 2_000, cfg)
     }
 }
 
-/// Runs the migrated A1 sweep and renders the legacy table (digit-identical
-/// to the retired `ablations::a1_required_initial_bias`).
-#[must_use]
-pub fn a1_table(cfg: &ExperimentConfig) -> Table {
-    render_a1(&run_in_memory(&a1_sweep(cfg), cfg))
-}
-
 /// Renders A1 from sweep aggregates.
-#[must_use]
-pub fn render_a1(cells: &CellPairs) -> Table {
+fn render_a1(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "A1: consensus vs the bias handed to the boosting stage",
         &[
@@ -1545,36 +1260,20 @@ pub const A2_GAMMA_MULTIPLIERS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 6.0];
 
 /// The migrated A2 sweep: `broadcast` with a swept `gamma_mult` at
 /// `n = pick(600, 1500)`, `ε = 0.2`, seed points `2100, 2101, …`.
-#[must_use]
-pub fn a2_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn a2_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     let n = cfg.pick(600, 1_500);
     SweepSpec {
-        name: "a2".into(),
-        protocol: "broadcast".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 2_100,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("n", n as f64), ("epsilon", 0.2)]),
         axes: vec![Axis {
             key: "gamma_mult".into(),
             values: A2_GAMMA_MULTIPLIERS.to_vec(),
         }],
+        ..base("a2", "broadcast", 2_100, cfg)
     }
 }
 
-/// Runs the migrated A2 sweep and renders the legacy table (digit-identical
-/// to the retired `ablations::a2_gamma_requirement`).
-#[must_use]
-pub fn a2_table(cfg: &ExperimentConfig) -> Table {
-    render_a2(&run_in_memory(&a2_sweep(cfg), cfg))
-}
-
 /// Renders A2 from sweep aggregates.
-#[must_use]
-pub fn render_a2(cells: &CellPairs) -> Table {
+fn render_a2(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "A2: consensus vs the Stage II sample multiplier (gamma = mult / eps^2)",
         &[
@@ -1585,19 +1284,9 @@ pub fn render_a2(cells: &CellPairs) -> Table {
         ],
     );
     for (spec, record) in cells {
-        let gamma_mult = spec.param_or("gamma_mult", 1.0);
-        let multipliers = Multipliers {
-            gamma_mult,
-            ..Multipliers::practical()
-        };
-        let params = Params::with_multipliers(
-            usize::try_from(spec.n()).expect("n fits in usize"),
-            spec.epsilon(),
-            multipliers,
-        )
-        .expect("grid parameters are valid");
+        let params = params_from_spec(spec).expect("grid parameters are valid");
         table.push_row(&[
-            fmt_float(gamma_mult),
+            fmt_float(spec.param_or("gamma_mult", 1.0)),
             params.gamma().to_string(),
             fmt_float(metric(record, "fraction_correct").moments.mean()),
             fmt_float(success_rate(record, "all_correct").estimate()),
@@ -1615,35 +1304,19 @@ pub const A3_S_MULTIPLIERS: [f64; 4] = [0.05, 0.2, 0.5, 1.5];
 
 /// The migrated A3 sweep: `broadcast` with a swept `s_mult` at
 /// `n = pick(600, 1500)`, `ε = 0.2`, seed points `2200, 2201, …`.
-#[must_use]
-pub fn a3_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn a3_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     SweepSpec {
-        name: "a3".into(),
-        protocol: "broadcast".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 2_200,
-        rounds: 0,
-        faults: faults_directive(cfg),
         defaults: params_map(&[("n", cfg.pick(600, 1_500) as f64), ("epsilon", 0.2)]),
         axes: vec![Axis {
             key: "s_mult".into(),
             values: A3_S_MULTIPLIERS.to_vec(),
         }],
+        ..base("a3", "broadcast", 2_200, cfg)
     }
 }
 
-/// Runs the migrated A3 sweep and renders the legacy table (digit-identical
-/// to the retired `ablations::a3_phase0_requirement`).
-#[must_use]
-pub fn a3_table(cfg: &ExperimentConfig) -> Table {
-    render_a3(&run_in_memory(&a3_sweep(cfg), cfg))
-}
-
 /// Renders A3 from sweep aggregates.
-#[must_use]
-pub fn render_a3(cells: &CellPairs) -> Table {
+fn render_a3(cells: &CellPairs) -> Table {
     let mut table = Table::new(
         "A3: Stage I output bias vs the phase-0 length multiplier (beta_s = mult * ln n / eps^2)",
         &[
@@ -1658,7 +1331,10 @@ pub fn render_a3(cells: &CellPairs) -> Table {
         let s_mult = spec.param_or("s_mult", 1.0);
         table.push_row(&[
             fmt_float(s_mult),
-            spec_params(spec).beta_s().to_string(),
+            params_from_spec(spec)
+                .expect("grid parameters are valid")
+                .beta_s()
+                .to_string(),
             fmt_float(metric(record, "stage1_bias").moments.mean()),
             fmt_float(metric(record, "fraction_correct").moments.mean()),
             fmt_float(success_rate(record, "all_correct").estimate()),
@@ -1687,19 +1363,12 @@ pub const E13_EPSILONS: [f64; 2] = [0.15, 0.3];
 /// `fault_fraction` axis value overrides the *fraction* (with `0` running
 /// the honest baseline), so `--faults equiv:0.1` swaps the fault *kind*
 /// across the whole grid without touching the axes.
-#[must_use]
-pub fn e13_sweep(cfg: &ExperimentConfig) -> SweepSpec {
+fn e13_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     let n = cfg.pick(300, 1_000);
     let faults = cfg
         .faults
         .map_or_else(|| "byz:0.1".to_string(), |f| f.to_string());
     SweepSpec {
-        name: "e13".into(),
-        protocol: "bft-compare".into(),
-        backend: Backend::Agents,
-        trials: cfg.trials,
-        base_seed: cfg.base_seed,
-        point_base: 3_000,
         rounds: 120,
         faults,
         defaults: params_map(&[("n", n as f64), ("initial_bias", 0.1), ("phase_len", 15.0)]),
@@ -1713,19 +1382,13 @@ pub fn e13_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 values: E13_FAULT_FRACTIONS.to_vec(),
             },
         ],
+        ..base("e13", "bft-compare", 3_000, cfg)
     }
-}
-
-/// Runs the E13 sweep and renders its table.
-#[must_use]
-pub fn e13_table(cfg: &ExperimentConfig) -> Table {
-    render_e13(&run_in_memory(&e13_sweep(cfg), cfg))
 }
 
 /// Renders E13 from sweep aggregates.  All statistics are over the honest
 /// agents only — faulty agents have no opinion worth scoring.
-#[must_use]
-pub fn render_e13(cells: &CellPairs) -> Table {
+fn render_e13(cells: &CellPairs) -> Table {
     let directive = cells
         .first()
         .map_or_else(String::new, |(s, _)| s.faults.clone());
@@ -1770,12 +1433,34 @@ mod tests {
     #[test]
     fn builtin_names_resolve_and_unknown_ones_do_not() {
         let cfg = tiny();
-        for name in BUILTIN_SWEEPS {
+        for experiment in EXPERIMENTS {
+            let name = experiment.name;
             let spec = builtin(name, &cfg).unwrap_or_else(|| panic!("{name} must resolve"));
             assert_eq!(spec.name, name);
             assert!(spec.expand().is_ok(), "{name} must expand");
         }
         assert!(builtin("e99", &cfg).is_none());
+    }
+
+    #[test]
+    fn sweep_families_partition_the_builtin_list() {
+        // `sweep list` prints a family heading whenever the family changes,
+        // and the experiment list dedups adjacent binaries: each family and
+        // each binary must be one contiguous run of rows, or it would be
+        // listed twice.
+        let keys: [fn(&Experiment) -> &'static str; 2] = [|e| e.family, |e| e.binary];
+        for key in keys {
+            let mut runs: Vec<&str> = EXPERIMENTS.iter().map(key).collect();
+            runs.dedup();
+            let mut distinct = runs.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(runs.len(), distinct.len(), "split run in {runs:?}");
+        }
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "sweep names are unique");
     }
 
     #[test]
@@ -1835,31 +1520,29 @@ mod tests {
 
     #[test]
     fn facade_resolves_every_backend_family_it_supports() {
-        assert_eq!(variant_for("e01", Backend::Agents), Some(&["e01"][..]));
-        assert_eq!(variant_for("e01", Backend::Dense), Some(&["e01-dense"][..]));
+        let sweeps = |binary: &str, backend: Backend| {
+            binary_sweeps(binary, &tiny().with_backend(backend)).ok()
+        };
+        assert_eq!(sweeps("e01", Backend::Agents), Some(vec!["e01"]));
+        assert_eq!(sweeps("e01", Backend::Dense), Some(vec!["e01-dense"]));
+        assert_eq!(sweeps("e01", Backend::Hybrid(7)), Some(vec!["e01-hybrid"]));
+        assert_eq!(sweeps("e02", Backend::Agents), Some(vec!["e02"]));
+        assert_eq!(sweeps("e02", Backend::Dense), None);
+        assert_eq!(sweeps("e03", Backend::Agents), Some(vec!["e03"]));
+        assert_eq!(sweeps("e03", Backend::Dense), None);
+        assert_eq!(sweeps("e07", Backend::Agents), Some(vec!["e07a", "e07b"]));
+        assert_eq!(sweeps("e07", Backend::Dense), None);
+        assert_eq!(sweeps("e08", Backend::Agents), Some(vec!["e08"]));
+        assert_eq!(sweeps("e08", Backend::Dense), Some(vec!["e08-dense"]));
+        assert_eq!(sweeps("e08", Backend::Hybrid(7)), None);
         assert_eq!(
-            variant_for("e01", Backend::Hybrid(7)),
-            Some(&["e01-hybrid"][..])
+            sweeps("ablations", Backend::Agents),
+            Some(vec!["a1", "a2", "a3"])
         );
-        assert_eq!(variant_for("e02", Backend::Agents), Some(&["e02"][..]));
-        assert_eq!(variant_for("e02", Backend::Dense), None);
-        assert_eq!(variant_for("e03", Backend::Agents), Some(&["e03"][..]));
-        assert_eq!(variant_for("e03", Backend::Dense), None);
-        assert_eq!(
-            variant_for("e07", Backend::Agents),
-            Some(&["e07a", "e07b"][..])
-        );
-        assert_eq!(variant_for("e07", Backend::Dense), None);
-        assert_eq!(variant_for("e08", Backend::Agents), Some(&["e08"][..]));
-        assert_eq!(variant_for("e08", Backend::Dense), Some(&["e08-dense"][..]));
-        assert_eq!(variant_for("e08", Backend::Hybrid(7)), None);
-        assert_eq!(
-            variant_for("ablations", Backend::Agents),
-            Some(&["a1", "a2", "a3"][..])
-        );
-        assert_eq!(variant_for("e13", Backend::Agents), Some(&["e13"][..]));
-        assert_eq!(variant_for("e13", Backend::Dense), None);
-        assert_eq!(variant_for("e99", Backend::Agents), None);
+        assert_eq!(sweeps("e13", Backend::Agents), Some(vec!["e13"]));
+        assert_eq!(sweeps("e13", Backend::Dense), None);
+        assert_eq!(sweeps("e99", Backend::Agents), None);
+        assert_eq!(sweeps("e01-dense", Backend::Dense), None);
     }
 
     #[test]
@@ -1903,8 +1586,8 @@ mod tests {
         // empty so pre-fault spec hashes (and stores keyed on them) stay
         // valid byte-for-byte.  E13 is the exception: faults are its point.
         let cfg = tiny();
-        for name in BUILTIN_SWEEPS {
-            let spec = builtin(name, &cfg).unwrap();
+        for experiment in EXPERIMENTS {
+            let (name, spec) = (experiment.name, (experiment.build)(&cfg));
             if name == "e13" {
                 assert_eq!(spec.faults, "byz:0.1");
             } else {
@@ -1950,14 +1633,7 @@ mod tests {
             backend: Backend::Hybrid(4),
             ..tiny()
         };
-        let result = std::panic::catch_unwind(|| backend_tables("e08", &cfg));
-        let message = match result {
-            Ok(_) => panic!("e08 on hybrid must be rejected"),
-            Err(payload) => payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default(),
-        };
+        let message = binary_sweeps("e08", &cfg).expect_err("e08 on hybrid must be rejected");
         assert!(message.contains("--backend"), "{message}");
         assert!(message.contains("agents, dense"), "{message}");
     }
@@ -1970,22 +1646,8 @@ mod tests {
             backend: Backend::Hybrid(3),
             ..tiny()
         };
-        let tables = backend_tables("e01", &cfg);
-        assert_eq!(tables.len(), 1);
-        assert!(tables[0].to_markdown().contains("hybrid:3"));
-    }
-
-    #[test]
-    fn sweep_families_partition_the_builtin_list() {
-        let grouped: Vec<&str> = SWEEP_FAMILIES
-            .iter()
-            .flat_map(|(_, names)| names.iter().copied())
-            .collect();
-        assert_eq!(
-            grouped,
-            BUILTIN_SWEEPS.to_vec(),
-            "families must cover every builtin sweep, in order, exactly once"
-        );
+        assert_eq!(binary_sweeps("e01", &cfg), Ok(vec!["e01-hybrid"]));
+        assert!(table("e01-hybrid", &cfg).to_markdown().contains("hybrid:3"));
     }
 
     #[test]

@@ -13,6 +13,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 
+use experiments::report::REPORT_MEMBERS;
+use experiments::specs;
+
 const CONFIG: [&str; 4] = ["--trials", "1", "--threads", "2"];
 
 fn full_report(args: &[&str]) -> Output {
@@ -136,6 +139,28 @@ fn a_killed_run_resumes_to_the_identical_report() {
     // (dropping any torn shard line) and the export matches the reference.
     full_report_ok(&["--store", store, "--export", export.to_str().unwrap()]);
     assert_eq!(fs::read_to_string(&export).unwrap(), reference());
+}
+
+#[test]
+fn the_report_renders_every_member_table_in_order() {
+    // One section per report member, in member order, each a titled table
+    // with a header, a separator and at least one row.
+    let markdown = reference();
+    let sections: Vec<&str> = markdown.split("\n### ").skip(1).collect();
+    assert_eq!(sections.len(), REPORT_MEMBERS.len(), "{markdown}");
+    for (name, section) in REPORT_MEMBERS.iter().zip(sections) {
+        let title = specs::render(name, &Vec::new()).title().to_string();
+        assert!(
+            section.starts_with(&format!("{title}\n")),
+            "member `{name}` must render `{title}`, got:\n{section}"
+        );
+        let lines: Vec<&str> = section.lines().collect();
+        assert!(lines[2].starts_with("| ") && lines[3].starts_with("|---"));
+        assert!(
+            lines.len() > 4 && lines[4].starts_with("| "),
+            "member `{name}` has no rows:\n{section}"
+        );
+    }
 }
 
 #[test]

@@ -4,11 +4,13 @@
 //! The golden markdown under `tests/golden/` was captured from the legacy
 //! runners (`scaling::e01_rounds_vs_n`, `stage_claims::e04_phase0_seeding`,
 //! …) immediately before they were deleted, with the sweep specs pinned
-//! equal in the same commit.  The specs (`specs::e01_sweep`, …) must keep
+//! equal in the same commit.  The specs (`specs::EXPERIMENTS`) must keep
 //! constructing the same protocols, walking the grid in the same order and
 //! deriving the same `(base_seed, point, trial)` seeds — so the rendered
 //! tables stay equal *as strings*.  Any drift in seed numbering, grid
-//! order, aggregation arithmetic or formatting fails here.
+//! order, aggregation arithmetic or formatting fails here.  Every entry of
+//! `specs::EXPERIMENTS` needs a golden: a new entry without one fails
+//! `every_experiment_reproduces_its_golden_table`.
 //!
 //! To re-bless after an *intentional* change, run with `BLESS_GOLDEN=1` and
 //! review the diff:
@@ -18,9 +20,10 @@
 //! ```
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
-use experiments::{specs, ExperimentConfig};
-use flip_model::Backend;
+use experiments::specs::{self, EXPERIMENTS};
+use experiments::ExperimentConfig;
 
 fn tiny(trials: u32) -> ExperimentConfig {
     ExperimentConfig {
@@ -30,7 +33,31 @@ fn tiny(trials: u32) -> ExperimentConfig {
     }
 }
 
-fn check(name: &str, markdown: &str) {
+/// The trials per cell each golden table was captured at.
+fn golden_trials(name: &str) -> u32 {
+    match name {
+        "e04" => 3,
+        "e01-dense" | "e08-dense" => 1,
+        _ => 2,
+    }
+}
+
+/// The named sweep's table at its golden configuration, rendered once per
+/// test process: the loop over every experiment and the per-experiment
+/// tests below (which report each drifting table under its own name) share
+/// it.
+fn rendered(name: &str) -> &'static str {
+    static TABLES: [OnceLock<String>; EXPERIMENTS.len()] =
+        [const { OnceLock::new() }; EXPERIMENTS.len()];
+    let index = EXPERIMENTS
+        .iter()
+        .position(|e| e.name == name)
+        .unwrap_or_else(|| panic!("`{name}` is not a builtin sweep"));
+    TABLES[index].get_or_init(|| specs::table(name, &tiny(golden_trials(name))).to_markdown())
+}
+
+fn check(name: &str) {
+    let markdown = rendered(name);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(format!("{name}.md"));
@@ -48,91 +75,96 @@ fn check(name: &str, markdown: &str) {
 }
 
 #[test]
+fn every_experiment_reproduces_its_golden_table() {
+    for experiment in EXPERIMENTS {
+        check(experiment.name);
+    }
+}
+
+#[test]
 fn e01_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e01", &specs::e01_table(&tiny(2)).to_markdown());
+    check("e01");
 }
 
 #[test]
 fn e01_dense_sweep_reproduces_the_golden_table_digit_for_digit() {
-    let cfg = tiny(1).with_backend(Backend::Dense);
-    check("e01-dense", &specs::e01_dense_table(&cfg).to_markdown());
+    check("e01-dense");
 }
 
 #[test]
 fn e02_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e02", &specs::e02_table(&tiny(2)).to_markdown());
+    check("e02");
 }
 
 #[test]
 fn e03_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e03", &specs::e03_table(&tiny(2)).to_markdown());
+    check("e03");
 }
 
 #[test]
 fn e04_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e04", &specs::e04_table(&tiny(3)).to_markdown());
+    check("e04");
 }
 
 #[test]
 fn e05_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e05", &specs::e05_table(&tiny(2)).to_markdown());
+    check("e05");
 }
 
 #[test]
 fn e06_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e06", &specs::e06_table(&tiny(2)).to_markdown());
+    check("e06");
 }
 
 #[test]
 fn e07_sweeps_reproduce_both_golden_tables_digit_for_digit() {
-    let cfg = tiny(2);
-    check("e07a", &specs::e07a_table(&cfg).to_markdown());
-    check("e07b", &specs::e07b_table(&cfg).to_markdown());
+    check("e07a");
+    check("e07b");
 }
 
 #[test]
 fn e08_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e08", &specs::e08_table(&tiny(2)).to_markdown());
+    check("e08");
 }
 
 #[test]
 fn e08_dense_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e08-dense", &specs::e08_dense_table(&tiny(1)).to_markdown());
+    check("e08-dense");
 }
 
 #[test]
 fn e09_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e09", &specs::e09_table(&tiny(2)).to_markdown());
+    check("e09");
 }
 
 #[test]
 fn e10_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e10", &specs::e10_table(&tiny(2)).to_markdown());
+    check("e10");
 }
 
 #[test]
 fn e11_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e11", &specs::e11_table(&tiny(2)).to_markdown());
+    check("e11");
 }
 
 #[test]
 fn e12_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("e12", &specs::e12_table(&tiny(2)).to_markdown());
+    check("e12");
 }
 
 #[test]
 fn a1_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("a1", &specs::a1_table(&tiny(2)).to_markdown());
+    check("a1");
 }
 
 #[test]
 fn a2_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("a2", &specs::a2_table(&tiny(2)).to_markdown());
+    check("a2");
 }
 
 #[test]
 fn a3_sweep_reproduces_the_golden_table_digit_for_digit() {
-    check("a3", &specs::a3_table(&tiny(2)).to_markdown());
+    check("a3");
 }
 
 #[test]
@@ -145,15 +177,15 @@ fn base_seed_changes_flow_through_deterministically() {
         ..ExperimentConfig::quick()
     };
     assert_eq!(
-        specs::a2_table(&cfg).to_markdown(),
-        specs::a2_table(&cfg).to_markdown()
+        specs::table("a2", &cfg).to_markdown(),
+        specs::table("a2", &cfg).to_markdown()
     );
     let other = ExperimentConfig {
         base_seed: 0x8765_4321,
         ..cfg
     };
     assert_ne!(
-        specs::a2_table(&other).to_markdown(),
-        specs::a2_table(&cfg).to_markdown()
+        specs::table("a2", &other).to_markdown(),
+        specs::table("a2", &cfg).to_markdown()
     );
 }

@@ -3,7 +3,7 @@
 //! The files are generated with `sweep gen <name>` (quick mode); if a grid,
 //! seed point or trial preset changes in code, this test fails until the
 //! files are regenerated — so the specs in the repository always describe
-//! what the binaries actually run.
+//! what `sweep table` actually runs.
 
 use experiments::{specs, ExperimentConfig};
 use std::path::Path;
@@ -15,7 +15,7 @@ fn specs_dir() -> std::path::PathBuf {
 #[test]
 fn checked_in_specs_match_their_generators() {
     let cfg = ExperimentConfig::quick();
-    for name in specs::BUILTIN_SWEEPS {
+    for name in specs::EXPERIMENTS.iter().map(|e| e.name) {
         let path = specs_dir().join(format!("{name}.json"));
         let on_disk = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
@@ -33,7 +33,7 @@ fn checked_in_specs_match_their_generators() {
 
 #[test]
 fn checked_in_specs_parse_and_expand() {
-    for name in specs::BUILTIN_SWEEPS {
+    for name in specs::EXPERIMENTS.iter().map(|e| e.name) {
         let path = specs_dir().join(format!("{name}.json"));
         let text = std::fs::read_to_string(&path).expect("spec file readable");
         let spec = sweeps::SweepSpec::from_json_text(&text)

@@ -536,3 +536,70 @@ fn composed_report_runs_resume_and_refuse_flat_export() {
     assert!(stderr.contains("composed report store"), "{stderr}");
     assert!(stderr.contains("full_report --store"), "{stderr}");
 }
+
+#[test]
+fn table_threads_the_exact_backend_value_into_the_sweep() {
+    // `--backend hybrid:3` must run 3 tracked agents, not the builtin
+    // spec's DEFAULT_HYBRID_TRACKED.
+    let hybrid = sweep_ok(&["table", "e01", "--backend", "hybrid:3", "--trials", "1"]);
+    assert!(hybrid.contains("(backend = hybrid:3,"), "{hybrid}");
+    assert_eq!(hybrid.matches("### ").count(), 1, "{hybrid}");
+
+    // The default backend runs the experiment's own sweeps, one table each.
+    let e12 = sweep_ok(&["table", "e12", "--trials", "1"]);
+    assert!(e12.starts_with("### E12: "), "{e12}");
+    assert!(e12.ends_with("|\n\n"), "each table ends with a blank line");
+}
+
+#[test]
+fn table_rejects_a_backend_without_a_variant_naming_the_flag() {
+    for (args, needles) in [
+        (
+            vec!["table", "e08", "--backend", "hybrid:4"],
+            vec!["--backend", "agents, dense"],
+        ),
+        (
+            vec!["table", "e03", "--backend", "dense"],
+            vec!["--backend"],
+        ),
+        (
+            vec!["table", "ablations", "--backend=hybrid:2"],
+            vec!["--backend"],
+        ),
+    ] {
+        let out = sweep(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} must print no table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for needle in needles {
+            assert!(
+                stderr.contains(needle),
+                "{args:?} must name {needle}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn table_rejects_rounds_overrides_and_unknown_experiments() {
+    for (args, needle) in [
+        // The tables run each experiment's own round schedule.
+        (vec!["table", "e01", "--rounds", "5"], "--rounds"),
+        (vec!["table", "ablations", "--rounds=5"], "--rounds"),
+        (vec!["table", "e99"], "unknown experiment `e99`"),
+        // A sweep name is not an experiment: e01-dense is `e01 --backend dense`.
+        (vec!["table", "e01-dense"], "available: e01, e02"),
+        (vec!["table"], "needs a name"),
+        (vec!["table", "--trials", "1", "e01"], "name first"),
+        (vec!["table", "e01", "--trials", "0"], "--trials"),
+    ] {
+        let out = sweep(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} must print no table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(needle),
+            "{args:?} must name {needle}: {stderr}"
+        );
+    }
+}

@@ -12,9 +12,7 @@
 //! round is executed by sampling **aggregate transition counts**: one binomial
 //! draw per (state, received-symbol) cell via the vendored
 //! [`rand::distributions::Binomial`], so a round costs `O(#states)` instead of
-//! `O(n)`.  [`OpinionBitmap`] complements the counts with a bit-packed
-//! struct-of-arrays opinion/activity view for seeding populations from
-//! explicit per-agent assignments and for cheap whole-population censuses.
+//! `O(n)`.
 //!
 //! # Exactness
 //!
@@ -136,36 +134,6 @@ impl DensePopulation {
         Ok(Self { counts, n })
     }
 
-    /// Builds a population from a bit-packed per-agent view, mapping each
-    /// agent's `(active, opinion)` pair to a state via `state_for`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlipError::PopulationTooSmall`] for bitmaps with fewer than
-    /// two agents, or [`FlipError::InvalidParameter`] if `state_for` returns
-    /// an index at or above `state_count`.
-    pub fn from_bitmap<F>(
-        bitmap: &OpinionBitmap,
-        state_count: usize,
-        state_for: F,
-    ) -> Result<Self, FlipError>
-    where
-        F: Fn(Option<Opinion>) -> usize,
-    {
-        let mut counts = vec![0u64; state_count];
-        for idx in 0..bitmap.len() {
-            let state = state_for(bitmap.get(idx));
-            if state >= state_count {
-                return Err(FlipError::InvalidParameter {
-                    name: "state_for",
-                    message: format!("mapped agent {idx} to state {state} >= {state_count}"),
-                });
-            }
-            counts[state] += 1;
-        }
-        Self::from_counts(counts)
-    }
-
     /// Total number of agents.
     #[must_use]
     pub fn n(&self) -> u64 {
@@ -194,123 +162,6 @@ impl DensePopulation {
             }
         }
         Census::from_counts(holding[0] as usize, holding[1] as usize, self.n as usize)
-    }
-}
-
-/// A bit-packed per-agent opinion/activity view (struct of arrays).
-///
-/// Two parallel bit vectors store, for each agent, whether it is active
-/// (holds an opinion) and which opinion it holds; an inactive agent's opinion
-/// bit is meaningless and kept at zero.  At 2 bits per agent — a quarter of a
-/// niche-optimized `Vec<Option<Opinion>>`'s byte per agent — a 10⁷-agent view
-/// costs 2.5 MB and censuses run at popcount speed.
-///
-/// # Example
-///
-/// ```
-/// use flip_model::{Opinion, OpinionBitmap};
-///
-/// let mut bitmap = OpinionBitmap::new(100);
-/// bitmap.set(3, Some(Opinion::One));
-/// bitmap.set(64, Some(Opinion::Zero));
-/// assert_eq!(bitmap.get(3), Some(Opinion::One));
-/// assert_eq!(bitmap.get(0), None);
-/// let census = bitmap.census();
-/// assert_eq!(census.active(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpinionBitmap {
-    active_bits: Vec<u64>,
-    opinion_bits: Vec<u64>,
-    len: usize,
-}
-
-impl OpinionBitmap {
-    /// Creates a bitmap of `len` inactive agents.
-    #[must_use]
-    pub fn new(len: usize) -> Self {
-        let words = len.div_ceil(64);
-        Self {
-            active_bits: vec![0; words],
-            opinion_bits: vec![0; words],
-            len,
-        }
-    }
-
-    /// Number of agents in the view.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the view is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sets agent `idx`'s opinion (`None` deactivates it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    pub fn set(&mut self, idx: usize, opinion: Option<Opinion>) {
-        assert!(
-            idx < self.len,
-            "agent index {idx} out of range {}",
-            self.len
-        );
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        match opinion {
-            Some(op) => {
-                self.active_bits[word] |= bit;
-                if op == Opinion::One {
-                    self.opinion_bits[word] |= bit;
-                } else {
-                    self.opinion_bits[word] &= !bit;
-                }
-            }
-            None => {
-                self.active_bits[word] &= !bit;
-                self.opinion_bits[word] &= !bit;
-            }
-        }
-    }
-
-    /// Agent `idx`'s opinion, or `None` if it is inactive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    #[must_use]
-    pub fn get(&self, idx: usize) -> Option<Opinion> {
-        assert!(
-            idx < self.len,
-            "agent index {idx} out of range {}",
-            self.len
-        );
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if self.active_bits[word] & bit == 0 {
-            None
-        } else {
-            Some(Opinion::from_bit(u8::from(
-                self.opinion_bits[word] & bit != 0,
-            )))
-        }
-    }
-
-    /// A census of the view, computed with word-level popcounts.
-    #[must_use]
-    pub fn census(&self) -> Census {
-        let mut ones = 0usize;
-        let mut active = 0usize;
-        for (a, o) in self.active_bits.iter().zip(&self.opinion_bits) {
-            // Inactive agents' opinion bits are kept at zero, so masking with
-            // the activity word is redundant but cheap insurance.
-            ones += (a & o).count_ones() as usize;
-            active += a.count_ones() as usize;
-        }
-        Census::from_counts(active - ones, ones, self.len)
     }
 }
 

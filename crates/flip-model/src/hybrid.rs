@@ -74,7 +74,7 @@ use telemetry::{Event, Phase, Recorder, Telemetry};
 /// agents plus a dense bulk, exchanging aggregate send counts and sampled
 /// deliveries through one shared pool each round.
 ///
-/// Selected by `--backend hybrid:k` in experiment binaries; see the module
+/// Selected by `--backend hybrid:k` on `sweep table`; see the module
 /// docs for the exactness contract.
 #[derive(Debug)]
 pub struct HybridSimulation<A, P, C> {

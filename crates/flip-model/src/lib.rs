@@ -100,7 +100,7 @@ pub use backend::{Backend, DEFAULT_HYBRID_TRACKED};
 pub use channel::{AdversarialCapChannel, BinarySymmetricChannel, Channel, NoiselessChannel};
 pub use clock::{ClockModel, LocalClock};
 pub use config::SimulationConfig;
-pub use dense::{DensePopulation, DenseProtocol, DenseSimulation, OpinionBitmap};
+pub use dense::{DensePopulation, DenseProtocol, DenseSimulation};
 pub use dense_protocols::{
     MajoritySamplerProtocol, RumorAgent, RumorProtocol, VoterProtocol, ZealotAgent,
     ZealotRumorProtocol,
@@ -116,7 +116,5 @@ pub use population::{majority_bias, Census};
 pub use rng::{BernoulliSkip, SimRng};
 pub use scheduler::{Delivery, GossipScheduler, RoundRouting, RADIX_BUCKET_BITS, RADIX_MIN_N};
 pub use stratified::{StratifiedPopulation, StratifiedProtocol, StratifiedSimulation};
-pub use telemetry::{
-    Event, NullSink, Phase, PhaseProfile, PhaseSpan, PhaseStat, Recorder, Telemetry, TelemetrySink,
-};
+pub use telemetry::{Event, Phase, PhaseProfile, PhaseSpan, PhaseStat, Recorder, Telemetry};
 pub use trace::{TraceOptions, TraceRecorder};

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use telemetry::{Event, Phase, PhaseStat, Recorder, TelemetrySink};
+use telemetry::{Event, Phase, PhaseStat, Recorder};
 
 use crate::json::{parse, Json};
 

@@ -307,7 +307,12 @@ impl Default for ProtocolRegistry {
 /// Builds `Params` from a cell: `n`/`epsilon` plus any of the multiplier
 /// overrides (`s_mult`, `beta_mult`, `f_mult`, `gamma_mult`, `final_mult`,
 /// `extra_boost_phases`) the spec carries.
-fn params_from_spec(spec: &ScenarioSpec) -> Result<Params, SweepError> {
+///
+/// # Errors
+///
+/// [`SweepError::Spec`] when `n` does not fit in `usize` or the parameters
+/// are invalid.
+pub fn params_from_spec(spec: &ScenarioSpec) -> Result<Params, SweepError> {
     let practical = Multipliers::practical();
     let multipliers = Multipliers {
         s_mult: spec.param_or("s_mult", practical.s_mult),
@@ -834,6 +839,12 @@ fn run_rumor(
     let n = usize::try_from(spec.n())
         .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
     let informed = spec.param_or("informed", 1.0) as u64;
+    if informed > spec.n() {
+        return Err(SweepError::Spec(format!(
+            "`informed` = {informed} exceeds n = {}",
+            spec.n()
+        )));
+    }
     let fault = fault_spec_for(spec)?;
     let channel = BinarySymmetricChannel::from_epsilon(spec.epsilon())
         .map_err(|e| SweepError::Spec(e.to_string()))?;
@@ -1272,20 +1283,29 @@ fn run_bft_compare(
             .all(|(i, a)| a.is_done() || s.fault_plan().is_some_and(|p| p.is_faulty(i)))
     });
     ctx.absorb(benor.take_telemetry());
-    let (_, benor_correct) = honest_count(&benor, |a| a.opinion() == Some(Opinion::One));
+    // The two runs draw their faulty sets independently, so each fraction
+    // is over its own run's honest agents.
+    let (benor_honest, benor_correct) = honest_count(&benor, |a| a.opinion() == Some(Opinion::One));
     let (_, benor_decided) = honest_count(&benor, |a| a.is_done());
 
     let messages = majority.metrics().messages_sent + benor.metrics().messages_sent;
     let all_correct = honest > 0 && majority_correct == honest;
     let honest = honest.max(1) as f64;
+    let benor_honest = benor_honest.max(1) as f64;
     Ok(vec![
         (
             "majority_fraction_correct",
             majority_correct as f64 / honest,
         ),
         ("majority_all_correct", f64::from(u8::from(all_correct))),
-        ("benor_fraction_correct", benor_correct as f64 / honest),
-        ("benor_decided_fraction", benor_decided as f64 / honest),
+        (
+            "benor_fraction_correct",
+            benor_correct as f64 / benor_honest,
+        ),
+        (
+            "benor_decided_fraction",
+            benor_decided as f64 / benor_honest,
+        ),
         ("benor_rounds", benor_rounds as f64),
         ("messages_sent", messages as f64),
     ])
@@ -1700,6 +1720,60 @@ mod tests {
         let mut honest = spec.clone();
         honest.faults = String::new();
         assert_ne!(metrics, registry.run_trial(&honest, 0).unwrap());
+
+        // Every cell of the quick E13 grid: the majority and Ben-Or runs
+        // draw their faulty sets independently, so a fraction over the
+        // other run's honest count could pass 1.
+        let e13 = crate::spec::SweepSpec {
+            name: "e13".into(),
+            protocol: "bft-compare".into(),
+            backend: Backend::Agents,
+            trials: 2,
+            base_seed: 0xBEA7_4E5E,
+            point_base: 3_000,
+            rounds: 120,
+            faults: "byz:0.1".into(),
+            defaults: [("n", 300.0), ("initial_bias", 0.1), ("phase_len", 15.0)]
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), *v))
+                .collect(),
+            axes: vec![
+                crate::spec::Axis {
+                    key: "epsilon".into(),
+                    values: vec![0.15, 0.3],
+                },
+                crate::spec::Axis {
+                    key: "fault_fraction".into(),
+                    values: vec![0.0, 0.05, 0.1, 0.2, 0.3],
+                },
+            ],
+        };
+        for cell in e13.expand().unwrap() {
+            for trial in 0..2 {
+                for (name, value) in registry.run_trial(&cell, trial).unwrap() {
+                    assert!(
+                        !name.contains("fraction") || (0.0..=1.0).contains(&value),
+                        "{name} = {value} at point {} trial {trial}",
+                        cell.point
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rumor_rejects_more_informed_agents_than_n_on_every_engine_family() {
+        let registry = ProtocolRegistry::builtin();
+        for backend in Backend::ALL {
+            let spec = cell(
+                "rumor",
+                backend,
+                &[("n", 1_000.0), ("epsilon", 0.25), ("informed", 5_000.0)],
+            );
+            let err = registry.run_trial(&spec, 0).unwrap_err();
+            assert!(matches!(err, SweepError::Spec(_)), "{backend}: {err}");
+            assert!(err.to_string().contains("`informed`"), "{backend}: {err}");
+        }
     }
 
     #[test]

@@ -491,7 +491,7 @@ mod tests {
 
     #[test]
     fn telemetry_shards_live_beside_results_and_tolerate_kills() {
-        use telemetry::{Phase, Recorder, TelemetrySink as _};
+        use telemetry::{Phase, Recorder};
 
         let dir = temp_dir("telemetry");
         let store = SweepStore::create(&dir, &demo_spec()).unwrap();

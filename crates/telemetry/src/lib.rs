@@ -14,8 +14,8 @@
 //!   radix bucket spills, staging high-water marks, Lemire rejection
 //!   redraws, per-message noise fallbacks, fault interceptions and hybrid
 //!   tracked-correction draws.
-//! * [`TelemetrySink`] — the trait consumers implement; [`NullSink`] is the
-//!   zero-cost default and [`Recorder`] the standard accumulating sink.
+//! * [`Recorder`] — the accumulating sink: phase profile, event counters
+//!   and per-lane busy time, mergeable across runs and workers.
 //! * [`Telemetry`] — the engine-facing handle.  Disabled (the default) it
 //!   holds no recorder: [`Telemetry::begin`] returns an empty span without
 //!   reading the clock and every other operation is one predictable branch,
@@ -112,9 +112,9 @@ impl fmt::Display for Phase {
 
 /// A structured event counter.
 ///
-/// Most events are *sums* ([`TelemetrySink::add_event`]); high-water marks
+/// Most events are *sums* ([`Recorder::add_event`]); high-water marks
 /// ([`Event::is_high_water`]) are folded with `max`
-/// ([`TelemetrySink::observe_max`]).
+/// ([`Recorder::observe_max`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// Messages that overflowed their radix bucket's fixed-capacity staging
@@ -287,38 +287,6 @@ impl PhaseProfile {
     }
 }
 
-/// A consumer of telemetry signals.
-///
-/// All methods default to no-ops so sinks implement only what they use;
-/// [`NullSink`] implements nothing and compiles away entirely.
-pub trait TelemetrySink {
-    /// Records a completed span of `ns` nanoseconds for `phase`.
-    fn record_phase(&mut self, phase: Phase, ns: u64) {
-        let _ = (phase, ns);
-    }
-
-    /// Adds `count` occurrences of `event`.
-    fn add_event(&mut self, event: Event, count: u64) {
-        let _ = (event, count);
-    }
-
-    /// Observes a high-water `value` for `event` (folded with `max`).
-    fn observe_max(&mut self, event: Event, value: u64) {
-        let _ = (event, value);
-    }
-
-    /// Adds `ns` nanoseconds of busy time for worker `lane`.
-    fn record_lane(&mut self, lane: usize, ns: u64) {
-        let _ = (lane, ns);
-    }
-}
-
-/// The do-nothing sink: every method is an empty default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {}
-
 /// The standard accumulating sink: a [`PhaseProfile`], the event counters
 /// and per-lane busy time, all mergeable across runs and workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -343,6 +311,30 @@ impl Recorder {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Records a completed span of `ns` nanoseconds for `phase`.
+    pub fn record_phase(&mut self, phase: Phase, ns: u64) {
+        self.phases.record(phase, ns);
+    }
+
+    /// Adds `count` occurrences of `event`.
+    pub fn add_event(&mut self, event: Event, count: u64) {
+        self.events[event.index()] += count;
+    }
+
+    /// Observes a high-water `value` for `event` (folded with `max`).
+    pub fn observe_max(&mut self, event: Event, value: u64) {
+        let slot = &mut self.events[event.index()];
+        *slot = (*slot).max(value);
+    }
+
+    /// Adds `ns` nanoseconds of busy time for worker `lane` (lanes at or
+    /// past the tracked width are dropped).
+    pub fn record_lane(&mut self, lane: usize, ns: u64) {
+        if lane < MAX_LANES {
+            self.lanes[lane] += ns;
+        }
     }
 
     /// The accumulated phase profile.
@@ -443,27 +435,6 @@ impl Recorder {
     }
 }
 
-impl TelemetrySink for Recorder {
-    fn record_phase(&mut self, phase: Phase, ns: u64) {
-        self.phases.record(phase, ns);
-    }
-
-    fn add_event(&mut self, event: Event, count: u64) {
-        self.events[event.index()] += count;
-    }
-
-    fn observe_max(&mut self, event: Event, value: u64) {
-        let slot = &mut self.events[event.index()];
-        *slot = (*slot).max(value);
-    }
-
-    fn record_lane(&mut self, lane: usize, ns: u64) {
-        if lane < MAX_LANES {
-            self.lanes[lane] += ns;
-        }
-    }
-}
-
 /// An in-flight phase measurement; see [`Telemetry::begin`].
 ///
 /// Holds the start instant only when the owning handle was enabled, so a
@@ -485,8 +456,8 @@ impl PhaseSpan {
 /// recorder, no clock reads, one predictable branch per call site) or *on*
 /// (accumulating into a boxed [`Recorder`]).
 ///
-/// The handle is deliberately concrete rather than generic over
-/// [`TelemetrySink`]: engines hold it as a plain field, so enabling
+/// The handle is deliberately concrete rather than generic over a sink
+/// type: engines hold it as a plain field, so enabling
 /// telemetry is a runtime decision that does not monomorphize — or change
 /// the type of — any engine.
 #[derive(Debug, Default)]
@@ -689,14 +660,5 @@ mod tests {
         assert!(table.contains("noise_merge"), "{table}");
         assert!(table.contains("per_message_fallbacks"), "{table}");
         assert!(!table.contains("rng_reserve"), "{table}");
-    }
-
-    #[test]
-    fn null_sink_compiles_and_ignores_everything() {
-        let mut sink = NullSink;
-        sink.record_phase(Phase::Scatter, 1);
-        sink.add_event(Event::RadixSpills, 1);
-        sink.observe_max(Event::StagingHighWater, 1);
-        sink.record_lane(0, 1);
     }
 }

@@ -2,7 +2,8 @@
 //! generated at a tiny scale and has the expected shape, and the headline
 //! qualitative conclusions of the paper hold in the generated numbers.
 
-use experiments::{specs, ExperimentConfig};
+use experiments::specs::{self, EXPERIMENTS};
+use experiments::ExperimentConfig;
 
 fn tiny() -> ExperimentConfig {
     ExperimentConfig {
@@ -13,8 +14,25 @@ fn tiny() -> ExperimentConfig {
 }
 
 #[test]
+fn every_experiment_is_reachable_through_sweep_table() {
+    // `sweep table <binary> --backend <b>` must select each builtin sweep
+    // on the engine family its spec runs on.
+    for experiment in EXPERIMENTS {
+        let backend = (experiment.build)(&tiny()).backend;
+        let sweeps = specs::binary_sweeps(experiment.binary, &tiny().with_backend(backend))
+            .unwrap_or_else(|e| panic!("{}: {e}", experiment.name));
+        assert!(
+            sweeps.contains(&experiment.name),
+            "`sweep table {} --backend {backend}` runs {sweeps:?}, not {}",
+            experiment.binary,
+            experiment.name
+        );
+    }
+}
+
+#[test]
 fn e01_success_rates_are_high_everywhere() {
-    let table = specs::e01_table(&tiny());
+    let table = specs::table("e01", &tiny());
     // Last row is the fit; the others carry an all-correct rate in column 4.
     for row in &table.rows()[..table.len() - 1] {
         let fraction: f64 = row[3].parse().unwrap();
@@ -25,7 +43,7 @@ fn e01_success_rates_are_high_everywhere() {
 
 #[test]
 fn e03_normalised_message_cost_is_bounded() {
-    let table = specs::e03_table(&tiny());
+    let table = specs::table("e03", &tiny());
     for row in table.rows() {
         let normalised: f64 = row[3].parse().unwrap();
         assert!(
@@ -37,7 +55,7 @@ fn e03_normalised_message_cost_is_bounded() {
 
 #[test]
 fn e07_sampling_table_shows_the_boost_growing_with_delta() {
-    let sampling = &specs::e07a_table(&tiny());
+    let sampling = &specs::table("e07a", &tiny());
     let measured: Vec<f64> = sampling
         .rows()
         .iter()
@@ -50,7 +68,7 @@ fn e07_sampling_table_shows_the_boost_growing_with_delta() {
 
 #[test]
 fn e08_largest_most_biased_committee_reaches_near_consensus() {
-    let table = specs::e08_table(&tiny());
+    let table = specs::table("e08", &tiny());
     let last = table.rows().last().unwrap();
     let fraction: f64 = last[3].parse().unwrap();
     assert!(fraction > 0.8, "row = {last:?}");
@@ -58,7 +76,7 @@ fn e08_largest_most_biased_committee_reaches_near_consensus() {
 
 #[test]
 fn e10_breathe_rows_dominate_the_failing_baselines() {
-    let table = specs::e10_table(&tiny());
+    let table = specs::table("e10", &tiny());
     // Rows come in blocks of six per epsilon: breathe first, then baselines.
     let rows = table.rows();
     assert_eq!(rows.len() % 6, 0);
@@ -73,7 +91,7 @@ fn e10_breathe_rows_dominate_the_failing_baselines() {
 
 #[test]
 fn e12_sample_counts_scale_like_inverse_epsilon_squared() {
-    let table = specs::e12_table(&tiny());
+    let table = specs::table("e12", &tiny());
     let normalised: Vec<f64> = table.rows().iter().map(|r| r[2].parse().unwrap()).collect();
     let max = normalised.iter().cloned().fold(f64::MIN, f64::max);
     let min = normalised.iter().cloned().fold(f64::MAX, f64::min);

@@ -1,14 +1,17 @@
-//! Smoke tests: every experiment entrypoint behind the `e01`–`e12`,
-//! `ablations` and `full_report` binaries runs end-to-end at a tiny scale
-//! and produces a well-formed, non-empty table.  Every entrypoint is a
-//! registry-backed sweep spec (`experiments::specs`); the binaries are thin
-//! wrappers over the same functions exercised here.
+//! Smoke tests: every builtin sweep behind `sweep table` (the `e01`–`e13`
+//! and `ablations` experiments) runs end-to-end at a tiny scale and
+//! produces a well-formed, non-empty table.  The tests walk
+//! `experiments::specs::EXPERIMENTS`, so a new entry is smoked without a
+//! new test.
 //!
-//! The point is rot prevention, not statistics — a binary whose inner
-//! function panics, loops or returns an empty table fails here within
-//! seconds instead of rotting silently until someone runs `cargo run`.
+//! The point is rot prevention, not statistics — an experiment whose
+//! sweep panics, loops or renders an empty table fails here within seconds
+//! instead of rotting silently until someone runs `sweep table`.
+
+use std::sync::OnceLock;
 
 use analysis::Table;
+use experiments::specs::{self, EXPERIMENTS};
 use experiments::ExperimentConfig;
 
 /// The smallest configuration every entrypoint accepts: one trial per point,
@@ -22,7 +25,8 @@ fn smoke_config() -> ExperimentConfig {
 }
 
 /// A table is well-formed when it has a title, at least one column and at
-/// least one row, and every row matches the column count.
+/// least one row, every row matches the column count, and every number in
+/// a rate or fraction column lies in `[0, 1]`.
 fn assert_well_formed(table: &Table) {
     assert!(!table.title().is_empty(), "table has an empty title");
     assert!(
@@ -43,112 +47,121 @@ fn assert_well_formed(table: &Table) {
             table.title()
         );
     }
+    for (column, header) in table.columns().iter().enumerate() {
+        if !(header.contains("rate") || header.contains("fraction")) {
+            continue;
+        }
+        for row in table.rows() {
+            // Summary rows (E1's fit) carry text, not a value.
+            if let Ok(value) = row[column].parse::<f64>() {
+                assert!(
+                    (0.0..=1.0).contains(&value),
+                    "table `{}`: `{header}` = {value} in row {row:?}",
+                    table.title()
+                );
+            }
+        }
+    }
     let markdown = table.to_markdown();
     assert!(markdown.contains(table.title()));
 }
 
+/// The named sweep's table at the smoke configuration, run once per test
+/// process: the loop over every experiment and the per-experiment tests
+/// share it.
+fn smoke(name: &str) -> &'static Table {
+    static TABLES: [OnceLock<Table>; EXPERIMENTS.len()] =
+        [const { OnceLock::new() }; EXPERIMENTS.len()];
+    let index = EXPERIMENTS
+        .iter()
+        .position(|e| e.name == name)
+        .unwrap_or_else(|| panic!("`{name}` is not a builtin sweep"));
+    let table = TABLES[index].get_or_init(|| specs::table(name, &smoke_config()));
+    assert_well_formed(table);
+    table
+}
+
+#[test]
+fn every_experiment_renders_a_well_formed_table() {
+    for experiment in EXPERIMENTS {
+        smoke(experiment.name);
+    }
+}
+
 #[test]
 fn e01_rounds_vs_n_smoke() {
-    assert_well_formed(&experiments::specs::e01_table(&smoke_config()));
+    smoke("e01");
 }
 
 #[test]
 fn e02_rounds_vs_epsilon_smoke() {
-    assert_well_formed(&experiments::specs::e02_table(&smoke_config()));
+    smoke("e02");
 }
 
 #[test]
 fn e03_message_complexity_smoke() {
-    assert_well_formed(&experiments::specs::e03_table(&smoke_config()));
+    smoke("e03");
 }
 
 #[test]
 fn e04_phase0_seeding_smoke() {
-    assert_well_formed(&experiments::specs::e04_table(&smoke_config()));
+    smoke("e04");
 }
 
 #[test]
 fn e05_layer_growth_smoke() {
-    assert_well_formed(&experiments::specs::e05_table(&smoke_config()));
+    smoke("e05");
 }
 
 #[test]
 fn e06_bias_decay_smoke() {
-    assert_well_formed(&experiments::specs::e06_table(&smoke_config()));
+    smoke("e06");
 }
 
 #[test]
 fn e07_stage2_boost_smoke() {
-    let tables = [
-        experiments::specs::e07a_table(&smoke_config()),
-        experiments::specs::e07b_table(&smoke_config()),
-    ];
-    for table in &tables {
-        assert_well_formed(table);
-    }
+    smoke("e07a");
+    smoke("e07b");
 }
 
 #[test]
 fn e08_majority_consensus_smoke() {
-    assert_well_formed(&experiments::specs::e08_table(&smoke_config()));
+    smoke("e08");
 }
 
 #[test]
 fn e09_async_overhead_smoke() {
-    assert_well_formed(&experiments::specs::e09_table(&smoke_config()));
+    smoke("e09");
 }
 
 #[test]
 fn e10_baseline_comparison_smoke() {
-    assert_well_formed(&experiments::specs::e10_table(&smoke_config()));
+    smoke("e10");
 }
 
 #[test]
 fn e11_path_deterioration_smoke() {
-    assert_well_formed(&experiments::specs::e11_table(&smoke_config()));
+    smoke("e11");
 }
 
 #[test]
 fn e12_two_party_lower_bound_smoke() {
-    assert_well_formed(&experiments::specs::e12_table(&smoke_config()));
+    smoke("e12");
 }
 
 #[test]
 fn ablations_smoke() {
-    let tables = [
-        experiments::specs::a1_table(&smoke_config()),
-        experiments::specs::a2_table(&smoke_config()),
-        experiments::specs::a3_table(&smoke_config()),
-    ];
-    for table in &tables {
-        assert_well_formed(table);
-    }
-}
-
-#[test]
-fn full_report_smoke() {
-    // The `full_report` binary stitches every experiment into one document.
-    let report = experiments::report::full_report(&smoke_config());
-    assert!(!report.tables().is_empty(), "report has no tables");
-    for table in report.tables() {
-        assert_well_formed(table);
-    }
-    let markdown = report.to_markdown();
-    for table in report.tables() {
-        assert!(
-            markdown.contains(table.title()),
-            "report markdown is missing table `{}`",
-            table.title()
-        );
-    }
+    smoke("a1");
+    smoke("a2");
+    smoke("a3");
 }
 
 #[test]
 fn config_from_args_matches_binary_convention() {
-    // The binaries all parse flags through this helper; pin its contract.
-    let quick = experiments::config_from_args(std::iter::empty::<String>());
+    // `sweep table` parses its flags through this helper; pin its contract.
+    let quick = experiments::cli::parse_config(std::iter::empty::<String>());
     assert!(quick.quick);
-    let full = experiments::config_from_args(["--full".to_string()]);
+    let full = experiments::cli::parse_config(["--full".to_string()]);
     assert!(!full.quick);
     assert!(full.trials > quick.trials);
 }
@@ -156,9 +169,9 @@ fn config_from_args_matches_binary_convention() {
 #[test]
 fn experiments_are_deterministic_for_a_fixed_seed() {
     // Two runs of the same entrypoint with the same config must be
-    // byte-identical; this is the property that makes the e01–e12 binaries
-    // reproducible report generators rather than one-off samples.
-    let first = experiments::specs::e01_table(&smoke_config());
-    let second = experiments::specs::e01_table(&smoke_config());
+    // byte-identical; this is the property that makes `sweep table`
+    // a reproducible report generator rather than a one-off sample.
+    let first = specs::table("e01", &smoke_config());
+    let second = specs::table("e01", &smoke_config());
     assert_eq!(first.to_csv(), second.to_csv());
 }

@@ -1,12 +1,12 @@
 //! Property-based tests (proptest) of the core data structures and invariants:
 //! the gossip scheduler, the noise channel, the phase schedule, the Stage I/II
-//! state machines, the population census and the dense (counts/bitmap)
-//! population representations.
+//! state machines, the population census and the dense counts population
+//! representation.
 
 use breathe::{Params, Position, Schedule, Stage1State, Stage2State};
 use flip_model::{
-    majority_bias, BinarySymmetricChannel, Census, Channel, DensePopulation, GossipScheduler,
-    Opinion, OpinionBitmap, RumorProtocol, SimRng,
+    majority_bias, BinarySymmetricChannel, Census, Channel, GossipScheduler, Opinion,
+    RumorProtocol, SimRng,
 };
 use proptest::prelude::*;
 
@@ -222,9 +222,9 @@ proptest! {
 
     // ------------------------------------------------------ dense population
 
-    /// The dense counts representation and the bit-packed bitmap agree with
-    /// `Census::from_counts` for every split of a population into zeros, ones
-    /// and undecided agents (`zeros + ones <= n`).
+    /// The dense counts representation agrees with `Census::from_counts` for
+    /// every split of a population into zeros, ones and undecided agents
+    /// (`zeros + ones <= n`).
     #[test]
     fn dense_population_and_bitmap_census_match_counts(
         zeros in 0u64..300,
@@ -244,50 +244,6 @@ proptest! {
         prop_assert!(census.active() <= census.population());
         prop_assert_eq!(census.active() as u64, zeros + ones);
 
-        // Bitmap path: lay the same split out agent by agent.
-        let mut bitmap = OpinionBitmap::new(n as usize);
-        prop_assert_eq!(bitmap.len() as u64, n);
-        for i in 0..zeros {
-            bitmap.set(i as usize, Some(Opinion::Zero));
-        }
-        for i in zeros..zeros + ones {
-            bitmap.set(i as usize, Some(Opinion::One));
-        }
-        prop_assert_eq!(bitmap.census(), expected);
-
-        // Round-trip through from_bitmap reproduces the same counts.
-        let rebuilt = DensePopulation::from_bitmap(&bitmap, 3, |op| match op {
-            None => 0,
-            Some(Opinion::Zero) => 1,
-            Some(Opinion::One) => 2,
-        }).unwrap();
-        prop_assert_eq!(&rebuilt, &population);
     }
 
-    /// Bitmap get/set round-trips for arbitrary per-agent assignments,
-    /// including overwrites and deactivation, and the census tracks exactly
-    /// the surviving assignments.
-    #[test]
-    fn bitmap_get_set_round_trips(
-        n in 2usize..200,
-        writes in proptest::collection::vec(
-            (0usize..200, proptest::option::of(prop_oneof![Just(Opinion::Zero), Just(Opinion::One)])),
-            0..64,
-        ),
-    ) {
-        let mut bitmap = OpinionBitmap::new(n);
-        let mut reference = vec![None; n];
-        for (idx, op) in writes {
-            let idx = idx % n;
-            bitmap.set(idx, op);
-            reference[idx] = op;
-        }
-        for (idx, &expected) in reference.iter().enumerate() {
-            prop_assert_eq!(bitmap.get(idx), expected);
-        }
-        let zeros = reference.iter().filter(|o| **o == Some(Opinion::Zero)).count();
-        let ones = reference.iter().filter(|o| **o == Some(Opinion::One)).count();
-        prop_assert_eq!(bitmap.census(), Census::from_counts(zeros, ones, n));
-        prop_assert!(zeros + ones <= n, "undecided agents are representable");
-    }
 }
