@@ -13,6 +13,8 @@ use rand::Rng;
 struct Beacon(Opinion);
 
 impl Agent for Beacon {
+    const RNG_FREE_HOOKS: bool = true;
+
     fn next_end_round(&self, _round: Round) -> Round {
         Round::MAX
     }

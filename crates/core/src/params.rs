@@ -62,9 +62,10 @@ impl Params {
     ///
     /// # Errors
     ///
-    /// Returns [`FlipError::PopulationTooSmall`] if `n < 8` and
-    /// [`FlipError::InvalidEpsilon`] if `ε ∉ (0, 1/2]` or `ε < 1/√n`
-    /// (the paper requires `ε > n^{-1/2+η}`).
+    /// Returns [`FlipError::PopulationTooSmall`] if `n < 8`,
+    /// [`FlipError::InvalidEpsilon`] if `ε ∉ (0, 1/2]`, and
+    /// [`FlipError::InvalidParameter`] naming the floor if `ε < 1/√n` (the
+    /// paper requires `ε > n^{-1/2+η}`).
     pub fn practical(n: usize, epsilon: f64) -> Result<Self, FlipError> {
         Self::with_multipliers(n, epsilon, Multipliers::practical())
     }
@@ -85,7 +86,9 @@ impl Params {
     /// # Errors
     ///
     /// Returns [`FlipError::PopulationTooSmall`], [`FlipError::InvalidEpsilon`]
-    /// or [`FlipError::InvalidParameter`] when a multiplier is not positive.
+    /// or [`FlipError::InvalidParameter`] under the conditions of
+    /// [`Params::practical`], and [`FlipError::InvalidParameter`] when a
+    /// multiplier is not positive.
     pub fn with_multipliers(
         n: usize,
         epsilon: f64,
@@ -97,8 +100,12 @@ impl Params {
         if !epsilon.is_finite() || epsilon <= 0.0 || epsilon > 0.5 {
             return Err(FlipError::InvalidEpsilon { epsilon });
         }
-        if epsilon < 1.0 / (n as f64).sqrt() {
-            return Err(FlipError::InvalidEpsilon { epsilon });
+        let floor = 1.0 / (n as f64).sqrt();
+        if epsilon < floor {
+            return Err(FlipError::InvalidParameter {
+                name: "epsilon",
+                message: format!("{epsilon} is below 1/√n = {floor:.4} for n = {n}"),
+            });
         }
         multipliers.validate()?;
         Ok(Self {
@@ -363,6 +370,15 @@ mod tests {
         assert!(Params::practical(1_000, f64::NAN).is_err());
         // epsilon below 1/sqrt(n) violates the paper's requirement.
         assert!(Params::practical(100, 0.05).is_err());
+    }
+
+    #[test]
+    fn epsilon_below_the_floor_names_the_floor() {
+        let err = Params::practical(1_000, 1e-9).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid parameter `epsilon`: 0.000000001 is below 1/√n = 0.0316 for n = 1000"
+        );
     }
 
     #[test]

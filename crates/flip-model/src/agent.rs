@@ -143,7 +143,35 @@ impl OpinionDelta {
 /// bookkeeping — it must **not** change the value `opinion()` reports, since
 /// it has no way to report a delta.  (Debug builds of the engine periodically
 /// recount the population and assert agreement.)
-pub trait Agent {
+///
+/// # Lanes
+///
+/// Agents are plain data (`Send`), so the engine may run the send pass and
+/// the delivery walk of one round on several [`RoundPool`](crate::RoundPool)
+/// lanes, each over a contiguous range of agents.  It does so only when an
+/// agent type declares [`RNG_FREE_HOOKS`](Agent::RNG_FREE_HOOKS), the
+/// population has at least [`RADIX_MIN_N`](crate::RADIX_MIN_N) agents,
+/// [`SimulationConfig::with_threads`](crate::SimulationConfig::with_threads)
+/// asked for more than one lane and no activation trace is recorded; the
+/// delivery walk also needs a dense round and a fixed-crossover or noiseless
+/// channel.  Every other round runs both passes on the calling thread.
+/// Results are bit-identical either way, provided no two agents share
+/// mutable state.
+pub trait Agent: Send {
+    /// Promises that [`send`](Agent::send) and [`deliver`](Agent::deliver)
+    /// never touch their `rng` argument; the default `false` promises
+    /// nothing.
+    ///
+    /// Hooks that draw consume one engine-wide stream in agent order, which
+    /// only a single lane reproduces, so agent types that declare `true`
+    /// let the engine spread those two hooks over its lanes (see the trait
+    /// docs).  [`end_round`](Agent::end_round) always runs on one lane and
+    /// may draw either way.  Each lane hands the hooks a copy of the engine
+    /// RNG and checks afterwards that it did not move, so an agent type that
+    /// declares `true` and draws anyway panics, naming the type, instead of
+    /// silently changing results.
+    const RNG_FREE_HOOKS: bool = false;
+
     /// Decides what to transmit this round; `None` means stay silent ("breathe").
     ///
     /// Must not change the opinion reported by [`opinion`](Agent::opinion)

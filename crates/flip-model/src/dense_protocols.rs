@@ -120,6 +120,8 @@ impl RumorAgent {
 }
 
 impl Agent for RumorAgent {
+    const RNG_FREE_HOOKS: bool = true;
+
     fn next_end_round(&self, _round: Round) -> Round {
         Round::MAX
     }
@@ -393,6 +395,8 @@ impl ZealotAgent {
 }
 
 impl Agent for ZealotAgent {
+    const RNG_FREE_HOOKS: bool = true;
+
     fn next_end_round(&self, _round: Round) -> Round {
         Round::MAX
     }

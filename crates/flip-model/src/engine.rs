@@ -1,5 +1,7 @@
 //! The synchronous round engine driving agents over the Flip model.
 
+use std::any::type_name;
+
 use crate::agent::{Agent, OpinionDelta, Round};
 use crate::channel::Channel;
 use crate::config::SimulationConfig;
@@ -7,10 +9,10 @@ use crate::error::FlipError;
 use crate::faults::{FaultPlan, FaultRole};
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::opinion::Opinion;
-use crate::pool::RoundPool;
-use crate::population::Census;
+use crate::pool::{RoundPool, MAX_WORKERS};
+use crate::population::{Census, CensusDelta};
 use crate::rng::{BernoulliSkip, SimRng};
-use crate::scheduler::{GossipScheduler, RoundRouting, RADIX_MIN_N};
+use crate::scheduler::{Delivery, GossipScheduler, RoundRouting, RADIX_MIN_N};
 use crate::trace::TraceRecorder;
 use telemetry::{Event, Phase, Recorder, Telemetry};
 
@@ -103,6 +105,163 @@ impl EndRoundGate {
     }
 }
 
+/// What one lane of an agent pass reports back to [`Simulation::step`].
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneTally {
+    /// Send pass: how many sends the lane wrote at the head of its segment.
+    sends: usize,
+    /// Forced sends (send pass) or suppressed deliveries (delivery walk).
+    faulted: u64,
+    /// Delivery walk: the net census change of the lane's agents.
+    census: CensusDelta,
+    /// Whether the hooks moved the lane's copy of the engine RNG.
+    drew: bool,
+}
+
+/// Whether a fault plan makes `recipient` deaf in `round`.
+///
+/// A message routed to a deaf role dies at the recipient, not in the
+/// scheduler: its slot, flip position and (per-message) corruption draw are
+/// consumed exactly as for an honest recipient, so honest agents observe the
+/// same stream whether or not faulty peers exist.
+#[inline]
+fn is_deaf(faults: Option<&FaultPlan>, recipient: usize, round: Round) -> bool {
+    faults.is_some_and(|plan| !plan.role(recipient).accepts_delivery(round))
+}
+
+/// One lane's share of the send pass: a contiguous range of agents and the
+/// same range of the send buffer.
+struct SendRange<'a, A> {
+    /// Population index of `agents[0]`.
+    first: usize,
+    agents: &'a mut [A],
+    out: &'a mut [(u32, Opinion)],
+}
+
+impl<A: Agent> SendRange<'_, A> {
+    /// Writes the range's sends to the head of `out`, branch-free: a silent
+    /// agent writes a placeholder that the next send overwrites.
+    ///
+    /// With a fault plan, faulty roles override their agent: Byzantine roles
+    /// inject their bit without consulting (or advancing) the agent, crashed
+    /// agents fall silent, and adaptive-flip agents run their protocol but
+    /// transmit its negation.
+    fn run(self, round: Round, faults: Option<&FaultPlan>, rng: &mut SimRng) -> LaneTally {
+        let mut tally = LaneTally::default();
+        for (offset, agent) in self.agents.iter_mut().enumerate() {
+            let idx = self.first + offset;
+            let message = match faults {
+                None => agent.send(round, rng),
+                Some(plan) => match plan.forced_send(idx, round) {
+                    Some(forced) => {
+                        tally.faulted += 1;
+                        forced
+                    }
+                    None => {
+                        let sent = agent.send(round, rng);
+                        if plan.role(idx) == FaultRole::ByzantineAdaptiveFlip {
+                            sent.map(Opinion::flipped)
+                        } else {
+                            sent
+                        }
+                    }
+                },
+            };
+            self.out[tally.sends] = (idx as u32, message.unwrap_or(Opinion::Zero));
+            tally.sends += usize::from(message.is_some());
+        }
+        tally
+    }
+}
+
+/// One lane's share of the fused delivery walk.
+struct WalkRange<'a, A> {
+    /// Population index of `agents[0]`.
+    first: usize,
+    agents: &'a mut [A],
+    /// Index of `deliveries[0]` in the round's accepted list.
+    start: usize,
+    /// The accepted deliveries to `agents`.
+    deliveries: &'a [Delivery],
+    /// The round's flip positions from the first one at or after `start`,
+    /// ending in a `u32::MAX` sentinel.
+    flips: &'a [u32],
+    /// The activation trace, when one is recorded (single-lane walks only).
+    trace: Option<&'a mut TraceRecorder>,
+}
+
+impl<A: Agent> WalkRange<'_, A> {
+    /// Corrupts and delivers the range's messages, merging the flip
+    /// positions in with a two-pointer scan.  The sentinel (no message index
+    /// reaches it) ends the list, so the scan needs no end test, and whether
+    /// a message flips, a random bit, is never branched on: the comparison
+    /// both flips the payload and advances the pointer.
+    fn run(mut self, round: Round, faults: Option<&FaultPlan>, rng: &mut SimRng) -> LaneTally {
+        let mut tally = LaneTally::default();
+        let mut next_flip = 0;
+        for (i, delivery) in self.deliveries.iter().enumerate() {
+            let flip = (self.start + i) as u32 == self.flips[next_flip];
+            next_flip += usize::from(flip);
+            let payload = delivery.payload.flipped_if(flip);
+            let recipient = delivery.recipient.index();
+            if is_deaf(faults, recipient, round) {
+                tally.faulted += 1;
+                continue;
+            }
+            if let Some(trace) = self.trace.as_deref_mut() {
+                trace.on_delivery(recipient, round);
+            }
+            let agent = &mut self.agents[recipient - self.first];
+            tally.census.apply(agent.deliver(round, payload, rng));
+        }
+        tally
+    }
+}
+
+/// Runs one agent pass, `pass`, over `ranges`, writes each range's tally
+/// to `tallies` and returns those tallies, in range order.
+///
+/// With `pool`, every range runs on its own lane and hands the hooks a copy
+/// of the engine RNG, which must not move.  Without, the single range (the
+/// whole population) runs inline on the engine RNG itself.
+///
+/// # Panics
+///
+/// Panics, naming `A`, when the hooks on some lane drew from their copy: the
+/// agent type declared [`Agent::RNG_FREE_HOOKS`] falsely.
+fn agent_pass<'t, A: Agent, T: Send>(
+    pool: Option<&RoundPool>,
+    rng: &mut SimRng,
+    ranges: impl Iterator<Item = T>,
+    tallies: &'t mut [LaneTally; MAX_WORKERS],
+    pass: impl Fn(T, &mut SimRng) -> LaneTally + Sync,
+) -> &'t [LaneTally] {
+    let mut ran = 0;
+    let tasks = ranges.zip(tallies.iter_mut()).inspect(|_| ran += 1);
+    match pool {
+        None => {
+            for (range, tally) in tasks {
+                *tally = pass(range, rng);
+            }
+        }
+        Some(pool) => {
+            let engine = &*rng;
+            pool.run(tasks, |_, (range, tally)| {
+                let mut copy = engine.clone();
+                *tally = pass(range, &mut copy);
+                tally.drew = copy != *engine;
+            });
+        }
+    }
+    let tallies = &tallies[..ran];
+    assert!(
+        !tallies.iter().any(|tally| tally.drew),
+        "`{}` declares `RNG_FREE_HOOKS`, but its `send` or `deliver` drew from the RNG",
+        type_name::<A>()
+    );
+    tallies
+}
+
 /// Summary of a single executed round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundSummary {
@@ -126,13 +285,22 @@ pub struct RoundSummary {
 /// # Hot-path design
 ///
 /// The round loop is allocation-free after the first round: the send buffer
-/// and the [`RoundRouting`] are pre-sized to the population and reused every
+/// and the [`RoundRouting`] are sized to the population and reused every
 /// step.  The census is *incremental* — the engine folds the
 /// [`OpinionDelta`](crate::OpinionDelta)s returned by
 /// [`Agent::deliver`]/[`Agent::end_round`] into a running [`Census`] in
 /// O(changes), instead of recounting all `n` agents each round — and channel
 /// noise for fixed-crossover channels is fused into delivery by geometric
 /// skip-sampling (see [`Channel::fixed_crossover`]).
+///
+/// With a worker pool, routing always runs on every lane, and the send pass
+/// and the fused delivery walk do too when the agent type allows it (see
+/// the [`Agent`] docs).  Each lane then covers a contiguous agent range:
+/// it writes its sends into its own range of the send buffer, which a
+/// sequential copy packs in lane order, so message `i` keeps index `i` and
+/// its routing word.  A dense round emits deliveries in recipient order, so
+/// each lane finds its deliveries and its first flip by binary search and
+/// returns a census delta that the round folds in after the join.
 #[derive(Debug)]
 pub struct Simulation<A, C> {
     agents: Vec<A>,
@@ -151,6 +319,10 @@ pub struct Simulation<A, C> {
     census_dirty: bool,
     /// When the end-of-round loop runs next.
     end_round: EndRoundGate,
+    /// One slot per agent, reserved at construction but filled on the first
+    /// round, so building an engine writes none of them: the send pass
+    /// writes each agent range's sends into that range's slots, then packs
+    /// them into the prefix the scheduler reads.
     send_buffer: Vec<(u32, Opinion)>,
     routing: RoundRouting,
     /// Flip positions of the current round's fused noise, then a
@@ -158,16 +330,18 @@ pub struct Simulation<A, C> {
     /// sentinel, so even a round in which every message flips cannot
     /// reallocate).
     flip_buffer: Vec<u32>,
-    /// Persistent worker pool for intra-round parallel routing, present
-    /// when [`SimulationConfig::with_threads`] asked for more than one
-    /// lane.  Spawned once here (warm-up) so rounds stay allocation-free;
-    /// parallel rounds are bit-identical to sequential ones, so the pool
-    /// never affects seeded results.
+    /// Persistent worker pool for intra-round parallel routing and agent
+    /// passes, present when [`SimulationConfig::with_threads`] asked for
+    /// more than one lane.  Spawned once here (warm-up) so rounds stay
+    /// allocation-free; parallel rounds are bit-identical to sequential
+    /// ones, so the pool never affects seeded results.
     pool: Option<RoundPool>,
     /// Per-agent fault roles, sampled once at construction when the config
     /// injects faults ([`SimulationConfig::with_faults`]); `None` keeps the
     /// fault-free hot path (and RNG stream) untouched.
     faults: Option<FaultPlan>,
+    /// The current agent pass's per-lane results, reused every pass.
+    lane_tallies: [LaneTally; MAX_WORKERS],
     /// Phase timers and event counters; off by default (no recorder, no
     /// clock reads) until [`Simulation::enable_telemetry`].  Timing never
     /// touches the RNG stream, so enabled runs stay bit-identical.
@@ -239,6 +413,7 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             flip_buffer: Vec::with_capacity(n + 1),
             pool,
             faults,
+            lane_tallies: [LaneTally::default(); MAX_WORKERS],
             telemetry: Telemetry::off(),
         })
     }
@@ -282,43 +457,52 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             self.telemetry.end(Phase::CensusApply, span);
         }
         let round = self.round;
+        let n = self.agents.len();
+        if self.send_buffer.len() < n {
+            self.send_buffer.resize(n, (0, Opinion::Zero));
+        }
+        let record_activations = self.trace.options().record_activations;
+        // The agent passes run on every lane only when hooks that draw
+        // nothing cannot tell lanes apart (see the `Agent` docs), and only
+        // from routing's crossover on, below which a round is too short to
+        // pay for a dispatch.
+        let lanes = self
+            .pool
+            .as_ref()
+            .filter(|_| A::RNG_FREE_HOOKS && n >= RADIX_MIN_N && !record_activations);
+        let faults = self.faults.as_ref();
 
-        // Phase 1: collect sends.  With a fault plan, faulty roles override
-        // their agent: Byzantine roles inject their bit without consulting
-        // (or advancing) the agent, crashed agents fall silent, and
-        // adaptive-flip agents run their protocol but transmit its negation.
+        // Phase 1: collect sends, each lane into its own range of the send
+        // buffer, then pack the lane segments in lane order.
         let span = self.telemetry.begin();
+        let chunk = n.div_ceil(lanes.map_or(1, RoundPool::workers));
+        let ranges = self
+            .agents
+            .chunks_mut(chunk)
+            .zip(self.send_buffer.chunks_mut(chunk))
+            .enumerate()
+            .map(|(lane, (agents, out))| SendRange {
+                first: lane * chunk,
+                agents,
+                out,
+            });
+        let tallies = agent_pass::<A, _>(
+            lanes,
+            &mut self.rng,
+            ranges,
+            &mut self.lane_tallies,
+            |range, rng| range.run(round, faults, rng),
+        );
+        let mut sent = 0;
         let mut forced_sends = 0u64;
-        self.send_buffer.clear();
-        match &self.faults {
-            None => {
-                for (idx, agent) in self.agents.iter_mut().enumerate() {
-                    if let Some(message) = agent.send(round, &mut self.rng) {
-                        self.send_buffer.push((idx as u32, message));
-                    }
-                }
+        for (lane, tally) in tallies.iter().enumerate() {
+            let first = lane * chunk;
+            if first != sent {
+                self.send_buffer
+                    .copy_within(first..first + tally.sends, sent);
             }
-            Some(plan) => {
-                for (idx, agent) in self.agents.iter_mut().enumerate() {
-                    let message = match plan.forced_send(idx, round) {
-                        Some(forced) => {
-                            forced_sends += 1;
-                            forced
-                        }
-                        None => {
-                            let sent = agent.send(round, &mut self.rng);
-                            if plan.role(idx) == FaultRole::ByzantineAdaptiveFlip {
-                                sent.map(Opinion::flipped)
-                            } else {
-                                sent
-                            }
-                        }
-                    };
-                    if let Some(message) = message {
-                        self.send_buffer.push((idx as u32, message));
-                    }
-                }
-            }
+            sent += tally.sends;
+            forced_sends += tally.faulted;
         }
         self.telemetry.end(Phase::ProtocolStep, span);
         self.telemetry.add(Event::FaultForcedSends, forced_sends);
@@ -326,22 +510,17 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         // Phase 2: route into the reused buffer, then corrupt + deliver.
         // The parallel and sequential routes are bit-identical; the pool
         // only changes which cores do the work.
+        let sends = &self.send_buffer[..sent];
         match &self.pool {
-            Some(pool) => {
-                self.scheduler.route_into_parallel_with(
-                    &self.send_buffer,
-                    &mut self.rng,
-                    &mut self.routing,
-                    pool,
-                    &mut self.telemetry,
-                );
-                if pool.timing_enabled() {
-                    let tel = &mut self.telemetry;
-                    pool.drain_lane_nanos(|lane, ns| tel.record_lane(lane, ns));
-                }
-            }
+            Some(pool) => self.scheduler.route_into_parallel_with(
+                sends,
+                &mut self.rng,
+                &mut self.routing,
+                pool,
+                &mut self.telemetry,
+            ),
             None => self.scheduler.route_into_with(
-                &self.send_buffer,
+                sends,
                 &mut self.rng,
                 &mut self.routing,
                 &mut self.telemetry,
@@ -351,7 +530,7 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         // Split borrows: the routing buffer is read while agents, census,
         // trace and rng are written.
         let noise = self.noise;
-        let (agents, routing, rng, trace, census, channel, flip_buffer, faults, tel) = (
+        let (agents, routing, rng, trace, census, channel, flip_buffer, lane_tallies, tel) = (
             &mut self.agents,
             &self.routing,
             &mut self.rng,
@@ -359,94 +538,83 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             &mut self.census,
             &self.channel,
             &mut self.flip_buffer,
-            self.faults.as_ref(),
+            &mut self.lane_tallies,
             &mut self.telemetry,
         );
-        // A message routed to a deaf role dies at the recipient, not in the
-        // scheduler: its slot, flip position and (per-message) corruption
-        // draw are consumed exactly as for an honest recipient, so honest
-        // agents observe the same stream whether or not faulty peers exist.
-        let deaf = |recipient: usize| {
-            faults.is_some_and(|plan| !plan.role(recipient).accepts_delivery(round))
-        };
 
         // Noise is fused into the delivery walk: payloads are corrupted in
         // registers on their way into `deliver`, so the accepted buffer is
-        // traversed exactly once per round (the former corrupt-in-place
-        // pre-pass re-streamed it through the cache for nothing).  The
-        // activation-trace flag is loop-invariant, letting the compiler
-        // unswitch the untraced (default) path into tight loops.
-        let record_activations = trace.options().record_activations;
+        // traversed exactly once per round.
         let accepted = routing.accepted();
         let mut flips = 0u64;
         let mut suppressed = 0u64;
         let span = tel.begin();
-        match noise {
-            NoiseMode::Noiseless => {
-                for delivery in accepted {
-                    let recipient = delivery.recipient.index();
-                    if deaf(recipient) {
-                        suppressed += 1;
-                        continue;
-                    }
-                    if record_activations {
-                        trace.on_delivery(recipient, round);
-                    }
-                    census.apply(agents[recipient].deliver(round, delivery.payload, rng));
+        if let NoiseMode::PerMessage = noise {
+            // Each `transmit` may draw, in delivery order: one lane.
+            for delivery in accepted {
+                let corrupted = channel.transmit(delivery.payload, rng);
+                flips += u64::from(corrupted != delivery.payload);
+                let recipient = delivery.recipient.index();
+                if is_deaf(faults, recipient, round) {
+                    suppressed += 1;
+                    continue;
                 }
+                if record_activations {
+                    trace.on_delivery(recipient, round);
+                }
+                census.apply(agents[recipient].deliver(round, corrupted, rng));
             }
-            NoiseMode::Fused(skip) => {
-                // Geometric skip-sampling positions the flips (gaps
-                // batch-drawn, before any delivery, so the RNG stream
-                // matches the standalone sampler exactly), and the delivery
-                // walk merges them in with a two-pointer scan.  A
-                // `u32::MAX` sentinel (no message index reaches it) ends
-                // the list, so the scan needs no end test, and whether a
-                // message flips, a random bit, is never branched on: the
-                // comparison both flips the payload and advances the
-                // pointer.
-                flip_buffer.clear();
+            tel.add(Event::PerMessageFallbacks, accepted.len() as u64);
+        } else {
+            // Geometric skip-sampling positions the flips (gaps
+            // batch-drawn, before any delivery, so the RNG stream matches
+            // the standalone sampler exactly); a noiseless channel leaves
+            // the list empty.  A `u32::MAX` sentinel ends it.
+            flip_buffer.clear();
+            if let NoiseMode::Fused(skip) = noise {
                 skip.for_each_success(rng, accepted.len(), |position| {
                     flip_buffer.push(position as u32);
                 });
-                flips = flip_buffer.len() as u64;
-                flip_buffer.push(u32::MAX);
-                let mut next_flip = 0;
-                for (i, delivery) in accepted.iter().enumerate() {
-                    let flip = i as u32 == flip_buffer[next_flip];
-                    next_flip += usize::from(flip);
-                    let payload = delivery.payload.flipped_if(flip);
-                    let recipient = delivery.recipient.index();
-                    if deaf(recipient) {
-                        suppressed += 1;
-                        continue;
-                    }
-                    if record_activations {
-                        trace.on_delivery(recipient, round);
-                    }
-                    census.apply(agents[recipient].deliver(round, payload, rng));
-                }
             }
-            NoiseMode::PerMessage => {
-                for delivery in accepted {
-                    let corrupted = channel.transmit(delivery.payload, rng);
-                    flips += u64::from(corrupted != delivery.payload);
-                    let recipient = delivery.recipient.index();
-                    if deaf(recipient) {
-                        suppressed += 1;
-                        continue;
-                    }
-                    if record_activations {
-                        trace.on_delivery(recipient, round);
-                    }
-                    census.apply(agents[recipient].deliver(round, corrupted, rng));
+            flips = flip_buffer.len() as u64;
+            flip_buffer.push(u32::MAX);
+            let flip_list = &flip_buffer[..];
+            // Lanes need the deliveries in recipient order, which only
+            // dense rounds emit.
+            let lanes = lanes.filter(|_| self.scheduler.is_dense(sent));
+            let chunk = n.div_ceil(lanes.map_or(1, RoundPool::workers));
+            let mut trace = record_activations.then_some(trace);
+            let ranges = agents.chunks_mut(chunk).enumerate().map(|(lane, agents)| {
+                let first = lane * chunk;
+                let (start, end, first_flip) = if lanes.is_some() {
+                    let below = |bound: usize| {
+                        accepted.partition_point(|delivery| delivery.recipient.index() < bound)
+                    };
+                    let start = below(first);
+                    let first_flip =
+                        flip_list.partition_point(|&position| (position as usize) < start);
+                    (start, below(first + agents.len()), first_flip)
+                } else {
+                    (0, accepted.len(), 0)
+                };
+                WalkRange {
+                    first,
+                    agents,
+                    start,
+                    deliveries: &accepted[start..end],
+                    flips: &flip_list[first_flip..],
+                    trace: trace.take(),
                 }
+            });
+            let tallies = agent_pass::<A, _>(lanes, rng, ranges, lane_tallies, |range, rng| {
+                range.run(round, faults, rng)
+            });
+            for tally in tallies {
+                census.absorb(tally.census);
+                suppressed += tally.faulted;
             }
         }
         tel.end(Phase::NoiseMerge, span);
-        if matches!(noise, NoiseMode::PerMessage) {
-            tel.add(Event::PerMessageFallbacks, accepted.len() as u64);
-        }
         tel.add(Event::FaultSuppressedDeliveries, suppressed);
 
         // Phase 3: end-of-round hooks, only in rounds some agent's
@@ -457,6 +625,10 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             self.end_round
                 .run(agents, round, faults, rng, |delta| census.apply(delta));
             tel.end(Phase::ProtocolStep, span);
+        }
+        // Drained last, so a round's lane busy time covers every pass.
+        if let Some(pool) = self.pool.as_ref().filter(|pool| pool.timing_enabled()) {
+            pool.drain_lane_nanos(|lane, ns| tel.record_lane(lane, ns));
         }
 
         let round_metrics = RoundMetrics {
@@ -607,6 +779,8 @@ mod tests {
     struct Beacon(Opinion);
 
     impl Agent for Beacon {
+        const RNG_FREE_HOOKS: bool = true;
+
         fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
             Some(self.0)
         }
@@ -624,6 +798,8 @@ mod tests {
     }
 
     impl Agent for Adopter {
+        const RNG_FREE_HOOKS: bool = true;
+
         fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
             self.opinion
         }
@@ -763,6 +939,37 @@ mod tests {
             sim.step();
             assert_eq!(sim.census(), Census::of_agents(sim.agents()));
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "incremental census diverged")]
+    fn debug_builds_audit_the_census_against_a_full_recount() {
+        /// Adopts the first message it hears but reports no change.
+        struct Unreported(Option<Opinion>);
+        impl Agent for Unreported {
+            fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
+                self.0
+            }
+            fn deliver(
+                &mut self,
+                _round: Round,
+                message: Opinion,
+                _rng: &mut SimRng,
+            ) -> OpinionDelta {
+                self.0 = self.0.or(Some(message));
+                OpinionDelta::NONE
+            }
+            fn opinion(&self) -> Option<Opinion> {
+                self.0
+            }
+        }
+        let agents = (0..50)
+            .map(|i| Unreported((i == 0).then_some(Opinion::One)))
+            .collect();
+        let config = SimulationConfig::new(50).with_seed(3);
+        let mut sim = Simulation::new(agents, NoiselessChannel, config).unwrap();
+        sim.step();
     }
 
     #[test]

@@ -68,6 +68,17 @@ impl Census {
         }
     }
 
+    /// Folds the net change of a batch of callbacks into the counts.
+    pub(crate) fn absorb(&mut self, delta: CensusDelta) {
+        for (held, change) in self.holding.iter_mut().zip(delta.holding) {
+            debug_assert!(
+                held.checked_add_signed(change).is_some(),
+                "delta retracts an opinion nobody held"
+            );
+            *held = held.saturating_add_signed(change);
+        }
+    }
+
     /// Population size the census was taken over.
     #[must_use]
     pub fn population(&self) -> usize {
@@ -131,6 +142,27 @@ impl Census {
     #[must_use]
     pub fn is_unanimous(&self, correct: Opinion) -> bool {
         self.holding(correct) == self.n
+    }
+}
+
+/// The net change a batch of [`OpinionDelta`]s makes to a [`Census`]: signed
+/// per-opinion counts, so engine lanes that each fold their own agents'
+/// deltas can be summed in any order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CensusDelta {
+    holding: [isize; 2],
+}
+
+impl CensusDelta {
+    /// Adds one callback's delta (a no-op delta cancels out).
+    #[inline]
+    pub(crate) fn apply(&mut self, delta: OpinionDelta) {
+        if let Some(before) = delta.before {
+            self.holding[before.index()] -= 1;
+        }
+        if let Some(after) = delta.after {
+            self.holding[after.index()] += 1;
+        }
     }
 }
 
@@ -198,6 +230,29 @@ mod tests {
             Some(Opinion::One),
         ));
         assert_eq!(census, Census::from_counts(2, 3, 10));
+    }
+
+    #[test]
+    fn absorbed_deltas_match_applying_them_one_by_one() {
+        let deltas = [
+            OpinionDelta::adopted(Opinion::One),
+            OpinionDelta::between(Some(Opinion::One), Some(Opinion::Zero)),
+            OpinionDelta::NONE,
+            OpinionDelta::between(Some(Opinion::Zero), Some(Opinion::Zero)),
+            OpinionDelta::between(Some(Opinion::Zero), None),
+            OpinionDelta::adopted(Opinion::Zero),
+        ];
+        let mut one_by_one = Census::from_counts(2, 3, 10);
+        // Two lanes' batches, absorbed in reverse order: the sum commutes.
+        let (mut first, mut second) = (CensusDelta::default(), CensusDelta::default());
+        for (i, &delta) in deltas.iter().enumerate() {
+            one_by_one.apply(delta);
+            if i < 3 { &mut first } else { &mut second }.apply(delta);
+        }
+        let mut batched = Census::from_counts(2, 3, 10);
+        batched.absorb(second);
+        batched.absorb(first);
+        assert_eq!(batched, one_by_one);
     }
 
     #[test]

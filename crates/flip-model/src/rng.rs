@@ -35,7 +35,10 @@ const UNIT_F64: f64 = 1.0 / (1u64 << 53) as f64;
 /// let mut b = SimRng::from_seed(1);
 /// assert_eq!(a.gen::<u64>(), b.gen::<u64>());
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Two generators compare equal exactly when they will produce the same
+/// stream, which is how the engine checks that a hook left a copy untouched.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     /// The counter: the raw (pre-mix) argument of the last word produced.
     state: u64,

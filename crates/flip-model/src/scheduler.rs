@@ -293,7 +293,7 @@ impl GossipScheduler {
     /// Whether a round of `m` sends emits in recipient order (dense) or
     /// first-arrival message order (sparse); see the struct docs.
     #[inline]
-    fn is_dense(&self, m: usize) -> bool {
+    pub(crate) fn is_dense(&self, m: usize) -> bool {
         m >= self.n >> DENSE_SEND_SHIFT
     }
 

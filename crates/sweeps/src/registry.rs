@@ -304,6 +304,29 @@ impl Default for ProtocolRegistry {
     }
 }
 
+/// Reads the integer param `key`, or `default` when the spec omits it.
+///
+/// Applies the check [`ScenarioSpec::n`] makes of `n`: the value must be
+/// finite, non-negative, integral and at most 2⁵³, and it must fit in `T`.
+///
+/// # Errors
+///
+/// [`SweepError::Spec`] naming `key` when the value fails the check.
+fn int_param<T: TryFrom<u64>>(spec: &ScenarioSpec, key: &str, default: T) -> Result<T, SweepError> {
+    let Some(&raw) = spec.params.get(key) else {
+        return Ok(default);
+    };
+    if raw >= 0.0 && raw.fract() == 0.0 && raw <= 2f64.powi(53) {
+        if let Ok(value) = T::try_from(raw as u64) {
+            return Ok(value);
+        }
+    }
+    Err(SweepError::Spec(format!(
+        "`{key}` must be a non-negative integer that fits in {}, got {raw}",
+        std::any::type_name::<T>()
+    )))
+}
+
 /// Builds `Params` from a cell: `n`/`epsilon` plus any of the multiplier
 /// overrides (`s_mult`, `beta_mult`, `f_mult`, `gamma_mult`, `final_mult`,
 /// `extra_boost_phases`) the spec carries.
@@ -319,8 +342,7 @@ pub fn params_from_spec(spec: &ScenarioSpec) -> Result<Params, SweepError> {
         beta_mult: spec.param_or("beta_mult", practical.beta_mult),
         f_mult: spec.param_or("f_mult", practical.f_mult),
         gamma_mult: spec.param_or("gamma_mult", practical.gamma_mult),
-        extra_boost_phases: spec.param_or("extra_boost_phases", practical.extra_boost_phases as f64)
-            as usize,
+        extra_boost_phases: int_param(spec, "extra_boost_phases", practical.extra_boost_phases)?,
         final_mult: spec.param_or("final_mult", practical.final_mult),
     };
     let n = usize::try_from(spec.n())
@@ -488,13 +510,13 @@ fn run_mc_boost(
             "`mc-boost` needs a `delta` param (the population bias to boost)".into(),
         ));
     };
-    let mc_trials = spec.param_or("mc_trials", 0.0) as u32;
+    let mc_trials: u32 = int_param(spec, "mc_trials", 0)?;
     if mc_trials == 0 {
         return Err(SweepError::Spec(
             "`mc-boost` needs `mc_trials` >= 1 (the Monte-Carlo sample count)".into(),
         ));
     }
-    let seed_point = spec.param_or("seed_point", 700.0) as u64;
+    let seed_point: u64 = int_param(spec, "seed_point", 700)?;
     let Some(idx) = spec.point.checked_sub(seed_point) else {
         return Err(SweepError::Spec(format!(
             "`mc-boost` cell point {} precedes its seed point {seed_point}",
@@ -586,7 +608,7 @@ fn run_baseline_compare(
     let correct = Opinion::One;
     let seed = spec.seed_for_trial(trial);
     let spec_err = |e: flip_model::FlipError| SweepError::Spec(e.to_string());
-    let (fraction, all_correct) = match spec.param_or("baseline", -1.0) as i64 {
+    let (fraction, all_correct) = match int_param::<i64>(spec, "baseline", -1)? {
         0 => {
             let outcome = BroadcastProtocol::new(params, correct).run_with_seed(seed)?;
             (outcome.fraction_correct, outcome.all_correct)
@@ -653,19 +675,19 @@ fn run_chain_relay(
         )));
     }
     let epsilon = spec.epsilon();
-    let Some(&hops) = spec.params.get("hops") else {
+    if !spec.params.contains_key("hops") {
         return Err(SweepError::Spec(
             "`chain-relay` needs a `hops` param (the chain length)".into(),
         ));
-    };
-    let hops = hops as u32;
-    let samples = spec.param_or("samples", 0.0) as u32;
+    }
+    let hops: u32 = int_param(spec, "hops", 0)?;
+    let samples: u32 = int_param(spec, "samples", 0)?;
     if samples == 0 {
         return Err(SweepError::Spec(
             "`chain-relay` needs `samples` >= 1 (the number of chains to simulate)".into(),
         ));
     }
-    let seed_point = spec.param_or("seed_point", 1_100.0) as u64;
+    let seed_point: u64 = int_param(spec, "seed_point", 1_100)?;
     let seed = SimRng::stream_seed(
         SimRng::stream_seed(spec.base_seed, seed_point),
         u64::from(hops),
@@ -727,7 +749,7 @@ fn run_majority_consensus(
     ctx: &TrialContext,
 ) -> Result<Vec<(&'static str, f64)>, SweepError> {
     let params = params_from_spec(spec)?;
-    let size = spec.param_or("initial_size", spec.n() as f64) as usize;
+    let size: usize = int_param(spec, "initial_size", spec.n() as usize)?;
     let bias = spec.param_or("initial_bias", 0.1);
     let initial = InitialSet::with_bias(size, bias).map_err(|e| SweepError::Spec(e.to_string()))?;
     let protocol = MajorityConsensusProtocol::new(params, Opinion::One, initial)
@@ -838,7 +860,7 @@ fn run_rumor(
     }
     let n = usize::try_from(spec.n())
         .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
-    let informed = spec.param_or("informed", 1.0) as u64;
+    let informed: u64 = int_param(spec, "informed", 1)?;
     if informed > spec.n() {
         return Err(SweepError::Spec(format!(
             "`informed` = {informed} exceeds n = {}",
@@ -934,8 +956,8 @@ fn run_rumor_zealot(
     }
     let n = usize::try_from(spec.n())
         .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
-    let informed = spec.param_or("informed", 1.0) as u64;
-    let zealots = spec.param_or("zealots", 0.0) as u64;
+    let informed: u64 = int_param(spec, "informed", 1)?;
+    let zealots: u64 = int_param(spec, "zealots", 0)?;
     if zealots == 0 {
         return Err(SweepError::Spec(
             "`rumor-zealot` needs `zealots` > 0 (use `rumor` for the homogeneous case)".into(),
@@ -1085,7 +1107,7 @@ fn consensus_setup(spec: &ScenarioSpec) -> Result<(usize, usize, u64), SweepErro
         )));
     }
     let correct = ((0.5 + bias) * n as f64).round() as usize;
-    let phase_len = spec.param_or("phase_len", 15.0) as u64;
+    let phase_len: u64 = int_param(spec, "phase_len", 15)?;
     if phase_len == 0 {
         return Err(SweepError::Spec("`phase_len` must be >= 1".into()));
     }
@@ -1353,6 +1375,53 @@ mod tests {
             panic!("dense broadcast must be rejected");
         };
         assert!(err.to_string().contains("no `dense` variant"), "{err}");
+    }
+
+    #[test]
+    fn integer_params_reject_negative_fractional_and_oversized_values() {
+        let registry = ProtocolRegistry::builtin();
+        let rejects = |spec: ScenarioSpec, key: &str| {
+            let Err(err) = registry.run_trial(&spec, 0) else {
+                panic!("`{key}` = {} must be rejected", spec.params[key]);
+            };
+            let expected = format!("`{key}` must be a non-negative integer");
+            assert!(err.to_string().contains(&expected), "{err}");
+        };
+        let rumor = |informed: f64| {
+            cell(
+                "rumor",
+                Backend::Agents,
+                &[("n", 100.0), ("epsilon", 0.2), ("informed", informed)],
+            )
+        };
+        // Negative: a truncating cast made this a run with nobody informed.
+        rejects(rumor(-3.0), "informed");
+        // Past 2^53, where f64 stops representing every integer.
+        rejects(rumor(2f64.powi(60)), "informed");
+        // Fractional: a truncating cast ran baseline 1.
+        let baseline = cell(
+            "baseline-compare",
+            Backend::Agents,
+            &[("n", 100.0), ("epsilon", 0.3), ("baseline", 1.5)],
+        );
+        rejects(baseline, "baseline");
+        let boost = cell(
+            "broadcast",
+            Backend::Agents,
+            &[("n", 100.0), ("epsilon", 0.3), ("extra_boost_phases", 0.5)],
+        );
+        rejects(boost, "extra_boost_phases");
+        // Too large for the target type: a saturating cast made this
+        // u32::MAX hops.
+        let chain = ScenarioSpec {
+            trials: 1,
+            ..cell(
+                "chain-relay",
+                Backend::Agents,
+                &[("n", 100.0), ("epsilon", 0.2), ("hops", 2f64.powi(32))],
+            )
+        };
+        rejects(chain, "hops");
     }
 
     #[test]

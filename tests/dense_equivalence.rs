@@ -30,6 +30,8 @@ struct Voter {
 }
 
 impl Agent for Voter {
+    const RNG_FREE_HOOKS: bool = true;
+
     fn next_end_round(&self, _round: Round) -> Round {
         Round::MAX
     }

@@ -70,6 +70,8 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 struct Churner(Opinion);
 
 impl Agent for Churner {
+    const RNG_FREE_HOOKS: bool = true;
+
     fn next_end_round(&self, _round: Round) -> Round {
         Round::MAX
     }
@@ -159,6 +161,8 @@ struct LateSender {
 }
 
 impl Agent for LateSender {
+    const RNG_FREE_HOOKS: bool = true;
+
     fn next_end_round(&self, _round: Round) -> Round {
         Round::MAX
     }
@@ -252,11 +256,13 @@ fn parallel_radix_rounds_are_allocation_free_after_warm_up() {
     // The same crossover population with four worker lanes: the parallel
     // scatter/resolve/emit path stages into per-lane regions owned by
     // `RoundRouting`/`GossipScheduler` (pre-sized at construction), and a
-    // `RoundPool` dispatch is a futex wake, not an allocation.  The counter
-    // is per-thread, so this asserts the caller lane — which runs the full
-    // dispatch machinery plus its share of every phase — allocates nothing;
-    // the worker lanes execute the identical phase code on their own
-    // pre-sized regions.
+    // `RoundPool` dispatch is a futex wake, not an allocation.  `Churner`
+    // declares RNG-free hooks, so the send pass and the delivery walk run
+    // on the lanes too, writing into the send buffer sized on the first
+    // round.  The counter is per-thread, so this asserts the caller lane —
+    // which runs the full dispatch machinery plus its share of every phase
+    // — allocates nothing; the worker lanes execute the identical phase
+    // code on their own pre-sized regions.
     let n = flip_model::RADIX_MIN_N;
     let agents: Vec<Churner> = (0..n)
         .map(|i| Churner(Opinion::from_bit(u8::from(i % 2 == 0))))
