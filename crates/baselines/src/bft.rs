@@ -497,7 +497,9 @@ impl Agent for SafeBbcAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flip_model::{BinarySymmetricChannel, NoiselessChannel, Simulation, SimulationConfig};
+    use flip_model::{
+        BinarySymmetricChannel, FlipEngine, NoiselessChannel, Simulation, SimulationConfig,
+    };
 
     fn config(n: usize, seed: u64) -> SimulationConfig {
         SimulationConfig::new(n)

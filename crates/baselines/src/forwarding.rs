@@ -8,12 +8,9 @@
 //! from a coin flip for small `ε`.  This baseline reproduces exactly that
 //! failure mode.
 
-use flip_model::{
-    Agent, BinarySymmetricChannel, FlipError, Opinion, OpinionDelta, Round, SimRng, Simulation,
-    SimulationConfig,
-};
+use flip_model::{Agent, FlipError, Opinion, OpinionDelta, Round, SimRng};
 
-use crate::BaselineOutcome;
+use crate::{BaselineOutcome, BaselineRun};
 
 /// An agent running the immediate-forwarding strategy.
 #[derive(Debug, Clone, Default)]
@@ -90,11 +87,7 @@ impl Agent for ForwardingAgent {
 /// assert!(outcome.fraction_correct < 0.9);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ForwardingProtocol {
-    n: usize,
-    epsilon: f64,
-    rounds: u64,
-}
+pub struct ForwardingProtocol(BaselineRun);
 
 impl ForwardingProtocol {
     /// Creates a runner over `n` agents with noise margin `ε`, running for `rounds` rounds.
@@ -103,11 +96,14 @@ impl ForwardingProtocol {
     ///
     /// Returns [`FlipError`] if `n < 2` or `ε ∉ (0, 1/2]`.
     pub fn new(n: usize, epsilon: f64, rounds: u64) -> Result<Self, FlipError> {
-        if n < 2 {
-            return Err(FlipError::PopulationTooSmall { n });
-        }
-        BinarySymmetricChannel::from_epsilon(epsilon)?;
-        Ok(Self { n, epsilon, rounds })
+        BaselineRun::new(n, epsilon, rounds).map(Self)
+    }
+
+    /// The source holding `correct`, then `n − 1` uninformed agents.
+    fn agents(&self, correct: Opinion) -> Vec<ForwardingAgent> {
+        let mut agents = vec![ForwardingAgent::uninformed(); self.0.n];
+        agents[0] = ForwardingAgent::source(correct);
+        agents
     }
 
     /// Runs one execution in which the source holds `correct`.
@@ -116,24 +112,7 @@ impl ForwardingProtocol {
     ///
     /// Propagates [`FlipError`] from engine construction.
     pub fn run_with_seed(&self, correct: Opinion, seed: u64) -> Result<BaselineOutcome, FlipError> {
-        let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
-        let mut agents = vec![ForwardingAgent::uninformed(); self.n];
-        agents[0] = ForwardingAgent::source(correct);
-        let config = SimulationConfig::new(self.n)
-            .with_seed(seed)
-            .with_reference(correct);
-        let mut sim = Simulation::new(agents, channel, config)?;
-        sim.run(self.rounds);
-        let census = sim.census();
-        Ok(BaselineOutcome {
-            n: self.n,
-            epsilon: self.epsilon,
-            correct,
-            rounds: self.rounds,
-            messages_sent: sim.metrics().messages_sent,
-            fraction_correct: census.fraction_correct(correct),
-            all_correct: census.is_unanimous(correct),
-        })
+        Ok(self.0.run(self.agents(correct), correct, seed, false)?.0)
     }
 
     /// Runs one execution and also reports how many rounds it took to inform
@@ -147,29 +126,8 @@ impl ForwardingProtocol {
         correct: Opinion,
         seed: u64,
     ) -> Result<(BaselineOutcome, Option<u64>), FlipError> {
-        let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
-        let mut agents = vec![ForwardingAgent::uninformed(); self.n];
-        agents[0] = ForwardingAgent::source(correct);
-        let config = SimulationConfig::new(self.n)
-            .with_seed(seed)
-            .with_reference(correct)
-            .with_history(true);
-        let mut sim = Simulation::new(agents, channel, config)?;
-        sim.run(self.rounds);
-        let informed_round = sim.trace().round_reaching_active(self.n);
-        let census = sim.census();
-        Ok((
-            BaselineOutcome {
-                n: self.n,
-                epsilon: self.epsilon,
-                correct,
-                rounds: self.rounds,
-                messages_sent: sim.metrics().messages_sent,
-                fraction_correct: census.fraction_correct(correct),
-                all_correct: census.is_unanimous(correct),
-            },
-            informed_round,
-        ))
+        let (outcome, trace) = self.0.run(self.agents(correct), correct, seed, true)?;
+        Ok((outcome, trace.round_reaching_active(self.0.n)))
     }
 }
 

@@ -45,7 +45,10 @@ pub use three_state::{ThreeState, ThreeStateProtocol};
 pub use two_choices::TwoChoicesProtocol;
 pub use wait_source::WaitForSourceProtocol;
 
-use flip_model::Opinion;
+use flip_model::{
+    Agent, BinarySymmetricChannel, FlipEngine, FlipError, Opinion, Simulation, SimulationConfig,
+    TraceRecorder,
+};
 
 /// The outcome shared by every baseline runner.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +67,65 @@ pub struct BaselineOutcome {
     pub fraction_correct: f64,
     /// Whether every agent held the correct opinion at the end.
     pub all_correct: bool,
+}
+
+/// What the engine-backed baselines share: `n` agents pushing over a binary
+/// symmetric channel of margin `ε` for a fixed budget of rounds.
+#[derive(Debug, Clone)]
+struct BaselineRun {
+    n: usize,
+    epsilon: f64,
+    rounds: u64,
+}
+
+impl BaselineRun {
+    /// Checks the shared parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlipError`] if `n < 2` or `ε ∉ (0, 1/2]`.
+    fn new(n: usize, epsilon: f64, rounds: u64) -> Result<Self, FlipError> {
+        if n < 2 {
+            return Err(FlipError::PopulationTooSmall { n });
+        }
+        BinarySymmetricChannel::from_epsilon(epsilon)?;
+        Ok(Self { n, epsilon, rounds })
+    }
+
+    /// Runs `agents` for the round budget on an engine seeded with `seed`,
+    /// scoring against `correct`, and returns the outcome with the run's
+    /// trace (which keeps per-round snapshots when `history` is set).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`FlipError`] from engine construction.
+    fn run<A: Agent>(
+        &self,
+        agents: Vec<A>,
+        correct: Opinion,
+        seed: u64,
+        history: bool,
+    ) -> Result<(BaselineOutcome, TraceRecorder), FlipError> {
+        let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
+        let config = SimulationConfig::new(self.n)
+            .with_seed(seed)
+            .with_reference(correct)
+            .with_history(history);
+        let mut sim = Simulation::new(agents, channel, config)?;
+        sim.run(self.rounds);
+        let census = sim.census();
+        let (_, metrics, trace) = sim.into_parts();
+        let outcome = BaselineOutcome {
+            n: self.n,
+            epsilon: self.epsilon,
+            correct,
+            rounds: self.rounds,
+            messages_sent: metrics.messages_sent,
+            fraction_correct: census.fraction_correct(correct),
+            all_correct: census.is_unanimous(correct),
+        };
+        Ok((outcome, trace))
+    }
 }
 
 #[cfg(test)]

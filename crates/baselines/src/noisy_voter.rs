@@ -8,12 +8,9 @@
 //! noise the stationary distribution stays close to a fair coin regardless of
 //! the zealot.  This baseline quantifies both effects.
 
-use flip_model::{
-    Agent, BinarySymmetricChannel, FlipError, Opinion, OpinionDelta, Round, SimRng, Simulation,
-    SimulationConfig,
-};
+use flip_model::{Agent, FlipError, Opinion, OpinionDelta, Round, SimRng};
 
-use crate::BaselineOutcome;
+use crate::{BaselineOutcome, BaselineRun};
 
 /// A voter-model agent (the zealot never updates).
 #[derive(Debug, Clone, Default)]
@@ -59,11 +56,7 @@ impl Agent for VoterAgent {
 /// assert!(!outcome.all_correct);
 /// ```
 #[derive(Debug, Clone)]
-pub struct NoisyVoterProtocol {
-    n: usize,
-    epsilon: f64,
-    rounds: u64,
-}
+pub struct NoisyVoterProtocol(BaselineRun);
 
 impl NoisyVoterProtocol {
     /// Creates a runner over `n` agents with noise margin `ε`, running for `rounds` rounds.
@@ -72,11 +65,17 @@ impl NoisyVoterProtocol {
     ///
     /// Returns [`FlipError`] if `n < 2` or `ε ∉ (0, 1/2]`.
     pub fn new(n: usize, epsilon: f64, rounds: u64) -> Result<Self, FlipError> {
-        if n < 2 {
-            return Err(FlipError::PopulationTooSmall { n });
-        }
-        BinarySymmetricChannel::from_epsilon(epsilon)?;
-        Ok(Self { n, epsilon, rounds })
+        BaselineRun::new(n, epsilon, rounds).map(Self)
+    }
+
+    /// The zealot holding `correct`, then `n − 1` undecided agents.
+    fn agents(&self, correct: Opinion) -> Vec<VoterAgent> {
+        let mut agents = vec![VoterAgent::default(); self.0.n];
+        agents[0] = VoterAgent {
+            opinion: Some(correct),
+            is_zealot: true,
+        };
+        agents
     }
 
     /// Runs one execution in which the zealot holds `correct`.
@@ -85,27 +84,7 @@ impl NoisyVoterProtocol {
     ///
     /// Propagates [`FlipError`] from engine construction.
     pub fn run_with_seed(&self, correct: Opinion, seed: u64) -> Result<BaselineOutcome, FlipError> {
-        let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
-        let mut agents = vec![VoterAgent::default(); self.n];
-        agents[0] = VoterAgent {
-            opinion: Some(correct),
-            is_zealot: true,
-        };
-        let config = SimulationConfig::new(self.n)
-            .with_seed(seed)
-            .with_reference(correct);
-        let mut sim = Simulation::new(agents, channel, config)?;
-        sim.run(self.rounds);
-        let census = sim.census();
-        Ok(BaselineOutcome {
-            n: self.n,
-            epsilon: self.epsilon,
-            correct,
-            rounds: self.rounds,
-            messages_sent: sim.metrics().messages_sent,
-            fraction_correct: census.fraction_correct(correct),
-            all_correct: census.is_unanimous(correct),
-        })
+        Ok(self.0.run(self.agents(correct), correct, seed, false)?.0)
     }
 
     /// Runs one execution and returns the per-round fraction of correct agents.
@@ -114,23 +93,11 @@ impl NoisyVoterProtocol {
     ///
     /// Propagates [`FlipError`] from engine construction.
     pub fn run_trajectory(&self, correct: Opinion, seed: u64) -> Result<Vec<f64>, FlipError> {
-        let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
-        let mut agents = vec![VoterAgent::default(); self.n];
-        agents[0] = VoterAgent {
-            opinion: Some(correct),
-            is_zealot: true,
-        };
-        let config = SimulationConfig::new(self.n)
-            .with_seed(seed)
-            .with_reference(correct)
-            .with_history(true);
-        let mut sim = Simulation::new(agents, channel, config)?;
-        sim.run(self.rounds);
-        Ok(sim
-            .trace()
+        let (_, trace) = self.0.run(self.agents(correct), correct, seed, true)?;
+        Ok(trace
             .history()
             .iter()
-            .map(|s| s.correct.unwrap_or(0) as f64 / self.n as f64)
+            .map(|s| s.correct.unwrap_or(0) as f64 / self.0.n as f64)
             .collect())
     }
 }

@@ -1,5 +1,5 @@
 //! The three-state approximate-majority population protocol of Angluin,
-//! Aspnes and Eisenstat (paper §1.2, reference [6]).
+//! Aspnes and Eisenstat (paper §1.2, reference \[6\]).
 //!
 //! Agents hold one of three states — the two opinions plus *blank* — and
 //! interact in random ordered pairs.  When an opinionated initiator meets a

@@ -1,4 +1,4 @@
-//! The two-choices majority dynamics of Doerr et al. (paper §1.2, reference [22]).
+//! The two-choices majority dynamics of Doerr et al. (paper §1.2, reference \[22\]).
 //!
 //! Every agent repeatedly samples the opinions of two other agents chosen
 //! uniformly at random and re-sets its own opinion to the majority among its
@@ -14,12 +14,9 @@
 //! it accepts and, as soon as it holds two, applies the majority update and
 //! clears the buffer.
 
-use flip_model::{
-    Agent, BinarySymmetricChannel, FlipError, Opinion, OpinionDelta, Round, SimRng, Simulation,
-    SimulationConfig,
-};
+use flip_model::{Agent, FlipError, Opinion, OpinionDelta, Round, SimRng};
 
-use crate::BaselineOutcome;
+use crate::{BaselineOutcome, BaselineRun};
 
 /// An agent running the two-choices dynamics over push gossip.
 #[derive(Debug, Clone)]
@@ -92,11 +89,7 @@ impl Agent for TwoChoicesAgent {
 /// assert!(outcome.fraction_correct > 0.95);
 /// ```
 #[derive(Debug, Clone)]
-pub struct TwoChoicesProtocol {
-    n: usize,
-    epsilon: f64,
-    rounds: u64,
-}
+pub struct TwoChoicesProtocol(BaselineRun);
 
 impl TwoChoicesProtocol {
     /// Creates a runner over `n` agents with noise margin `ε`, running for `rounds` rounds.
@@ -105,11 +98,7 @@ impl TwoChoicesProtocol {
     ///
     /// Returns [`FlipError`] if `n < 2` or `ε ∉ (0, 1/2]`.
     pub fn new(n: usize, epsilon: f64, rounds: u64) -> Result<Self, FlipError> {
-        if n < 2 {
-            return Err(FlipError::PopulationTooSmall { n });
-        }
-        BinarySymmetricChannel::from_epsilon(epsilon)?;
-        Ok(Self { n, epsilon, rounds })
+        BaselineRun::new(n, epsilon, rounds).map(Self)
     }
 
     /// Runs one execution with `initially_correct` agents holding `correct` and
@@ -125,17 +114,16 @@ impl TwoChoicesProtocol {
         initially_correct: usize,
         seed: u64,
     ) -> Result<BaselineOutcome, FlipError> {
-        if initially_correct > self.n {
+        if initially_correct > self.0.n {
             return Err(FlipError::InvalidParameter {
                 name: "initially_correct",
                 message: format!(
                     "{initially_correct} initially-correct agents exceed the population of {}",
-                    self.n
+                    self.0.n
                 ),
             });
         }
-        let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
-        let agents: Vec<TwoChoicesAgent> = (0..self.n)
+        let agents: Vec<TwoChoicesAgent> = (0..self.0.n)
             .map(|i| {
                 TwoChoicesAgent::new(if i < initially_correct {
                     correct
@@ -144,21 +132,7 @@ impl TwoChoicesProtocol {
                 })
             })
             .collect();
-        let config = SimulationConfig::new(self.n)
-            .with_seed(seed)
-            .with_reference(correct);
-        let mut sim = Simulation::new(agents, channel, config)?;
-        sim.run(self.rounds);
-        let census = sim.census();
-        Ok(BaselineOutcome {
-            n: self.n,
-            epsilon: self.epsilon,
-            correct,
-            rounds: self.rounds,
-            messages_sent: sim.metrics().messages_sent,
-            fraction_correct: census.fraction_correct(correct),
-            all_correct: census.is_unanimous(correct),
-        })
+        Ok(self.0.run(agents, correct, seed, false)?.0)
     }
 }
 

@@ -8,12 +8,9 @@
 //! `Θ(log n / ε²)` samples required for a confident majority — a factor `n`
 //! slower than the breathe-before-speaking protocol.
 
-use flip_model::{
-    Agent, BinarySymmetricChannel, FlipError, Opinion, OpinionDelta, Round, SimRng, Simulation,
-    SimulationConfig,
-};
+use flip_model::{Agent, FlipError, Opinion, OpinionDelta, Round, SimRng};
 
-use crate::BaselineOutcome;
+use crate::{BaselineOutcome, BaselineRun};
 
 /// An agent running the wait-for-source strategy.
 #[derive(Debug, Clone, Default)]
@@ -72,11 +69,7 @@ impl Agent for WaitAgent {
 /// assert!(!outcome.all_correct);
 /// ```
 #[derive(Debug, Clone)]
-pub struct WaitForSourceProtocol {
-    n: usize,
-    epsilon: f64,
-    rounds: u64,
-}
+pub struct WaitForSourceProtocol(BaselineRun);
 
 impl WaitForSourceProtocol {
     /// Creates a runner over `n` agents with noise margin `ε`, running for `rounds` rounds.
@@ -85,11 +78,7 @@ impl WaitForSourceProtocol {
     ///
     /// Returns [`FlipError`] if `n < 2` or `ε ∉ (0, 1/2]`.
     pub fn new(n: usize, epsilon: f64, rounds: u64) -> Result<Self, FlipError> {
-        if n < 2 {
-            return Err(FlipError::PopulationTooSmall { n });
-        }
-        BinarySymmetricChannel::from_epsilon(epsilon)?;
-        Ok(Self { n, epsilon, rounds })
+        BaselineRun::new(n, epsilon, rounds).map(Self)
     }
 
     /// Rounds this strategy needs, in expectation, for a typical agent to hold a
@@ -108,24 +97,9 @@ impl WaitForSourceProtocol {
     ///
     /// Propagates [`FlipError`] from engine construction.
     pub fn run_with_seed(&self, correct: Opinion, seed: u64) -> Result<BaselineOutcome, FlipError> {
-        let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
-        let mut agents = vec![WaitAgent::default(); self.n];
+        let mut agents = vec![WaitAgent::default(); self.0.n];
         agents[0].source_opinion = Some(correct);
-        let config = SimulationConfig::new(self.n)
-            .with_seed(seed)
-            .with_reference(correct);
-        let mut sim = Simulation::new(agents, channel, config)?;
-        sim.run(self.rounds);
-        let census = sim.census();
-        Ok(BaselineOutcome {
-            n: self.n,
-            epsilon: self.epsilon,
-            correct,
-            rounds: self.rounds,
-            messages_sent: sim.metrics().messages_sent,
-            fraction_correct: census.fraction_correct(correct),
-            all_correct: census.is_unanimous(correct),
-        })
+        Ok(self.0.run(agents, correct, seed, false)?.0)
     }
 }
 

@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::{
-    BinarySymmetricChannel, DenseSimulation, HybridSimulation, MajoritySamplerProtocol, RumorAgent,
-    RumorProtocol, SimulationConfig, StratifiedPopulation, StratifiedSimulation,
+    BinarySymmetricChannel, DenseSimulation, FlipEngine, HybridSimulation, MajoritySamplerProtocol,
+    RumorAgent, RumorProtocol, SimulationConfig, StratifiedPopulation, StratifiedSimulation,
     ZealotRumorProtocol,
 };
 

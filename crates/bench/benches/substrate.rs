@@ -5,8 +5,8 @@
 use breathe::{BroadcastProtocol, Params};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use flip_model::{
-    Agent, BernoulliSkip, BinarySymmetricChannel, Channel, GossipScheduler, Opinion, OpinionDelta,
-    Round, RoundPool, RoundRouting, SimRng, Simulation, SimulationConfig,
+    Agent, BernoulliSkip, BinarySymmetricChannel, Channel, FlipEngine, GossipScheduler, Opinion,
+    OpinionDelta, Round, RoundPool, RoundRouting, SimRng, Simulation, SimulationConfig, Telemetry,
 };
 use rand::Rng;
 
@@ -92,7 +92,7 @@ fn substrate(c: &mut Criterion) {
             let sends: Vec<(u32, Opinion)> = (0..n as u32).map(|i| (i, Opinion::One)).collect();
             let mut routing = RoundRouting::with_capacity(n);
             b.iter(|| {
-                scheduler.route_into(&sends, &mut rng, &mut routing);
+                scheduler.route_into(&sends, &mut rng, &mut routing, None, &mut Telemetry::off());
                 routing.sent
             });
         });
@@ -110,7 +110,7 @@ fn substrate(c: &mut Criterion) {
             let mut rng = SimRng::from_seed(6);
             let mut routing = RoundRouting::with_capacity(n);
             b.iter(|| {
-                scheduler.route_into_radix(&sends, &mut rng, &mut routing);
+                scheduler.route_into_radix(&sends, &mut rng, &mut routing, &mut Telemetry::off());
                 routing.sent
             });
         });
@@ -119,7 +119,12 @@ fn substrate(c: &mut Criterion) {
             let mut rng = SimRng::from_seed(6);
             let mut routing = RoundRouting::with_capacity(n);
             b.iter(|| {
-                scheduler.route_into_single_pass(&sends, &mut rng, &mut routing);
+                scheduler.route_into_single_pass(
+                    &sends,
+                    &mut rng,
+                    &mut routing,
+                    &mut Telemetry::off(),
+                );
                 routing.sent
             });
         });
@@ -141,7 +146,13 @@ fn substrate(c: &mut Criterion) {
             let mut rng = SimRng::from_seed(6);
             let mut routing = RoundRouting::with_capacity(n);
             b.iter(|| {
-                scheduler.route_into_parallel(&sends, &mut rng, &mut routing, &pool);
+                scheduler.route_into(
+                    &sends,
+                    &mut rng,
+                    &mut routing,
+                    Some(&pool),
+                    &mut Telemetry::off(),
+                );
                 routing.sent
             });
         });
@@ -155,7 +166,7 @@ fn substrate(c: &mut Criterion) {
             let mut rng = SimRng::from_seed(6);
             let mut routing = RoundRouting::with_capacity(n);
             b.iter(|| {
-                scheduler.route_into_radix(&sends, &mut rng, &mut routing);
+                scheduler.route_into_radix(&sends, &mut rng, &mut routing, &mut Telemetry::off());
                 routing.sent
             });
         },
@@ -172,7 +183,7 @@ fn substrate(c: &mut Criterion) {
         let mut routing = RoundRouting::with_capacity(n);
         let skip = BernoulliSkip::new(channel.crossover()).expect("noisy channel");
         b.iter(|| {
-            scheduler.route_into(&sends, &mut rng, &mut routing);
+            scheduler.route_into(&sends, &mut rng, &mut routing, None, &mut Telemetry::off());
             let mut flips = 0u64;
             skip.for_each_success(&mut rng, routing.accepted().len(), |_| flips += 1);
             flips

@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use flip_model::{
-    Agent, BinarySymmetricChannel, ClockModel, FlipError, Opinion, OpinionDelta, Round, SimRng,
-    Simulation, SimulationConfig,
+    Agent, BinarySymmetricChannel, ClockModel, FlipEngine, FlipError, Opinion, OpinionDelta, Round,
+    SimRng, Simulation, SimulationConfig,
 };
 
 use crate::agent_core::ProtocolCore;

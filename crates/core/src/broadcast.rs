@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use flip_model::{
-    Agent, BinarySymmetricChannel, Census, FlipError, Opinion, OpinionDelta, Round, SimRng,
-    Simulation, SimulationConfig,
+    Agent, BinarySymmetricChannel, Census, FlipEngine, FlipError, Opinion, OpinionDelta, Round,
+    SimRng, Simulation, SimulationConfig,
 };
 
 use crate::agent_core::ProtocolCore;

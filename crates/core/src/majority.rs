@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use flip_model::{
-    majority_bias, BinarySymmetricChannel, FlipError, Opinion, Simulation, SimulationConfig,
+    majority_bias, BinarySymmetricChannel, FlipEngine, FlipError, Opinion, Simulation,
+    SimulationConfig,
 };
 
 use crate::broadcast::BreatheAgent;

@@ -232,7 +232,7 @@ pub trait Agent: Send {
     /// Whether the agent has irrevocably finished executing its protocol.
     ///
     /// The engine never forces termination; this is informational (used by
-    /// [`Simulation::run_until`](crate::Simulation::run_until) predicates and
+    /// [`FlipEngine::run_until`](crate::FlipEngine::run_until) predicates and
     /// experiment harnesses).  The default is `false`.
     fn is_done(&self) -> bool {
         false

@@ -86,7 +86,7 @@ impl SimulationConfig {
     /// Intra-round parallelism is **bit-identical** to the sequential
     /// engine: a seeded run produces exactly the same deliveries, metrics
     /// and RNG stream at every thread count (see
-    /// [`GossipScheduler::route_into_parallel`](crate::GossipScheduler::route_into_parallel)),
+    /// [`GossipScheduler::route_into`](crate::GossipScheduler::route_into)),
     /// so this knob trades wall-clock for cores without perturbing results.
     /// Values are clamped to [`MAX_WORKERS`](crate::MAX_WORKERS); sweeps
     /// should derive this from

@@ -34,8 +34,7 @@
 //!
 //! ```
 //! use flip_model::{
-//!     BinarySymmetricChannel, DensePopulation, DenseSimulation, RumorProtocol,
-//!     SimulationConfig,
+//!     BinarySymmetricChannel, DenseSimulation, FlipEngine, RumorProtocol, SimulationConfig,
 //! };
 //!
 //! # fn main() -> Result<(), flip_model::FlipError> {
@@ -53,7 +52,7 @@
 use crate::agent::Round;
 use crate::channel::Channel;
 use crate::config::SimulationConfig;
-use crate::engine::RoundSummary;
+use crate::engine::{FlipEngine, RoundSummary};
 use crate::error::FlipError;
 use crate::metrics::Metrics;
 use crate::opinion::Opinion;
@@ -173,11 +172,12 @@ impl DensePopulation {
 /// `O(#states)` binomial draws, so `n = 10⁶` costs the same per round as
 /// `n = 100`.  See the module docs for the exactness contract.
 ///
-/// Since the stratified generalization landed this is a thin wrapper over a
-/// single-stratum [`StratifiedSimulation`]; the stratified engine draws the
-/// same variates in the same order, so seeded dense runs are bit-identical
-/// to what this type produced when it owned the round loop
-/// (`tests/dense_golden.rs` pins the stream).
+/// It is a thin wrapper over a single-stratum [`StratifiedSimulation`] that
+/// keeps only what differs from it: the one-stratum construction and
+/// population accessors.  The stratified engine draws the same variates in
+/// the same order, so seeded dense runs are bit-identical to what this type
+/// produced when it owned the round loop (`tests/dense_golden.rs` pins the
+/// stream).
 #[derive(Debug)]
 pub struct DenseSimulation<P, C> {
     inner: StratifiedSimulation<P, C>,
@@ -209,76 +209,31 @@ impl<P: DenseProtocol, C: Channel> DenseSimulation<P, C> {
         Ok(Self { inner })
     }
 
-    /// Executes one synchronous round and returns its summary.
-    pub fn step(&mut self) -> RoundSummary {
-        self.inner.step()
-    }
-
-    /// Executes `rounds` rounds and returns the accumulated metrics.
-    pub fn run(&mut self, rounds: u64) -> &Metrics {
-        self.inner.run(rounds)
-    }
-
-    /// Executes rounds until `predicate` returns `true` (checked after every
-    /// round) or `max_rounds` rounds have been executed, whichever comes first.
-    ///
-    /// Returns the number of rounds executed by this call.
-    pub fn run_until<F>(&mut self, max_rounds: u64, mut predicate: F) -> u64
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        let mut executed = 0;
-        while executed < max_rounds {
-            self.step();
-            executed += 1;
-            if predicate(self) {
-                break;
-            }
-        }
-        executed
-    }
-
     /// The current per-state population counts.
     #[must_use]
     pub fn population(&self) -> &DensePopulation {
         self.inner.population().stratum(0)
     }
 
-    /// A census of the current population.
-    #[must_use]
-    pub fn census(&self) -> Census {
-        self.inner.census()
-    }
-
-    /// The accumulated metrics so far.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        self.inner.metrics()
-    }
-
-    /// The next round index to be executed (equals rounds executed so far).
-    #[must_use]
-    pub fn round(&self) -> Round {
-        self.inner.round()
-    }
-
-    /// The protocol state machine in use.
-    #[must_use]
-    pub fn protocol(&self) -> &P {
-        self.inner.protocol()
-    }
-
-    /// The noise channel in use.
-    #[must_use]
-    pub fn channel(&self) -> &C {
-        &self.inner.channels()[0]
-    }
-
     /// Consumes the simulation, returning the final population and metrics.
     #[must_use]
     pub fn into_parts(self) -> (DensePopulation, Metrics) {
-        let (_, _, population, metrics) = self.inner.into_raw_parts();
+        let (population, metrics) = self.inner.into_parts();
         (population.into_stratum0(), metrics)
+    }
+}
+
+impl<P: DenseProtocol, C: Channel> FlipEngine for DenseSimulation<P, C> {
+    fn step(&mut self) -> RoundSummary {
+        self.inner.step()
+    }
+
+    fn census(&self) -> Census {
+        self.inner.census()
+    }
+
+    fn metrics(&self) -> &Metrics {
+        self.inner.metrics()
     }
 }
 
@@ -328,7 +283,7 @@ mod tests {
         sim.run(10);
         assert_eq!(sim.metrics().messages_sent, 0);
         assert_eq!(sim.census().active(), 0);
-        assert_eq!(sim.round(), 11);
+        assert_eq!(sim.metrics().rounds, 11);
     }
 
     #[test]

@@ -429,6 +429,7 @@ mod tests {
     use crate::channel::BinarySymmetricChannel;
     use crate::config::SimulationConfig;
     use crate::dense::DenseSimulation;
+    use crate::engine::FlipEngine;
     use crate::stratified::StratifiedSimulation;
 
     #[test]

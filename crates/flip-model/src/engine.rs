@@ -6,7 +6,7 @@ use crate::agent::{Agent, OpinionDelta, Round};
 use crate::channel::Channel;
 use crate::config::SimulationConfig;
 use crate::error::FlipError;
-use crate::faults::{FaultPlan, FaultRole};
+use crate::faults::FaultPlan;
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::opinion::Opinion;
 use crate::pool::{RoundPool, MAX_WORKERS};
@@ -81,7 +81,7 @@ impl EndRoundGate {
     /// With a fault plan, a deaf role's protocol is frozen: its hook neither
     /// runs nor draws from the stream, while its bound still counts, which
     /// is only ever conservative.
-    pub(crate) fn run<A: Agent>(
+    pub(crate) fn run_hooks<A: Agent>(
         &mut self,
         agents: &mut [A],
         round: Round,
@@ -118,17 +118,6 @@ struct LaneTally {
     drew: bool,
 }
 
-/// Whether a fault plan makes `recipient` deaf in `round`.
-///
-/// A message routed to a deaf role dies at the recipient, not in the
-/// scheduler: its slot, flip position and (per-message) corruption draw are
-/// consumed exactly as for an honest recipient, so honest agents observe the
-/// same stream whether or not faulty peers exist.
-#[inline]
-fn is_deaf(faults: Option<&FaultPlan>, recipient: usize, round: Round) -> bool {
-    faults.is_some_and(|plan| !plan.role(recipient).accepts_delivery(round))
-}
-
 /// One lane's share of the send pass: a contiguous range of agents and the
 /// same range of the send buffer.
 struct SendRange<'a, A> {
@@ -140,33 +129,14 @@ struct SendRange<'a, A> {
 
 impl<A: Agent> SendRange<'_, A> {
     /// Writes the range's sends to the head of `out`, branch-free: a silent
-    /// agent writes a placeholder that the next send overwrites.
-    ///
-    /// With a fault plan, faulty roles override their agent: Byzantine roles
-    /// inject their bit without consulting (or advancing) the agent, crashed
-    /// agents fall silent, and adaptive-flip agents run their protocol but
-    /// transmit its negation.
-    fn run(self, round: Round, faults: Option<&FaultPlan>, rng: &mut SimRng) -> LaneTally {
+    /// agent writes a placeholder that the next send overwrites.  Faulty
+    /// roles override their agent ([`FaultPlan::send`]).
+    fn send(self, round: Round, faults: Option<&FaultPlan>, rng: &mut SimRng) -> LaneTally {
         let mut tally = LaneTally::default();
         for (offset, agent) in self.agents.iter_mut().enumerate() {
             let idx = self.first + offset;
-            let message = match faults {
-                None => agent.send(round, rng),
-                Some(plan) => match plan.forced_send(idx, round) {
-                    Some(forced) => {
-                        tally.faulted += 1;
-                        forced
-                    }
-                    None => {
-                        let sent = agent.send(round, rng);
-                        if plan.role(idx) == FaultRole::ByzantineAdaptiveFlip {
-                            sent.map(Opinion::flipped)
-                        } else {
-                            sent
-                        }
-                    }
-                },
-            };
+            let (message, forced) = FaultPlan::send(faults, idx, agent, round, rng);
+            tally.faulted += u64::from(forced);
             self.out[tally.sends] = (idx as u32, message.unwrap_or(Opinion::Zero));
             tally.sends += usize::from(message.is_some());
         }
@@ -196,7 +166,7 @@ impl<A: Agent> WalkRange<'_, A> {
     /// reaches it) ends the list, so the scan needs no end test, and whether
     /// a message flips, a random bit, is never branched on: the comparison
     /// both flips the payload and advances the pointer.
-    fn run(mut self, round: Round, faults: Option<&FaultPlan>, rng: &mut SimRng) -> LaneTally {
+    fn deliver(mut self, round: Round, faults: Option<&FaultPlan>, rng: &mut SimRng) -> LaneTally {
         let mut tally = LaneTally::default();
         let mut next_flip = 0;
         for (i, delivery) in self.deliveries.iter().enumerate() {
@@ -204,7 +174,7 @@ impl<A: Agent> WalkRange<'_, A> {
             next_flip += usize::from(flip);
             let payload = delivery.payload.flipped_if(flip);
             let recipient = delivery.recipient.index();
-            if is_deaf(faults, recipient, round) {
+            if FaultPlan::is_deaf(faults, recipient, round) {
                 tally.faulted += 1;
                 continue;
             }
@@ -273,12 +243,70 @@ pub struct RoundSummary {
     pub census_correct: Option<usize>,
 }
 
+/// An engine executing the Flip model's round semantics (paper §1.3.2).
+///
+/// The per-agent [`Simulation`], the counts-based
+/// [`StratifiedSimulation`](crate::StratifiedSimulation) and
+/// [`DenseSimulation`](crate::DenseSimulation), and the
+/// [`HybridSimulation`](crate::HybridSimulation) implement it, so code
+/// written against the trait drives every backend.  An engine supplies
+/// [`step`](FlipEngine::step), [`census`](FlipEngine::census) and
+/// [`metrics`](FlipEngine::metrics); the run loops are provided, and the
+/// telemetry hooks default to no-ops for engines that record nothing.
+pub trait FlipEngine {
+    /// Executes one synchronous round and returns its summary.
+    fn step(&mut self) -> RoundSummary;
+
+    /// A census of the current population.
+    fn census(&self) -> Census;
+
+    /// The accumulated metrics so far.
+    fn metrics(&self) -> &Metrics;
+
+    /// Turns on phase timing and event counting for later rounds.  Purely
+    /// observational: recording never touches the RNG stream.
+    fn enable_telemetry(&mut self) {}
+
+    /// Takes the recorder accumulated so far, disabling further recording;
+    /// `None` when telemetry is off.
+    fn take_telemetry(&mut self) -> Option<Recorder> {
+        None
+    }
+
+    /// Executes `rounds` rounds and returns the accumulated metrics.
+    fn run(&mut self, rounds: u64) -> &Metrics {
+        for _ in 0..rounds {
+            self.step();
+        }
+        self.metrics()
+    }
+
+    /// Executes rounds until `predicate` returns `true` (checked after every
+    /// round) or `max_rounds` rounds have run, whichever comes first.
+    ///
+    /// Returns the number of rounds executed by this call.
+    fn run_until<F>(&mut self, max_rounds: u64, mut predicate: F) -> u64
+    where
+        F: FnMut(&Self) -> bool,
+    {
+        let mut executed = 0;
+        while executed < max_rounds {
+            self.step();
+            executed += 1;
+            if predicate(self) {
+                break;
+            }
+        }
+        executed
+    }
+}
+
 /// A synchronous Flip-model simulation over a homogeneous population of agents.
 ///
 /// The engine owns the agents, the gossip scheduler, the noise channel, the
 /// metrics and the trace.  Each call to [`Simulation::step`] executes one
-/// round with exactly the semantics of paper §1.3.2; [`Simulation::run`] and
-/// [`Simulation::run_until`] execute many.
+/// round with exactly the semantics of paper §1.3.2; [`FlipEngine::run`] and
+/// [`FlipEngine::run_until`] execute many.
 ///
 /// See the crate-level documentation for a complete example.
 ///
@@ -491,7 +519,7 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             &mut self.rng,
             ranges,
             &mut self.lane_tallies,
-            |range, rng| range.run(round, faults, rng),
+            |range, rng| range.send(round, faults, rng),
         );
         let mut sent = 0;
         let mut forced_sends = 0u64;
@@ -510,22 +538,13 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         // Phase 2: route into the reused buffer, then corrupt + deliver.
         // The parallel and sequential routes are bit-identical; the pool
         // only changes which cores do the work.
-        let sends = &self.send_buffer[..sent];
-        match &self.pool {
-            Some(pool) => self.scheduler.route_into_parallel_with(
-                sends,
-                &mut self.rng,
-                &mut self.routing,
-                pool,
-                &mut self.telemetry,
-            ),
-            None => self.scheduler.route_into_with(
-                sends,
-                &mut self.rng,
-                &mut self.routing,
-                &mut self.telemetry,
-            ),
-        }
+        self.scheduler.route_into(
+            &self.send_buffer[..sent],
+            &mut self.rng,
+            &mut self.routing,
+            self.pool.as_ref(),
+            &mut self.telemetry,
+        );
 
         // Split borrows: the routing buffer is read while agents, census,
         // trace and rng are written.
@@ -555,7 +574,7 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
                 let corrupted = channel.transmit(delivery.payload, rng);
                 flips += u64::from(corrupted != delivery.payload);
                 let recipient = delivery.recipient.index();
-                if is_deaf(faults, recipient, round) {
+                if FaultPlan::is_deaf(faults, recipient, round) {
                     suppressed += 1;
                     continue;
                 }
@@ -607,7 +626,7 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
                 }
             });
             let tallies = agent_pass::<A, _>(lanes, rng, ranges, lane_tallies, |range, rng| {
-                range.run(round, faults, rng)
+                range.deliver(round, faults, rng)
             });
             for tally in tallies {
                 census.absorb(tally.census);
@@ -623,7 +642,7 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         if self.end_round.is_due(agents, round) {
             let span = tel.begin();
             self.end_round
-                .run(agents, round, faults, rng, |delta| census.apply(delta));
+                .run_hooks(agents, round, faults, rng, |delta| census.apply(delta));
             tel.end(Phase::ProtocolStep, span);
         }
         // Drained last, so a round's lane busy time covers every pass.
@@ -668,33 +687,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             census_active: self.census.active(),
             census_correct: self.reference.map(|r| self.census.holding(r)),
         }
-    }
-
-    /// Executes `rounds` rounds and returns the accumulated metrics.
-    pub fn run(&mut self, rounds: u64) -> &Metrics {
-        for _ in 0..rounds {
-            self.step();
-        }
-        &self.metrics
-    }
-
-    /// Executes rounds until `predicate` returns `true` (checked after every
-    /// round) or `max_rounds` rounds have been executed, whichever comes first.
-    ///
-    /// Returns the number of rounds executed by this call.
-    pub fn run_until<F>(&mut self, max_rounds: u64, mut predicate: F) -> u64
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        let mut executed = 0;
-        while executed < max_rounds {
-            self.step();
-            executed += 1;
-            if predicate(self) {
-                break;
-            }
-        }
-        executed
     }
 
     /// The agents, in population order.
@@ -769,11 +761,39 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
     }
 }
 
+/// Delegates to the inherent methods, which stay callable without the trait
+/// in scope.
+impl<A: Agent, C: Channel> FlipEngine for Simulation<A, C> {
+    fn step(&mut self) -> RoundSummary {
+        Simulation::step(self)
+    }
+
+    fn census(&self) -> Census {
+        Simulation::census(self)
+    }
+
+    fn metrics(&self) -> &Metrics {
+        Simulation::metrics(self)
+    }
+
+    fn enable_telemetry(&mut self) {
+        Simulation::enable_telemetry(self);
+    }
+
+    fn take_telemetry(&mut self) -> Option<Recorder> {
+        Simulation::take_telemetry(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agent::OpinionDelta;
     use crate::channel::{AdversarialCapChannel, BinarySymmetricChannel, NoiselessChannel};
+    use crate::{
+        DenseSimulation, HybridSimulation, RumorAgent, RumorProtocol, StratifiedPopulation,
+        StratifiedSimulation,
+    };
 
     /// An agent that always sends its fixed opinion.
     struct Beacon(Opinion);
@@ -864,15 +884,61 @@ mod tests {
         assert!(sim.census().is_unanimous(Opinion::One));
     }
 
+    /// The provided run loop, checked on all four engines: it stops at
+    /// `max_rounds`, stops in the round the predicate turns true, returns
+    /// the executed count, and agrees with `metrics().rounds`.
     #[test]
     fn run_until_stops_at_max_rounds() {
-        let agents = adopters(10, 0); // nobody informed, nothing ever happens
-        let config = SimulationConfig::new(10).with_seed(5);
-        let mut sim = Simulation::new(agents, NoiselessChannel, config).unwrap();
-        let executed = sim.run_until(17, |_| false);
-        assert_eq!(executed, 17);
-        assert_eq!(sim.metrics().rounds, 17);
-        assert_eq!(sim.metrics().messages_sent, 0);
+        fn check<E: FlipEngine>(label: &str, build: impl Fn() -> E) {
+            let mut engine = build();
+            assert_eq!(engine.run_until(17, |_| false), 17, "{label}");
+            assert_eq!(engine.metrics().rounds, 17, "{label}");
+            assert_eq!(engine.run_until(0, |_| true), 0, "{label}");
+
+            let mut engine = build();
+            let mut calls = 0;
+            let executed = engine.run_until(100, |e| {
+                calls += 1;
+                e.metrics().rounds == 5
+            });
+            assert_eq!((executed, calls), (5, 5), "{label}");
+            assert_eq!(engine.metrics().rounds, 5, "{label}");
+
+            // A census predicate stops in the first round stepping by hand
+            // reaches.
+            let mut reference = build();
+            let mut first_full = 0;
+            while reference.census().active() < N {
+                reference.step();
+                first_full += 1;
+            }
+            let mut engine = build();
+            let executed = engine.run_until(1_000, |e| e.census().active() == N);
+            assert_eq!(executed, first_full, "{label}");
+            assert_eq!(engine.metrics().rounds, first_full, "{label}");
+            assert_eq!(engine.metrics(), reference.metrics(), "{label}");
+        }
+
+        const N: usize = 300;
+        let channel = || BinarySymmetricChannel::from_epsilon(0.3).unwrap();
+        let config = || SimulationConfig::new(N).with_seed(5);
+        check("agents", || {
+            Simulation::new(RumorAgent::population(N, 0, 2), channel(), config()).unwrap()
+        });
+        check("dense", || {
+            let population = RumorProtocol::population(N as u64, 0, 2);
+            DenseSimulation::new(RumorProtocol, channel(), population, config()).unwrap()
+        });
+        check("stratified", || {
+            let population =
+                StratifiedPopulation::single(RumorProtocol::population(N as u64, 0, 2));
+            StratifiedSimulation::new(RumorProtocol, vec![channel()], population, config()).unwrap()
+        });
+        check("hybrid", || {
+            let tracked = RumorAgent::population(8, 0, 1);
+            let bulk = StratifiedPopulation::single(RumorProtocol::population(N as u64 - 8, 0, 1));
+            HybridSimulation::new(tracked, RumorProtocol, channel(), bulk, config()).unwrap()
+        });
     }
 
     #[test]

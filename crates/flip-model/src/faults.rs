@@ -42,7 +42,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::agent::Round;
+use crate::agent::{Agent, Round};
 use crate::channel::Channel;
 use crate::error::FlipError;
 use crate::opinion::Opinion;
@@ -356,6 +356,46 @@ impl FaultPlan {
             FaultRole::ByzantineConstant { opinion } => Some(Some(opinion)),
             FaultRole::ByzantineEquivocating => Some(Some(Opinion::from_bit((round & 1) as u8))),
         }
+    }
+
+    /// What agent `idx` pushes in `round` under `plan`, and whether its role
+    /// forced the send: the send pass of both per-agent engines.
+    ///
+    /// Byzantine roles inject their bit without consulting (or advancing)
+    /// the agent, crashed agents fall silent, and adaptive-flip agents run
+    /// their protocol but transmit its negation.  Without a plan the agent
+    /// decides alone.
+    #[inline(always)]
+    pub(crate) fn send<A: Agent>(
+        plan: Option<&Self>,
+        idx: usize,
+        agent: &mut A,
+        round: Round,
+        rng: &mut SimRng,
+    ) -> (Option<Opinion>, bool) {
+        let Some(plan) = plan else {
+            return (agent.send(round, rng), false);
+        };
+        if let Some(forced) = plan.forced_send(idx, round) {
+            return (forced, true);
+        }
+        let sent = agent.send(round, rng);
+        if plan.role(idx) == FaultRole::ByzantineAdaptiveFlip {
+            (sent.map(Opinion::flipped), false)
+        } else {
+            (sent, false)
+        }
+    }
+
+    /// Whether `plan` makes `recipient` deaf in `round`.
+    ///
+    /// A message routed to a deaf role dies at the recipient, not before:
+    /// its slot, flip position and corruption draw are consumed exactly as
+    /// for an honest recipient, so honest agents observe the same stream
+    /// whether or not faulty peers exist.
+    #[inline(always)]
+    pub(crate) fn is_deaf(plan: Option<&Self>, recipient: usize, round: Round) -> bool {
+        plan.is_some_and(|plan| !plan.role(recipient).accepts_delivery(round))
     }
 }
 

@@ -38,8 +38,8 @@
 //!
 //! ```
 //! use flip_model::{
-//!     AdversarialCapChannel, HybridSimulation, RumorAgent, RumorProtocol, SimulationConfig,
-//!     StratifiedPopulation,
+//!     AdversarialCapChannel, FlipEngine, HybridSimulation, RumorAgent, RumorProtocol,
+//!     SimulationConfig, StratifiedPopulation,
 //! };
 //!
 //! # fn main() -> Result<(), flip_model::FlipError> {
@@ -56,17 +56,17 @@
 //! # }
 //! ```
 
-use crate::agent::{Agent, Round};
+use crate::agent::Agent;
 use crate::channel::Channel;
 use crate::config::SimulationConfig;
-use crate::engine::{EndRoundGate, RoundSummary};
+use crate::engine::{EndRoundGate, FlipEngine, RoundSummary};
 use crate::error::FlipError;
-use crate::faults::{FaultPlan, FaultRole};
+use crate::faults::FaultPlan;
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::opinion::Opinion;
 use crate::population::Census;
 use crate::rng::SimRng;
-use crate::stratified::{binomial, validate_and_pad, StratifiedPopulation, StratifiedProtocol};
+use crate::stratified::{Bulk, MessagePool, StratifiedPopulation, StratifiedProtocol};
 use crate::trace::TraceRecorder;
 use telemetry::{Event, Phase, Recorder, Telemetry};
 
@@ -76,15 +76,17 @@ use telemetry::{Event, Phase, Recorder, Telemetry};
 ///
 /// Selected by `--backend hybrid:k` on `sweep table`; see the module
 /// docs for the exactness contract.
+///
+/// A round draws the tracked sends, the bulk's aggregate sends, then each
+/// tracked agent's reception, then the bulk's reception pass, which is the
+/// stratified engine's own (every stratum hears through the channel's mean
+/// crossover).
 #[derive(Debug)]
 pub struct HybridSimulation<A, P, C> {
     tracked: Vec<A>,
-    protocol: P,
     channel: C,
-    bulk: StratifiedPopulation,
-    next_counts: Vec<Vec<u64>>,
+    bulk: Bulk<P>,
     rng: SimRng,
-    round: Round,
     metrics: Metrics,
     reference: Option<Opinion>,
     n: u64,
@@ -164,22 +166,12 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
                 Some(FaultPlan::leading(&spec, faulty as usize, tracked.len()))
             }
         };
-        let mut bulk = bulk;
-        validate_and_pad(&protocol, &mut bulk)?;
-        let next_counts = bulk
-            .strata()
-            .iter()
-            .map(|stratum| vec![0; stratum.counts().len()])
-            .collect();
         let trace = TraceRecorder::new(tracked.len(), config.trace_options(), config.reference());
         Ok(Self {
             tracked,
-            protocol,
             channel,
-            bulk,
-            next_counts,
+            bulk: Bulk::new(protocol, bulk)?,
             rng: SimRng::from_seed(config.seed()),
-            round: 0,
             end_round: EndRoundGate::default(),
             metrics: Metrics::new(),
             reference: config.reference(),
@@ -188,290 +180,6 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
             trace,
             telemetry: Telemetry::off(),
         })
-    }
-
-    /// Switches phase timing and event counting on for subsequent rounds.
-    ///
-    /// Timing reads the monotonic clock only — never the simulation RNG — so
-    /// an instrumented run's deliveries, metrics and traces are bit-identical
-    /// to an uninstrumented one.
-    pub fn enable_telemetry(&mut self) {
-        if !self.telemetry.is_enabled() {
-            self.telemetry = Telemetry::enabled();
-        }
-    }
-
-    /// The accumulated telemetry, when enabled.
-    #[must_use]
-    pub fn telemetry(&self) -> Option<&Recorder> {
-        self.telemetry.recorder()
-    }
-
-    /// Takes the accumulated telemetry, leaving telemetry disabled.
-    pub fn take_telemetry(&mut self) -> Option<Recorder> {
-        self.telemetry.take()
-    }
-
-    /// Executes one synchronous round and returns its summary.
-    pub fn step(&mut self) -> RoundSummary {
-        let round = self.round;
-        let n = self.n;
-        let strata = self.bulk.strata().len();
-
-        // Phase 1: sends — tracked agents individually, bulk in aggregate,
-        // all into one shared pool.
-        let span = self.telemetry.begin();
-        let mut sent_by_symbol = [0u64; 2];
-        let mut forced_sends = 0u64;
-        match &self.faults {
-            None => {
-                for agent in &mut self.tracked {
-                    if let Some(symbol) = agent.send(round, &mut self.rng) {
-                        sent_by_symbol[symbol.index()] += 1;
-                    }
-                }
-            }
-            Some(plan) => {
-                // Same role overrides as the per-agent engine: Byzantine
-                // roles inject, crashed agents fall silent, adaptive-flip
-                // agents negate their own protocol's send.
-                for (idx, agent) in self.tracked.iter_mut().enumerate() {
-                    let symbol = match plan.forced_send(idx, round) {
-                        Some(forced) => {
-                            forced_sends += 1;
-                            forced
-                        }
-                        None => {
-                            let sent = agent.send(round, &mut self.rng);
-                            if plan.role(idx) == FaultRole::ByzantineAdaptiveFlip {
-                                sent.map(Opinion::flipped)
-                            } else {
-                                sent
-                            }
-                        }
-                    };
-                    if let Some(symbol) = symbol {
-                        sent_by_symbol[symbol.index()] += 1;
-                    }
-                }
-            }
-        }
-        for s in 0..strata {
-            for state in 0..self.bulk.strata()[s].counts.len() {
-                let count = self.bulk.strata()[s].counts[state];
-                if count == 0 {
-                    continue;
-                }
-                if let Some((symbol, probability)) = self.protocol.send(s, state, round) {
-                    sent_by_symbol[symbol.index()] += binomial(&mut self.rng, count, probability);
-                }
-            }
-        }
-        let sent = sent_by_symbol[0] + sent_by_symbol[1];
-        self.telemetry.end(Phase::ProtocolStep, span);
-        self.telemetry.add(Event::FaultForcedSends, forced_sends);
-
-        // Phase 2: reception against the shared pool.
-        let span = self.telemetry.begin();
-        for next in &mut self.next_counts {
-            next.fill(0);
-        }
-        let mut accepted = 0u64;
-        let mut flips = 0u64;
-        let mut suppressed = 0u64;
-        let mut tracked_corrections = 0u64;
-        let record_activations = self.trace.options().record_activations;
-        if sent == 0 {
-            for s in 0..strata {
-                for state in 0..self.bulk.strata()[s].counts.len() {
-                    let count = self.bulk.strata()[s].counts[state];
-                    if count > 0 {
-                        self.next_counts[s][self.protocol.on_round_end(s, state, round)] += count;
-                    }
-                }
-            }
-        } else {
-            let p_receive = 1.0 - (1.0 - 1.0 / (n as f64 - 1.0)).powf(sent as f64);
-            let fraction_one = sent_by_symbol[1] as f64 / sent as f64;
-
-            // Tracked deliveries: sample whether each agent's mailbox is
-            // non-empty, draw the accepted symbol from the pool's global
-            // mix, then corrupt it through the *real* channel — exact
-            // per-message noise, not the mean crossover.
-            for (idx, agent) in self.tracked.iter_mut().enumerate() {
-                if !self.rng.chance(p_receive) {
-                    continue;
-                }
-                let symbol = if self.rng.chance(fraction_one) {
-                    Opinion::One
-                } else {
-                    Opinion::Zero
-                };
-                let delivered = self.channel.transmit(symbol, &mut self.rng);
-                tracked_corrections += 1;
-                if delivered != symbol {
-                    flips += 1;
-                }
-                accepted += 1;
-                // A deaf role's message dies at the recipient: its mailbox,
-                // symbol and corruption draws are all consumed exactly as
-                // for an honest agent (mirroring the per-agent engine), so
-                // the rest of the round sees an unchanged stream.
-                let deaf = self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|plan| !plan.role(idx).accepts_delivery(round));
-                if deaf {
-                    suppressed += 1;
-                    continue;
-                }
-                if record_activations {
-                    self.trace.on_delivery(idx, round);
-                }
-                let _ = agent.deliver(round, delivered, &mut self.rng);
-            }
-
-            // Bulk deliveries: the stratified engine's aggregate pass.
-            let crossover = self.channel.mean_crossover();
-            let hear_one = fraction_one * (1.0 - crossover) + (1.0 - fraction_one) * crossover;
-            for s in 0..strata {
-                let mut stratum_accepted = 0u64;
-                let mut heard_ones = 0u64;
-                for state in 0..self.bulk.strata()[s].counts.len() {
-                    let count = self.bulk.strata()[s].counts[state];
-                    if count == 0 {
-                        continue;
-                    }
-                    let receivers = binomial(&mut self.rng, count, p_receive);
-                    let hear_ones = binomial(&mut self.rng, receivers, hear_one);
-                    let hear_zeros = receivers - hear_ones;
-                    stratum_accepted += receivers;
-                    heard_ones += hear_ones;
-                    let silent_state = self.protocol.on_round_end(s, state, round);
-                    self.next_counts[s][silent_state] += count - receivers;
-                    let one_state = self.protocol.on_round_end(
-                        s,
-                        self.protocol.on_receive(s, state, Opinion::One, round),
-                        round,
-                    );
-                    self.next_counts[s][one_state] += hear_ones;
-                    let zero_state = self.protocol.on_round_end(
-                        s,
-                        self.protocol.on_receive(s, state, Opinion::Zero, round),
-                        round,
-                    );
-                    self.next_counts[s][zero_state] += hear_zeros;
-                }
-                let flip_given_one = if hear_one > 0.0 {
-                    ((1.0 - fraction_one) * crossover / hear_one).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let flip_given_zero = if hear_one < 1.0 {
-                    (fraction_one * crossover / (1.0 - hear_one)).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                flips += binomial(&mut self.rng, heard_ones, flip_given_one)
-                    + binomial(
-                        &mut self.rng,
-                        stratum_accepted - heard_ones,
-                        flip_given_zero,
-                    );
-                accepted += stratum_accepted;
-            }
-        }
-        self.telemetry.end(Phase::NoiseMerge, span);
-        self.telemetry
-            .add(Event::HybridTrackedCorrections, tracked_corrections);
-        self.telemetry
-            .add(Event::FaultSuppressedDeliveries, suppressed);
-
-        let span = self.telemetry.begin();
-        for (stratum, next) in self.bulk.strata_mut().iter_mut().zip(&mut self.next_counts) {
-            std::mem::swap(&mut stratum.counts, next);
-        }
-        self.telemetry.end(Phase::CensusApply, span);
-        if self.end_round.is_due(&self.tracked, round) {
-            let span = self.telemetry.begin();
-            self.end_round.run(
-                &mut self.tracked,
-                round,
-                self.faults.as_ref(),
-                &mut self.rng,
-                |_| {},
-            );
-            self.telemetry.end(Phase::ProtocolStep, span);
-        }
-
-        let accepted_capped = accepted.min(sent);
-        let round_metrics = RoundMetrics {
-            round,
-            messages_sent: sent,
-            messages_accepted: accepted_capped,
-            messages_collided: sent - accepted_capped,
-            bits_flipped: flips.min(accepted_capped),
-            forced_sends,
-            suppressed_deliveries: suppressed,
-            crashed_agents: self
-                .faults
-                .as_ref()
-                .map_or(0, |plan| plan.crashed_count(round) as u64),
-        };
-        self.metrics.absorb_round(&round_metrics);
-        self.round += 1;
-
-        let census = self.census();
-        self.trace.on_round_end(round, &census, sent);
-        RoundSummary {
-            metrics: round_metrics,
-            census_active: census.active(),
-            census_correct: self.reference.map(|r| census.holding(r)),
-        }
-    }
-
-    /// Executes `rounds` rounds and returns the accumulated metrics.
-    pub fn run(&mut self, rounds: u64) -> &Metrics {
-        for _ in 0..rounds {
-            self.step();
-        }
-        &self.metrics
-    }
-
-    /// Executes rounds until `predicate` returns `true` (checked after every
-    /// round) or `max_rounds` rounds have run, whichever comes first.
-    ///
-    /// Returns the number of rounds executed by this call.
-    pub fn run_until<F>(&mut self, max_rounds: u64, mut predicate: F) -> u64
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        let mut executed = 0;
-        while executed < max_rounds {
-            self.step();
-            executed += 1;
-            if predicate(self) {
-                break;
-            }
-        }
-        executed
-    }
-
-    /// A census over both sides of the split.
-    #[must_use]
-    pub fn census(&self) -> Census {
-        let mut holding = [0usize; 2];
-        for agent in &self.tracked {
-            if let Some(op) = agent.opinion() {
-                holding[op.index()] += 1;
-            }
-        }
-        let bulk = self.bulk.census(&self.protocol);
-        Census::from_counts(
-            holding[0] + bulk.holding(Opinion::Zero),
-            holding[1] + bulk.holding(Opinion::One),
-            self.n as usize,
-        )
     }
 
     /// The tracked agents, in their construction order.
@@ -483,25 +191,7 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
     /// The dense bulk's current per-stratum counts.
     #[must_use]
     pub fn bulk(&self) -> &StratifiedPopulation {
-        &self.bulk
-    }
-
-    /// The accumulated metrics so far.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The next round index to be executed (equals rounds executed so far).
-    #[must_use]
-    pub fn round(&self) -> Round {
-        self.round
-    }
-
-    /// The bulk protocol in use.
-    #[must_use]
-    pub fn protocol(&self) -> &P {
-        &self.protocol
+        &self.bulk.population
     }
 
     /// The channel in use.
@@ -527,7 +217,143 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
     /// population, and the accumulated metrics.
     #[must_use]
     pub fn into_parts(self) -> (Vec<A>, StratifiedPopulation, Metrics) {
-        (self.tracked, self.bulk, self.metrics)
+        (self.tracked, self.bulk.population, self.metrics)
+    }
+}
+
+impl<A: Agent, P: StratifiedProtocol, C: Channel> FlipEngine for HybridSimulation<A, P, C> {
+    fn step(&mut self) -> RoundSummary {
+        let round = self.metrics.rounds;
+        let faults = self.faults.as_ref();
+
+        // Phase 1: sends — tracked agents individually, bulk in aggregate,
+        // all into one shared pool.
+        let span = self.telemetry.begin();
+        let mut pool = MessagePool::default();
+        let mut forced_sends = 0u64;
+        for (idx, agent) in self.tracked.iter_mut().enumerate() {
+            let (message, forced) = FaultPlan::send(faults, idx, agent, round, &mut self.rng);
+            forced_sends += u64::from(forced);
+            if let Some(symbol) = message {
+                pool.push(symbol, 1);
+            }
+        }
+        self.bulk.send(round, &mut self.rng, &mut pool);
+        let sent = pool.total();
+        self.telemetry.end(Phase::ProtocolStep, span);
+        self.telemetry.add(Event::FaultForcedSends, forced_sends);
+
+        // Phase 2: reception against the shared pool.
+        let span = self.telemetry.begin();
+        let mut accepted = 0u64;
+        let mut flips = 0u64;
+        let mut suppressed = 0u64;
+        let record_activations = self.trace.options().record_activations;
+        if sent > 0 {
+            let p_receive = pool.receive_probability(self.n);
+            let fraction_one = pool.fraction_one();
+            // Tracked deliveries: sample whether each agent's mailbox is
+            // non-empty, draw the accepted symbol from the pool's global
+            // mix, then corrupt it through the *real* channel — exact
+            // per-message noise, not the mean crossover.
+            for (idx, agent) in self.tracked.iter_mut().enumerate() {
+                if !self.rng.chance(p_receive) {
+                    continue;
+                }
+                let symbol = if self.rng.chance(fraction_one) {
+                    Opinion::One
+                } else {
+                    Opinion::Zero
+                };
+                let delivered = self.channel.transmit(symbol, &mut self.rng);
+                flips += u64::from(delivered != symbol);
+                accepted += 1;
+                if FaultPlan::is_deaf(faults, idx, round) {
+                    suppressed += 1;
+                    continue;
+                }
+                if record_activations {
+                    self.trace.on_delivery(idx, round);
+                }
+                let _ = agent.deliver(round, delivered, &mut self.rng);
+            }
+        }
+        // Every tracked acceptance so far drew its own channel corruption.
+        self.telemetry
+            .add(Event::HybridTrackedCorrections, accepted);
+        let channel = &self.channel;
+        let (bulk_accepted, bulk_flips) = self.bulk.receive(
+            &pool,
+            self.n,
+            |_| channel.mean_crossover(),
+            round,
+            &mut self.rng,
+        );
+        accepted += bulk_accepted;
+        flips += bulk_flips;
+        self.telemetry.end(Phase::NoiseMerge, span);
+        self.telemetry
+            .add(Event::FaultSuppressedDeliveries, suppressed);
+
+        if self.end_round.is_due(&self.tracked, round) {
+            let span = self.telemetry.begin();
+            self.end_round
+                .run_hooks(&mut self.tracked, round, faults, &mut self.rng, |_| {});
+            self.telemetry.end(Phase::ProtocolStep, span);
+        }
+
+        let accepted_capped = accepted.min(sent);
+        let round_metrics = RoundMetrics {
+            round,
+            messages_sent: sent,
+            messages_accepted: accepted_capped,
+            messages_collided: sent - accepted_capped,
+            bits_flipped: flips.min(accepted_capped),
+            forced_sends,
+            suppressed_deliveries: suppressed,
+            crashed_agents: faults.map_or(0, |plan| plan.crashed_count(round) as u64),
+        };
+        self.metrics.absorb_round(&round_metrics);
+
+        let span = self.telemetry.begin();
+        let census = self.census();
+        self.telemetry.end(Phase::CensusApply, span);
+        self.trace.on_round_end(round, &census, sent);
+        RoundSummary {
+            metrics: round_metrics,
+            census_active: census.active(),
+            census_correct: self.reference.map(|r| census.holding(r)),
+        }
+    }
+
+    /// A census over both sides of the split.
+    fn census(&self) -> Census {
+        let mut holding = [0usize; 2];
+        for agent in &self.tracked {
+            if let Some(op) = agent.opinion() {
+                holding[op.index()] += 1;
+            }
+        }
+        let bulk = self.bulk.census();
+        Census::from_counts(
+            holding[0] + bulk.holding(Opinion::Zero),
+            holding[1] + bulk.holding(Opinion::One),
+            self.n as usize,
+        )
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn enable_telemetry(&mut self) {
+        if !self.telemetry.is_enabled() {
+            self.telemetry = Telemetry::enabled();
+        }
+    }
+
+    fn take_telemetry(&mut self) -> Option<Recorder> {
+        self.telemetry.take()
     }
 }
 

@@ -23,10 +23,12 @@
 //! ([`DenseProtocol`]) and stratified heterogeneous ones
 //! ([`StratifiedProtocol`]) in `O(#strata × #states)` per round, reaching
 //! populations of `10⁶`–`10⁷` agents — and the [`HybridSimulation`], which
-//! runs `k` tracked agents exactly against a dense bulk.  See the
-//! [`dense`](DenseSimulation), [`stratified`](StratifiedSimulation) and
-//! [`hybrid`](HybridSimulation) module documentation for the equivalence
-//! contract between them.
+//! runs `k` tracked agents exactly against a dense bulk.  Every engine
+//! implements [`FlipEngine`] (`step`, `census`, `metrics`, telemetry and the
+//! shared `run`/`run_until` loops), so code written against the trait drives
+//! any backend.  See the [`dense`](DenseSimulation),
+//! [`stratified`](StratifiedSimulation) and [`hybrid`](HybridSimulation)
+//! module documentation for the equivalence contract between them.
 //!
 //! # Example
 //!
@@ -34,8 +36,8 @@
 //!
 //! ```
 //! use flip_model::{
-//!     Agent, BinarySymmetricChannel, Opinion, OpinionDelta, Round, SimRng, Simulation,
-//!     SimulationConfig,
+//!     Agent, BinarySymmetricChannel, FlipEngine, Opinion, OpinionDelta, Round, SimRng,
+//!     Simulation, SimulationConfig,
 //! };
 //!
 //! struct Parrot {
@@ -105,7 +107,7 @@ pub use dense_protocols::{
     MajoritySamplerProtocol, RumorAgent, RumorProtocol, VoterProtocol, ZealotAgent,
     ZealotRumorProtocol,
 };
-pub use engine::{RoundSummary, Simulation};
+pub use engine::{FlipEngine, RoundSummary, Simulation};
 pub use error::FlipError;
 pub use faults::{AdversarialSchedule, FaultKind, FaultPlan, FaultRole, FaultSpec};
 pub use hybrid::HybridSimulation;

@@ -352,11 +352,12 @@ impl GossipScheduler {
     /// Routes one round of sends into a fresh [`RoundRouting`].
     ///
     /// Equivalent to [`route_into`](GossipScheduler::route_into) with a new
-    /// output buffer; hot loops should hold one `RoundRouting` and call
-    /// `route_into` instead to avoid the per-round allocation.
+    /// output buffer, no pool and telemetry off; hot loops should hold one
+    /// `RoundRouting` and call `route_into` instead to avoid the per-round
+    /// allocation.
     pub fn route(&mut self, sends: &[(u32, Opinion)], rng: &mut SimRng) -> RoundRouting {
         let mut out = RoundRouting::with_capacity(self.n);
-        self.route_into(sends, rng, &mut out);
+        self.route_into(sends, rng, &mut out, None, &mut Telemetry::off());
         out
     }
 
@@ -368,9 +369,16 @@ impl GossipScheduler {
     /// arriving message uniformly at random (highest reservoir priority).
     ///
     /// Dispatches dense rounds of populations of at least [`RADIX_MIN_N`]
-    /// agents to the cache-bucketed radix path and everything else to the
-    /// single-pass path; the paths consume the same RNG stream and produce
-    /// bit-identical routings, so the crossover is invisible to callers.
+    /// agents to the cache-bucketed radix path, fanned across `pool`'s lanes
+    /// when a pool is given, and everything else to the single-pass path.
+    /// Every path consumes the same RNG stream and produces bit-identical
+    /// routings, so neither the crossover nor the lane count is visible to
+    /// callers (`tests/radix_routing.rs` pins this across lanes, population
+    /// and density).
+    ///
+    /// `tel` receives phase timings and event counts.  Telemetry is
+    /// observational only: it never touches `rng`, so the routing (and the
+    /// post-round RNG state) is bit-identical whether it is enabled or not.
     ///
     /// After the first call with this scheduler's population, `out` never
     /// allocates again.
@@ -379,27 +387,16 @@ impl GossipScheduler {
         sends: &[(u32, Opinion)],
         rng: &mut SimRng,
         out: &mut RoundRouting,
-    ) {
-        self.route_into_with(sends, rng, out, &mut Telemetry::off());
-    }
-
-    /// [`route_into`](GossipScheduler::route_into) with phase timing and
-    /// event counting through `tel`.
-    ///
-    /// Telemetry is observational only: `tel` never touches `rng`, so the
-    /// routing (and the post-round RNG state) is bit-identical whether the
-    /// handle is enabled, disabled, or absent.
-    pub fn route_into_with(
-        &mut self,
-        sends: &[(u32, Opinion)],
-        rng: &mut SimRng,
-        out: &mut RoundRouting,
+        pool: Option<&RoundPool>,
         tel: &mut Telemetry,
     ) {
         if self.n >= RADIX_MIN_N && self.is_dense(sends.len()) {
-            self.route_into_radix_with(sends, rng, out, tel);
+            match pool {
+                Some(pool) => self.route_into_radix_parallel(sends, rng, out, pool, tel),
+                None => self.route_into_radix(sends, rng, out, tel),
+            }
         } else {
-            self.route_into_single_pass_with(sends, rng, out, tel);
+            self.route_into_single_pass(sends, rng, out, tel);
         }
     }
 
@@ -501,17 +498,6 @@ impl GossipScheduler {
         sends: &[(u32, Opinion)],
         rng: &mut SimRng,
         out: &mut RoundRouting,
-    ) {
-        self.route_into_single_pass_with(sends, rng, out, &mut Telemetry::off());
-    }
-
-    /// [`route_into_single_pass`](GossipScheduler::route_into_single_pass)
-    /// with phase timing and event counting through `tel`.
-    pub fn route_into_single_pass_with(
-        &mut self,
-        sends: &[(u32, Opinion)],
-        rng: &mut SimRng,
-        out: &mut RoundRouting,
         tel: &mut Telemetry,
     ) {
         let m = sends.len();
@@ -602,20 +588,9 @@ impl GossipScheduler {
     ///
     /// Sparse rounds (`m < n/8`) delegate to the single-pass path: with few
     /// messages the scatter misses are few, and the bucket machinery would
-    /// cost more than it saves.
+    /// cost more than it saves.  In `tel`, the fused resolve + emit pass is
+    /// attributed to [`Phase::WindowResolve`].
     pub fn route_into_radix(
-        &mut self,
-        sends: &[(u32, Opinion)],
-        rng: &mut SimRng,
-        out: &mut RoundRouting,
-    ) {
-        self.route_into_radix_with(sends, rng, out, &mut Telemetry::off());
-    }
-
-    /// [`route_into_radix`](GossipScheduler::route_into_radix) with phase
-    /// timing and event counting through `tel` (the fused resolve + emit
-    /// pass is attributed to [`Phase::WindowResolve`]).
-    pub fn route_into_radix_with(
         &mut self,
         sends: &[(u32, Opinion)],
         rng: &mut SimRng,
@@ -624,7 +599,7 @@ impl GossipScheduler {
     ) {
         let m = sends.len();
         if !self.is_dense(m) {
-            self.route_into_single_pass_with(sends, rng, out, tel);
+            self.route_into_single_pass(sends, rng, out, tel);
             return;
         }
         self.grow_buffer(out);
@@ -718,42 +693,6 @@ impl GossipScheduler {
         tel.end(Phase::WindowResolve, span);
     }
 
-    /// Routes one round like [`route_into`](GossipScheduler::route_into),
-    /// fanning the radix path's phases across `pool`'s lanes.
-    ///
-    /// Bit-identical to the sequential `route_into` for **any** pool width —
-    /// same deliveries, same emission order, same collision counts, same
-    /// post-round RNG state — so a caller can thread any thread budget
-    /// through without perturbing seeded results.  The thread-count
-    /// invariance suite in `tests/radix_routing.rs` pins this across
-    /// lanes × population × density.
-    pub fn route_into_parallel(
-        &mut self,
-        sends: &[(u32, Opinion)],
-        rng: &mut SimRng,
-        out: &mut RoundRouting,
-        pool: &RoundPool,
-    ) {
-        self.route_into_parallel_with(sends, rng, out, pool, &mut Telemetry::off());
-    }
-
-    /// [`route_into_parallel`](GossipScheduler::route_into_parallel) with
-    /// phase timing and event counting through `tel`.
-    pub fn route_into_parallel_with(
-        &mut self,
-        sends: &[(u32, Opinion)],
-        rng: &mut SimRng,
-        out: &mut RoundRouting,
-        pool: &RoundPool,
-        tel: &mut Telemetry,
-    ) {
-        if self.n >= RADIX_MIN_N && self.is_dense(sends.len()) {
-            self.route_into_radix_parallel_with(sends, rng, out, pool, tel);
-        } else {
-            self.route_into_single_pass_with(sends, rng, out, tel);
-        }
-    }
-
     /// The parallel radix routing path: the same three phases as
     /// [`route_into_radix`](GossipScheduler::route_into_radix), each fanned
     /// out across the pool's lanes, bit-identical to both sequential paths
@@ -786,22 +725,10 @@ impl GossipScheduler {
     /// radix path does), empty and single-lane rounds to the sequential
     /// radix path.  Public so the invariance tests and benches can force
     /// this path below [`RADIX_MIN_N`]; like `route_into_radix` it accepts
-    /// any population the scheduler accepts.
-    pub fn route_into_radix_parallel(
-        &mut self,
-        sends: &[(u32, Opinion)],
-        rng: &mut SimRng,
-        out: &mut RoundRouting,
-        pool: &RoundPool,
-    ) {
-        self.route_into_radix_parallel_with(sends, rng, out, pool, &mut Telemetry::off());
-    }
-
-    /// [`route_into_radix_parallel`](GossipScheduler::route_into_radix_parallel)
-    /// with phase timing and event counting through `tel`: the three pool
+    /// any population the scheduler accepts.  In `tel`, the three pool
     /// dispatches map onto [`Phase::Scatter`], [`Phase::WindowResolve`] and
     /// [`Phase::SweepEmit`].
-    pub fn route_into_radix_parallel_with(
+    pub fn route_into_radix_parallel(
         &mut self,
         sends: &[(u32, Opinion)],
         rng: &mut SimRng,
@@ -811,11 +738,11 @@ impl GossipScheduler {
     ) {
         let m = sends.len();
         if !self.is_dense(m) {
-            self.route_into_single_pass_with(sends, rng, out, tel);
+            self.route_into_single_pass(sends, rng, out, tel);
             return;
         }
         if m == 0 || pool.workers() == 1 {
-            self.route_into_radix_with(sends, rng, out, tel);
+            self.route_into_radix(sends, rng, out, tel);
             return;
         }
         self.grow_buffer(out);
@@ -1185,7 +1112,7 @@ mod tests {
         let mut out = RoundRouting::with_capacity(16);
         let capacity = out.buffer.capacity();
         for _ in 0..100 {
-            s.route_into(&sends, &mut rng, &mut out);
+            s.route_into(&sends, &mut rng, &mut out, None, &mut Telemetry::off());
             assert_eq!(out.sent, 16);
             assert_eq!(out.sent, out.accepted().len() as u64 + out.collided);
             assert_eq!(
@@ -1206,7 +1133,7 @@ mod tests {
         let mut out = RoundRouting::default();
         for _ in 0..20 {
             let fresh = s1.route(&sends, &mut rng1);
-            s2.route_into(&sends, &mut rng2, &mut out);
+            s2.route_into(&sends, &mut rng2, &mut out, None, &mut Telemetry::off());
             assert_eq!(fresh, out);
         }
     }
@@ -1221,8 +1148,13 @@ mod tests {
         let mut out_single = RoundRouting::with_capacity(n);
         let mut out_radix = RoundRouting::with_capacity(n);
         for round in 0..rounds {
-            single.route_into_single_pass(sends, &mut rng_single, &mut out_single);
-            radix.route_into_radix(sends, &mut rng_radix, &mut out_radix);
+            single.route_into_single_pass(
+                sends,
+                &mut rng_single,
+                &mut out_single,
+                &mut Telemetry::off(),
+            );
+            radix.route_into_radix(sends, &mut rng_radix, &mut out_radix, &mut Telemetry::off());
             assert_eq!(
                 out_single, out_radix,
                 "n = {n}, round {round}: routings diverged"
@@ -1258,8 +1190,19 @@ mod tests {
                 let mut out_seq = RoundRouting::with_capacity(n);
                 let mut out_par = RoundRouting::with_capacity(n);
                 for round in 0..3 {
-                    sequential.route_into_radix(sends, &mut rng_seq, &mut out_seq);
-                    parallel.route_into_radix_parallel(sends, &mut rng_par, &mut out_par, &pool);
+                    sequential.route_into_radix(
+                        sends,
+                        &mut rng_seq,
+                        &mut out_seq,
+                        &mut Telemetry::off(),
+                    );
+                    parallel.route_into_radix_parallel(
+                        sends,
+                        &mut rng_par,
+                        &mut out_par,
+                        &pool,
+                        &mut Telemetry::off(),
+                    );
                     assert_eq!(out_seq, out_par, "n = {n}, round {round}");
                     assert_eq!(rng_seq.next_u64(), rng_par.next_u64(), "n = {n}");
                 }
@@ -1285,8 +1228,19 @@ mod tests {
         let mut out_single = RoundRouting::with_capacity(n);
         let mut out_par = RoundRouting::with_capacity(n);
         for round in 0..4 {
-            single.route_into_single_pass(&sends, &mut rng_single, &mut out_single);
-            parallel.route_into_radix_parallel(&sends, &mut rng_par, &mut out_par, &pool);
+            single.route_into_single_pass(
+                &sends,
+                &mut rng_single,
+                &mut out_single,
+                &mut Telemetry::off(),
+            );
+            parallel.route_into_radix_parallel(
+                &sends,
+                &mut rng_par,
+                &mut out_par,
+                &pool,
+                &mut Telemetry::off(),
+            );
             let spilled: usize = parallel.spills.iter().map(Vec::len).sum();
             assert!(
                 spilled > 1_000,
@@ -1328,8 +1282,8 @@ mod tests {
         let mut out1 = RoundRouting::with_capacity(n);
         let mut out2 = RoundRouting::with_capacity(n);
         for _ in 0..3 {
-            dispatched.route_into(&sends, &mut rng1, &mut out1);
-            explicit.route_into_single_pass(&sends, &mut rng2, &mut out2);
+            dispatched.route_into(&sends, &mut rng1, &mut out1, None, &mut Telemetry::off());
+            explicit.route_into_single_pass(&sends, &mut rng2, &mut out2, &mut Telemetry::off());
             assert_eq!(out1, out2);
         }
     }
@@ -1344,7 +1298,12 @@ mod tests {
         let mut winner_counts = [0u32; 3];
         let mut total = 0u32;
         for _ in 0..30_000 {
-            s.route_into_radix(&[(0, Opinion::Zero), (1, Opinion::One)], &mut rng, &mut out);
+            s.route_into_radix(
+                &[(0, Opinion::Zero), (1, Opinion::One)],
+                &mut rng,
+                &mut out,
+                &mut Telemetry::off(),
+            );
             for d in out.accepted() {
                 if d.recipient.index() == 2 && out.collided == 1 {
                     winner_counts[d.sender.index()] += 1;
@@ -1410,8 +1369,18 @@ mod tests {
         let mut out_single = RoundRouting::with_capacity(n);
         let mut out_radix = RoundRouting::with_capacity(n);
         for round in 0..4 {
-            single.route_into_single_pass(&sends, &mut rng_single, &mut out_single);
-            radix.route_into_radix(&sends, &mut rng_radix, &mut out_radix);
+            single.route_into_single_pass(
+                &sends,
+                &mut rng_single,
+                &mut out_single,
+                &mut Telemetry::off(),
+            );
+            radix.route_into_radix(
+                &sends,
+                &mut rng_radix,
+                &mut out_radix,
+                &mut Telemetry::off(),
+            );
             assert!(
                 radix.spill.len() > 1_000,
                 "round {round}: the starved capacity must actually spill, got {}",
@@ -1444,8 +1413,13 @@ mod tests {
         let mut out_inst = RoundRouting::with_capacity(n);
         let rounds = 3u64;
         for round in 0..rounds {
-            plain.route_into_radix(&sends, &mut rng_plain, &mut out_plain);
-            instrumented.route_into_radix_with(&sends, &mut rng_inst, &mut out_inst, &mut tel);
+            plain.route_into_radix(
+                &sends,
+                &mut rng_plain,
+                &mut out_plain,
+                &mut Telemetry::off(),
+            );
+            instrumented.route_into_radix(&sends, &mut rng_inst, &mut out_inst, &mut tel);
             assert_eq!(out_plain, out_inst, "round {round}");
             assert_eq!(rng_plain.next_u64(), rng_inst.next_u64(), "round {round}");
         }

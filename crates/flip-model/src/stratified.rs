@@ -34,7 +34,8 @@
 //!
 //! ```
 //! use flip_model::{
-//!     BinarySymmetricChannel, SimulationConfig, StratifiedSimulation, ZealotRumorProtocol,
+//!     BinarySymmetricChannel, FlipEngine, SimulationConfig, StratifiedSimulation,
+//!     ZealotRumorProtocol,
 //! };
 //!
 //! # fn main() -> Result<(), flip_model::FlipError> {
@@ -58,7 +59,7 @@ use crate::agent::Round;
 use crate::channel::Channel;
 use crate::config::SimulationConfig;
 use crate::dense::{DensePopulation, DenseProtocol};
-use crate::engine::RoundSummary;
+use crate::engine::{FlipEngine, RoundSummary};
 use crate::error::FlipError;
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::opinion::Opinion;
@@ -208,16 +209,6 @@ impl StratifiedPopulation {
         &self.strata[stratum]
     }
 
-    /// All strata, for crate-internal engines that drive the counts directly.
-    pub(crate) fn strata(&self) -> &[DensePopulation] {
-        &self.strata
-    }
-
-    /// Mutable view of all strata, for crate-internal engines.
-    pub(crate) fn strata_mut(&mut self) -> &mut [DensePopulation] {
-        &mut self.strata
-    }
-
     /// Unwraps a single-stratum population back into its dense form.
     ///
     /// # Panics
@@ -245,50 +236,191 @@ impl StratifiedPopulation {
     }
 }
 
-/// Validates a population against a protocol's stratum/state declarations
-/// and pads every stratum's counts vector to its declared state count.
-/// Shared between [`StratifiedSimulation::new`] and the hybrid engine's bulk
-/// setup.
-pub(crate) fn validate_and_pad<P: StratifiedProtocol>(
-    protocol: &P,
-    population: &mut StratifiedPopulation,
-) -> Result<(), FlipError> {
-    let strata = protocol.stratum_count();
-    if strata == 0 {
-        return Err(FlipError::InvalidParameter {
-            name: "stratum_count",
-            message: "a stratified protocol needs at least one stratum".to_string(),
-        });
+/// One round's shared message pool: how many messages of each symbol the
+/// senders pushed, whatever engine side they came from.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MessagePool {
+    sent: [u64; 2],
+}
+
+impl MessagePool {
+    /// Adds `count` messages carrying `symbol`.
+    pub(crate) fn push(&mut self, symbol: Opinion, count: u64) {
+        self.sent[symbol.index()] += count;
     }
-    if population.stratum_count() != strata {
-        return Err(FlipError::InvalidParameter {
-            name: "strata",
-            message: format!(
-                "population has {} strata but the protocol declares {strata}",
-                population.stratum_count()
-            ),
-        });
+
+    /// Messages pushed in total.
+    pub(crate) fn total(&self) -> u64 {
+        self.sent[0] + self.sent[1]
     }
-    for (s, stratum) in population.strata.iter_mut().enumerate() {
-        let states = protocol.state_count(s);
-        if states == 0 {
+
+    /// The occupancy marginal over `n` agents: the probability that an
+    /// agent's mailbox is non-empty, `1 − (1 − 1/(n−1))^M` (see
+    /// [`crate::dense`]).
+    pub(crate) fn receive_probability(&self, n: u64) -> f64 {
+        1.0 - (1.0 - 1.0 / (n as f64 - 1.0)).powf(self.total() as f64)
+    }
+
+    /// The pool's global share of [`Opinion::One`] messages (NaN when
+    /// empty).
+    pub(crate) fn fraction_one(&self) -> f64 {
+        self.sent[1] as f64 / self.total() as f64
+    }
+}
+
+/// The dense bulk of a stratified or hybrid engine: a stratified protocol,
+/// its per-stratum counts, and the reused successor counts.
+///
+/// Its two passes are the whole counts-based round, shared by
+/// [`StratifiedSimulation`] and [`HybridSimulation`](crate::HybridSimulation):
+/// [`send`](Bulk::send) pushes the bulk's messages into the round's pool, and
+/// [`receive`](Bulk::receive) delivers the pool back to the bulk.
+#[derive(Debug)]
+pub(crate) struct Bulk<P> {
+    pub(crate) protocol: P,
+    pub(crate) population: StratifiedPopulation,
+    next_counts: Vec<Vec<u64>>,
+}
+
+impl<P: StratifiedProtocol> Bulk<P> {
+    /// Validates `population` against the protocol's stratum and state
+    /// declarations and pads every stratum's counts to its state count.
+    pub(crate) fn new(
+        protocol: P,
+        mut population: StratifiedPopulation,
+    ) -> Result<Self, FlipError> {
+        let strata = protocol.stratum_count();
+        if strata == 0 {
             return Err(FlipError::InvalidParameter {
-                name: "state_count",
-                message: format!("stratum {s} declares no states; need at least one"),
+                name: "stratum_count",
+                message: "a stratified protocol needs at least one stratum".to_string(),
             });
         }
-        if stratum.counts().len() > states {
+        if population.stratum_count() != strata {
             return Err(FlipError::InvalidParameter {
-                name: "counts",
+                name: "strata",
                 message: format!(
-                    "stratum {s} has {} state slots but its protocol declares {states}",
-                    stratum.counts().len()
+                    "population has {} strata but the protocol declares {strata}",
+                    population.stratum_count()
                 ),
             });
         }
-        stratum.counts.resize(states, 0);
+        for (s, stratum) in population.strata.iter_mut().enumerate() {
+            let states = protocol.state_count(s);
+            if states == 0 {
+                return Err(FlipError::InvalidParameter {
+                    name: "state_count",
+                    message: format!("stratum {s} declares no states; need at least one"),
+                });
+            }
+            if stratum.counts().len() > states {
+                return Err(FlipError::InvalidParameter {
+                    name: "counts",
+                    message: format!(
+                        "stratum {s} has {} state slots but its protocol declares {states}",
+                        stratum.counts().len()
+                    ),
+                });
+            }
+            stratum.counts.resize(states, 0);
+        }
+        let next_counts = population
+            .strata
+            .iter()
+            .map(|stratum| vec![0; stratum.counts().len()])
+            .collect();
+        Ok(Self {
+            protocol,
+            population,
+            next_counts,
+        })
     }
-    Ok(())
+
+    /// The aggregate send pass: one binomial per (stratum, sending state)
+    /// cell, stratum by stratum with states inner, pushed into `pool`.
+    pub(crate) fn send(&self, round: Round, rng: &mut SimRng, pool: &mut MessagePool) {
+        for (s, stratum) in self.population.strata.iter().enumerate() {
+            for (state, &count) in stratum.counts.iter().enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                if let Some((symbol, probability)) = self.protocol.send(s, state, round) {
+                    pool.push(symbol, binomial(rng, count, probability));
+                }
+            }
+        }
+    }
+
+    /// The aggregate reception pass over a population of `n` agents; returns
+    /// the bulk's `(accepted, flipped)` message counts.
+    ///
+    /// Per stratum: for each state, the receivers (one binomial at the
+    /// pool's occupancy marginal) and how many of them hear `One` (one
+    /// binomial at the pool's symbol mix seen through the stratum's mean
+    /// `crossover`), each group moved to its successor state; then the
+    /// stratum's two flip counts, conditioned on the heard symbols actually
+    /// drawn.  The successor counts then swap in.  An empty pool has a zero
+    /// marginal, so every binomial short-circuits without drawing and each
+    /// state only takes its end-of-round step.
+    pub(crate) fn receive(
+        &mut self,
+        pool: &MessagePool,
+        n: u64,
+        crossover: impl Fn(usize) -> f64,
+        round: Round,
+        rng: &mut SimRng,
+    ) -> (u64, u64) {
+        let protocol = &self.protocol;
+        let p_receive = pool.receive_probability(n);
+        let fraction_one = pool.fraction_one();
+        let mut accepted = 0u64;
+        let mut flips = 0u64;
+        let strata = self.population.strata.iter_mut();
+        for (s, (stratum, next)) in strata.zip(&mut self.next_counts).enumerate() {
+            let crossover = crossover(s);
+            let hear_one = fraction_one * (1.0 - crossover) + (1.0 - fraction_one) * crossover;
+            let mut stratum_accepted = 0u64;
+            let mut heard_ones = 0u64;
+            next.fill(0);
+            for (state, &count) in stratum.counts.iter().enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                let receivers = binomial(rng, count, p_receive);
+                let hear_ones = binomial(rng, receivers, hear_one);
+                stratum_accepted += receivers;
+                heard_ones += hear_ones;
+                next[protocol.on_round_end(s, state, round)] += count - receivers;
+                for (symbol, heard) in [
+                    (Opinion::One, hear_ones),
+                    (Opinion::Zero, receivers - hear_ones),
+                ] {
+                    let successor = protocol.on_receive(s, state, symbol, round);
+                    next[protocol.on_round_end(s, successor, round)] += heard;
+                }
+            }
+            let flip_given_one = if hear_one > 0.0 {
+                ((1.0 - fraction_one) * crossover / hear_one).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            let flip_given_zero = if hear_one < 1.0 {
+                (fraction_one * crossover / (1.0 - hear_one)).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            flips += binomial(rng, heard_ones, flip_given_one)
+                + binomial(rng, stratum_accepted - heard_ones, flip_given_zero);
+            accepted += stratum_accepted;
+            std::mem::swap(&mut stratum.counts, next);
+        }
+        (accepted, flips)
+    }
+
+    /// A census of the bulk.
+    pub(crate) fn census(&self) -> Census {
+        self.population.census(&self.protocol)
+    }
 }
 
 pub(crate) fn binomial(rng: &mut SimRng, n: u64, p: f64) -> u64 {
@@ -306,18 +438,21 @@ pub(crate) fn binomial(rng: &mut SimRng, n: u64, p: f64) -> u64 {
 /// A synchronous Flip-model simulation over per-stratum, per-state counts.
 ///
 /// The stratified generalization of [`DenseSimulation`](crate::DenseSimulation)
-/// (which is now a single-stratum wrapper around this engine): same
+/// (which is a single-stratum wrapper around this engine): same
 /// [`RoundSummary`]/[`Metrics`] reporting surface, same
 /// push-gossip/collision/noise round structure, one channel per stratum, and
 /// `O(#strata × #states)` binomial draws per round.
+///
+/// A round draws the bulk's sends stratum by stratum (states inner) into the
+/// shared pool, then per stratum a reception pass (receivers and heard-ones
+/// binomials per state, then that stratum's two flip-count binomials).
+/// With one stratum this is the dense engine's draw sequence, so the
+/// `DenseSimulation` delegation is bit-identical.
 #[derive(Debug)]
 pub struct StratifiedSimulation<P, C> {
-    protocol: P,
+    bulk: Bulk<P>,
     channels: Vec<C>,
-    population: StratifiedPopulation,
-    next_counts: Vec<Vec<u64>>,
     rng: SimRng,
-    round: Round,
     metrics: Metrics,
     reference: Option<Opinion>,
 }
@@ -359,134 +494,45 @@ impl<P: StratifiedProtocol, C: Channel> StratifiedSimulation<P, C> {
                 ),
             });
         }
-        let mut population = population;
-        validate_and_pad(&protocol, &mut population)?;
-        let next_counts = population
-            .strata
-            .iter()
-            .map(|stratum| vec![0; stratum.counts().len()])
-            .collect();
         Ok(Self {
-            protocol,
+            bulk: Bulk::new(protocol, population)?,
             channels,
-            next_counts,
-            population,
             rng: SimRng::from_seed(config.seed()),
-            round: 0,
             metrics: Metrics::new(),
             reference: config.reference(),
         })
     }
 
-    /// Executes one synchronous round and returns its summary.
-    ///
-    /// The draw order is: sends stratum-by-stratum (states inner) into the
-    /// shared pool, then per stratum a reception pass (receivers and
-    /// heard-ones binomials per state, then that stratum's two flip-count
-    /// binomials).  With one stratum this is *exactly* the dense engine's
-    /// draw sequence, which is what makes [`DenseSimulation`](crate::DenseSimulation)'s
-    /// delegation bit-identical.
-    pub fn step(&mut self) -> RoundSummary {
-        let round = self.round;
-        let n = self.population.n;
-        let strata = self.population.strata.len();
+    /// The current per-stratum population counts.
+    #[must_use]
+    pub fn population(&self) -> &StratifiedPopulation {
+        &self.bulk.population
+    }
 
-        // Phase 1: aggregate sends into one shared pool — one binomial per
-        // (stratum, sending state) cell.
-        let mut sent_by_symbol = [0u64; 2];
-        for s in 0..strata {
-            for state in 0..self.population.strata[s].counts.len() {
-                let count = self.population.strata[s].counts[state];
-                if count == 0 {
-                    continue;
-                }
-                if let Some((symbol, probability)) = self.protocol.send(s, state, round) {
-                    sent_by_symbol[symbol.index()] += binomial(&mut self.rng, count, probability);
-                }
-            }
-        }
-        let sent = sent_by_symbol[0] + sent_by_symbol[1];
+    /// Consumes the simulation, returning the final population and metrics.
+    #[must_use]
+    pub fn into_parts(self) -> (StratifiedPopulation, Metrics) {
+        (self.bulk.population, self.metrics)
+    }
+}
 
-        // Phase 2: aggregate reception — one binomial pair per (stratum,
-        // state) cell, against the global pool but through each stratum's
-        // own channel.
-        for next in &mut self.next_counts {
-            next.fill(0);
-        }
-        let mut accepted = 0u64;
-        let mut flips = 0u64;
-        if sent == 0 {
-            for s in 0..strata {
-                for state in 0..self.population.strata[s].counts.len() {
-                    let count = self.population.strata[s].counts[state];
-                    if count > 0 {
-                        self.next_counts[s][self.protocol.on_round_end(s, state, round)] += count;
-                    }
-                }
-            }
-        } else {
-            // Occupancy marginal of the shared pool (see crate::dense docs);
-            // the pool's symbol mix is global, the crossover per stratum.
-            let p_receive = 1.0 - (1.0 - 1.0 / (n as f64 - 1.0)).powf(sent as f64);
-            let fraction_one = sent_by_symbol[1] as f64 / sent as f64;
-            for s in 0..strata {
-                let crossover = self.channels[s].mean_crossover();
-                let hear_one = fraction_one * (1.0 - crossover) + (1.0 - fraction_one) * crossover;
-                let mut stratum_accepted = 0u64;
-                let mut heard_ones = 0u64;
-                for state in 0..self.population.strata[s].counts.len() {
-                    let count = self.population.strata[s].counts[state];
-                    if count == 0 {
-                        continue;
-                    }
-                    let receivers = binomial(&mut self.rng, count, p_receive);
-                    let hear_ones = binomial(&mut self.rng, receivers, hear_one);
-                    let hear_zeros = receivers - hear_ones;
-                    stratum_accepted += receivers;
-                    heard_ones += hear_ones;
-                    let silent_state = self.protocol.on_round_end(s, state, round);
-                    self.next_counts[s][silent_state] += count - receivers;
-                    let one_state = self.protocol.on_round_end(
-                        s,
-                        self.protocol.on_receive(s, state, Opinion::One, round),
-                        round,
-                    );
-                    self.next_counts[s][one_state] += hear_ones;
-                    let zero_state = self.protocol.on_round_end(
-                        s,
-                        self.protocol.on_receive(s, state, Opinion::Zero, round),
-                        round,
-                    );
-                    self.next_counts[s][zero_state] += hear_zeros;
-                }
-                // Flip counts conditioned on the heard symbols actually
-                // drawn in this stratum (same conditioning as the dense
-                // engine, with this stratum's crossover).
-                let flip_given_one = if hear_one > 0.0 {
-                    ((1.0 - fraction_one) * crossover / hear_one).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let flip_given_zero = if hear_one < 1.0 {
-                    (fraction_one * crossover / (1.0 - hear_one)).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                flips += binomial(&mut self.rng, heard_ones, flip_given_one)
-                    + binomial(
-                        &mut self.rng,
-                        stratum_accepted - heard_ones,
-                        flip_given_zero,
-                    );
-                accepted += stratum_accepted;
-            }
-        }
-        for (stratum, next) in self.population.strata.iter_mut().zip(&mut self.next_counts) {
-            std::mem::swap(&mut stratum.counts, next);
-        }
+impl<P: StratifiedProtocol, C: Channel> FlipEngine for StratifiedSimulation<P, C> {
+    fn step(&mut self) -> RoundSummary {
+        let round = self.metrics.rounds;
+        let mut pool = MessagePool::default();
+        self.bulk.send(round, &mut self.rng, &mut pool);
+        let channels = &self.channels;
+        let (accepted, flips) = self.bulk.receive(
+            &pool,
+            self.bulk.population.n,
+            |s| channels[s].mean_crossover(),
+            round,
+            &mut self.rng,
+        );
 
         // Independent reception can (rarely) draw slightly more receivers
         // than messages; clamp the accounting so `sent = accepted + collided`.
+        let sent = pool.total();
         let accepted_capped = accepted.min(sent);
         // The stratified engine carries no fault plan: the fault counters in
         // its round metrics stay zero.
@@ -499,9 +545,8 @@ impl<P: StratifiedProtocol, C: Channel> StratifiedSimulation<P, C> {
             ..RoundMetrics::default()
         };
         self.metrics.absorb_round(&round_metrics);
-        self.round += 1;
 
-        let census = self.population.census(&self.protocol);
+        let census = self.bulk.census();
         RoundSummary {
             metrics: round_metrics,
             census_active: census.active(),
@@ -509,79 +554,12 @@ impl<P: StratifiedProtocol, C: Channel> StratifiedSimulation<P, C> {
         }
     }
 
-    /// Executes `rounds` rounds and returns the accumulated metrics.
-    pub fn run(&mut self, rounds: u64) -> &Metrics {
-        for _ in 0..rounds {
-            self.step();
-        }
+    fn census(&self) -> Census {
+        self.bulk.census()
+    }
+
+    fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Executes rounds until `predicate` returns `true` (checked after every
-    /// round) or `max_rounds` rounds have run, whichever comes first.
-    ///
-    /// Returns the number of rounds executed by this call.
-    pub fn run_until<F>(&mut self, max_rounds: u64, mut predicate: F) -> u64
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        let mut executed = 0;
-        while executed < max_rounds {
-            self.step();
-            executed += 1;
-            if predicate(self) {
-                break;
-            }
-        }
-        executed
-    }
-
-    /// The current per-stratum population counts.
-    #[must_use]
-    pub fn population(&self) -> &StratifiedPopulation {
-        &self.population
-    }
-
-    /// A census of the current population.
-    #[must_use]
-    pub fn census(&self) -> Census {
-        self.population.census(&self.protocol)
-    }
-
-    /// The accumulated metrics so far.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The next round index to be executed (equals rounds executed so far).
-    #[must_use]
-    pub fn round(&self) -> Round {
-        self.round
-    }
-
-    /// The protocol in use.
-    #[must_use]
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The per-stratum channels in use.
-    #[must_use]
-    pub fn channels(&self) -> &[C] {
-        &self.channels
-    }
-
-    /// Consumes the simulation, returning the final population and metrics.
-    #[must_use]
-    pub fn into_parts(self) -> (StratifiedPopulation, Metrics) {
-        (self.population, self.metrics)
-    }
-
-    /// Consumes the simulation, returning protocol, channels, population and
-    /// metrics (the dense wrapper uses this to keep its own surface).
-    pub(crate) fn into_raw_parts(self) -> (P, Vec<C>, StratifiedPopulation, Metrics) {
-        (self.protocol, self.channels, self.population, self.metrics)
     }
 }
 

@@ -7,9 +7,9 @@
 //! plain data:
 //!
 //! 1. **Describe** — a [`SweepSpec`] (JSON on disk, [`spec`] in code) names
-//!    a protocol from the [`ProtocolRegistry`], an engine [`Backend`], and
-//!    axes whose cross product expands into hash-addressed [`ScenarioSpec`]
-//!    cells.
+//!    a protocol from the [`ProtocolRegistry`], an engine
+//!    [`Backend`](flip_model::Backend), and axes whose cross product expands
+//!    into hash-addressed [`ScenarioSpec`] cells.
 //! 2. **Run** — the [`SweepRunner`] executes cells across threads (dynamic
 //!    cell queue × lock-free per-trial [`TrialRunner`]) and checkpoints each
 //!    completed cell to a [`SweepStore`] — a manifest plus JSONL shards.

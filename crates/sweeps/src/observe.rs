@@ -10,11 +10,12 @@
 //! final line per shard, which the loader drops — exactly the contract of the
 //! result shards.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use flip_model::FlipEngine;
 use telemetry::{Event, Phase, PhaseStat, Recorder};
 
 use crate::json::{parse, Json};
@@ -61,11 +62,9 @@ impl TelemetryHub {
 /// Per-trial execution context handed to every protocol runner.
 ///
 /// Carries the round-level thread budget (what the bare `usize` parameter
-/// used to be) plus the optional telemetry hub.  Runners that construct an
-/// instrumentable engine check [`TrialContext::telemetry_enabled`], switch
-/// the engine's recorder on, and hand the result back through
-/// [`TrialContext::absorb`]; runners on counts-only backends ignore the hub
-/// and cost nothing.
+/// used to be) plus the optional telemetry hub.  Runners drive their engine
+/// through [`TrialContext::observe`], which records the run into the hub
+/// when one is attached; engines without telemetry cost nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct TrialContext<'a> {
     /// Worker threads each trial's simulation may use for its rounds.
@@ -89,25 +88,36 @@ impl<'a> TrialContext<'a> {
         Self::new(1)
     }
 
-    /// Attaches a telemetry hub; trial recorders folded via
-    /// [`TrialContext::absorb`] accumulate there.
+    /// Attaches a telemetry hub; the engines run through
+    /// [`TrialContext::observe`] record into it.
     #[must_use]
     pub fn with_hub(mut self, hub: &'a TelemetryHub) -> Self {
         self.hub = Some(hub);
         self
     }
 
-    /// Whether runners should enable engine telemetry.
-    #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
+    /// Whether a hub is attached to record into.
+    fn telemetry_enabled(&self) -> bool {
         self.hub.is_some()
     }
 
     /// Folds a finished trial's recorder (if any) into the attached hub.
-    pub fn absorb(&self, recorder: Option<Recorder>) {
+    fn absorb(&self, recorder: Option<Recorder>) {
         if let (Some(hub), Some(recorder)) = (self.hub, recorder) {
             hub.absorb(&recorder);
         }
+    }
+
+    /// Runs `run` on `engine`, with the engine's telemetry on when a hub is
+    /// attached, and folds the recorded profile into the hub.  Telemetry
+    /// never touches the RNG stream, so the result is the same either way.
+    pub fn observe<E: FlipEngine, T>(&self, engine: &mut E, run: impl FnOnce(&mut E) -> T) -> T {
+        if self.telemetry_enabled() {
+            engine.enable_telemetry();
+        }
+        let result = run(engine);
+        self.absorb(engine.take_telemetry());
+        result
     }
 }
 
@@ -182,11 +192,12 @@ impl CellTelemetry {
     ///
     /// Phase and event names that this build does not know are skipped, not
     /// rejected: telemetry is advisory, and a shard written by a newer build
-    /// must not brick `sweep report` on an older one.
+    /// must not brick `sweep report` on an older one.  A phase, event or
+    /// lane listed twice is corruption and rejected.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed field.
+    /// Returns a message naming the missing, malformed or repeated field.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
         let doc = parse(line)?;
         let field_u64 = |key: &str| {
@@ -201,6 +212,7 @@ impl CellTelemetry {
             .to_string();
         let mut recorder = Recorder::new();
         if let Some(Json::Object(pairs)) = doc.get("phases") {
+            reject_repeats("phase", pairs.iter().map(|(name, _)| name))?;
             for (name, value) in pairs {
                 let Some(phase) = Phase::from_name(name) else {
                     continue;
@@ -221,6 +233,7 @@ impl CellTelemetry {
             }
         }
         if let Some(Json::Object(pairs)) = doc.get("events") {
+            reject_repeats("event", pairs.iter().map(|(name, _)| name))?;
             for (name, value) in pairs {
                 let Some(event) = Event::from_name(name) else {
                     continue;
@@ -235,17 +248,21 @@ impl CellTelemetry {
                 }
             }
         }
-        if let Some(lanes) = doc.get("lanes").and_then(Json::as_array) {
-            for entry in lanes {
+        if let Some(entries) = doc.get("lanes").and_then(Json::as_array) {
+            let mut lanes = Vec::with_capacity(entries.len());
+            for entry in entries {
                 let pair = entry.as_array().ok_or("lanes: entry is not a pair")?;
-                let (lane, ns) = match pair {
-                    [lane, ns] => (
+                match pair {
+                    [lane, ns] => lanes.push((
                         lane.as_u64().ok_or("lanes: invalid lane index")?,
                         ns.as_u64().ok_or("lanes: invalid lane nanos")?,
-                    ),
+                    )),
                     _ => return Err("lanes: entry is not a pair".into()),
-                };
-                recorder.record_lane(lane as usize, ns);
+                }
+            }
+            reject_repeats("lane", lanes.iter().map(|(lane, _)| lane))?;
+            for (lane, ns) in lanes {
+                recorder.record_lane(usize::try_from(lane).unwrap_or(usize::MAX), ns);
             }
         }
         Ok(Self {
@@ -256,6 +273,19 @@ impl CellTelemetry {
             elapsed_ns: field_u64("elapsed_ns")?,
             recorder,
         })
+    }
+}
+
+/// Fails naming a `what` that `keys` lists twice.
+fn reject_repeats<K: Ord + fmt::Display>(
+    what: &str,
+    keys: impl Iterator<Item = K>,
+) -> Result<(), String> {
+    let mut keys: Vec<K> = keys.collect();
+    keys.sort_unstable();
+    match keys.windows(2).find(|pair| pair[0] == pair[1]) {
+        Some(pair) => Err(format!("{what} `{}` is listed twice", pair[0])),
+        None => Ok(()),
     }
 }
 

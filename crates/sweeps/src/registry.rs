@@ -56,10 +56,10 @@ use breathe::{
     Multipliers, Params,
 };
 use flip_model::{
-    Agent, Backend, BinarySymmetricChannel, Channel, DenseSimulation, FaultSpec, HybridSimulation,
-    MajoritySamplerProtocol, Opinion, RumorAgent, RumorProtocol, SimRng, Simulation,
-    SimulationConfig, StratifiedPopulation, StratifiedSimulation, ZealotAgent, ZealotRumorProtocol,
-    DEFAULT_HYBRID_TRACKED,
+    Agent, Backend, BinarySymmetricChannel, Channel, DenseSimulation, FaultSpec, FlipEngine,
+    HybridSimulation, MajoritySamplerProtocol, Opinion, RumorAgent, RumorProtocol, SimRng,
+    Simulation, SimulationConfig, StratifiedPopulation, StratifiedSimulation, ZealotAgent,
+    ZealotRumorProtocol, DEFAULT_HYBRID_TRACKED,
 };
 use rand::Rng;
 
@@ -163,13 +163,37 @@ impl ProtocolRegistry {
             &[Backend::Dense],
             Box::new(run_majority_sampler),
         );
-        registry.register_faulty("ben-or", &[Backend::Agents], Box::new(run_ben_or));
+        registry.register_faulty(
+            "ben-or",
+            &[Backend::Agents],
+            Box::new(|spec, trial, ctx| {
+                run_decider(
+                    spec,
+                    trial,
+                    ctx,
+                    BenOrAgent::population,
+                    BenOrAgent::decided,
+                )
+            }),
+        );
         registry.register_faulty(
             "bv-broadcast",
             &[Backend::Agents],
             Box::new(run_bv_broadcast),
         );
-        registry.register_faulty("safe-bbc", &[Backend::Agents], Box::new(run_safe_bbc));
+        registry.register_faulty(
+            "safe-bbc",
+            &[Backend::Agents],
+            Box::new(|spec, trial, ctx| {
+                run_decider(
+                    spec,
+                    trial,
+                    ctx,
+                    SafeBbcAgent::population,
+                    SafeBbcAgent::decided,
+                )
+            }),
+        );
         registry.register_faulty("bft-compare", &[Backend::Agents], Box::new(run_bft_compare));
         registry
     }
@@ -327,6 +351,44 @@ fn int_param<T: TryFrom<u64>>(spec: &ScenarioSpec, key: &str, default: T) -> Res
     )))
 }
 
+/// The cell's `n` as a population size.
+///
+/// # Errors
+///
+/// [`SweepError::Spec`] when `n` does not fit in `usize`.
+fn population_size(spec: &ScenarioSpec) -> Result<usize, SweepError> {
+    usize::try_from(spec.n()).map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))
+}
+
+/// The cell's channel: binary symmetric with margin `epsilon`.
+///
+/// # Errors
+///
+/// [`SweepError::Spec`] when `epsilon` is not in `(0, 1/2]`.
+fn channel(spec: &ScenarioSpec) -> Result<BinarySymmetricChannel, SweepError> {
+    BinarySymmetricChannel::from_epsilon(spec.epsilon())
+        .map_err(|e| SweepError::Spec(e.to_string()))
+}
+
+/// The engine config every runner builds: `n` agents seeded with `seed`,
+/// [`Opinion::One`] as the reference, the context's round lanes, and the
+/// cell's resolved fault assignment.
+fn engine_config(
+    n: usize,
+    seed: u64,
+    ctx: &TrialContext,
+    fault: Option<FaultSpec>,
+) -> SimulationConfig {
+    let config = SimulationConfig::new(n)
+        .with_seed(seed)
+        .with_reference(Opinion::One)
+        .with_threads(ctx.round_threads);
+    match fault {
+        Some(spec) => config.with_faults(spec),
+        None => config,
+    }
+}
+
 /// Builds `Params` from a cell: `n`/`epsilon` plus any of the multiplier
 /// overrides (`s_mult`, `beta_mult`, `f_mult`, `gamma_mult`, `final_mult`,
 /// `extra_boost_phases`) the spec carries.
@@ -345,9 +407,7 @@ pub fn params_from_spec(spec: &ScenarioSpec) -> Result<Params, SweepError> {
         extra_boost_phases: int_param(spec, "extra_boost_phases", practical.extra_boost_phases)?,
         final_mult: spec.param_or("final_mult", practical.final_mult),
     };
-    let n = usize::try_from(spec.n())
-        .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
-    Params::with_multipliers(n, spec.epsilon(), multipliers)
+    Params::with_multipliers(population_size(spec)?, spec.epsilon(), multipliers)
         .map_err(|e| SweepError::Spec(e.to_string()))
 }
 
@@ -360,11 +420,7 @@ fn run_broadcast(
     let params = params_from_spec(spec)?;
     let protocol = BroadcastProtocol::new(params, Opinion::One);
     let mut sim = protocol.build_simulation(spec.seed_for_trial(trial))?;
-    if ctx.telemetry_enabled() {
-        sim.enable_telemetry();
-    }
-    let outcome = protocol.run_simulation(&mut sim);
-    ctx.absorb(sim.take_telemetry());
+    let outcome = ctx.observe(&mut sim, |sim| protocol.run_simulation(sim));
     Ok(vec![
         ("total_rounds", outcome.total_rounds as f64),
         ("stage1_rounds", outcome.stage1_rounds as f64),
@@ -504,7 +560,6 @@ fn run_mc_boost(
     }
     let params = params_from_spec(spec)?;
     let gamma = params.gamma();
-    let epsilon = spec.epsilon();
     let Some(&delta) = spec.params.get("delta") else {
         return Err(SweepError::Spec(
             "`mc-boost` needs a `delta` param (the population bias to boost)".into(),
@@ -524,8 +579,7 @@ fn run_mc_boost(
         )));
     };
     let seed = SimRng::stream_seed(SimRng::stream_seed(spec.base_seed, seed_point), idx);
-    let channel = BinarySymmetricChannel::from_epsilon(epsilon)
-        .map_err(|e| SweepError::Spec(e.to_string()))?;
+    let channel = channel(spec)?;
     let mut rng = SimRng::from_seed(seed);
     let mut correct_majorities = 0u32;
     for _ in 0..mc_trials {
@@ -600,8 +654,7 @@ fn run_baseline_compare(
     trial: u64,
     _ctx: &TrialContext,
 ) -> Result<Vec<(&'static str, f64)>, SweepError> {
-    let n = usize::try_from(spec.n())
-        .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
+    let n = population_size(spec)?;
     let epsilon = spec.epsilon();
     let params = params_from_spec(spec)?;
     let budget = params.total_rounds();
@@ -755,11 +808,7 @@ fn run_majority_consensus(
     let protocol = MajorityConsensusProtocol::new(params, Opinion::One, initial)
         .map_err(|e| SweepError::Spec(e.to_string()))?;
     let mut sim = protocol.build_simulation(spec.seed_for_trial(trial))?;
-    if ctx.telemetry_enabled() {
-        sim.enable_telemetry();
-    }
-    let outcome = protocol.run_simulation(&mut sim);
-    ctx.absorb(sim.take_telemetry());
+    let outcome = ctx.observe(&mut sim, |sim| protocol.run_simulation(sim));
     Ok(vec![
         ("total_rounds", outcome.total_rounds as f64),
         ("messages_sent", outcome.messages_sent as f64),
@@ -813,14 +862,6 @@ pub fn fault_spec_for(spec: &ScenarioSpec) -> Result<Option<FaultSpec>, SweepErr
         .map_err(|e| SweepError::Spec(e.to_string()))
 }
 
-/// Applies a resolved fault assignment to an engine config.
-fn with_faults(config: SimulationConfig, fault: Option<FaultSpec>) -> SimulationConfig {
-    match fault {
-        Some(spec) => config.with_faults(spec),
-        None => config,
-    }
-}
-
 /// Validates a hybrid tracked-subpopulation size against the cell's `n`.
 fn hybrid_tracked(k: u32, n: usize) -> Result<usize, SweepError> {
     let k = k as usize;
@@ -835,6 +876,29 @@ fn hybrid_tracked(k: u32, n: usize) -> Result<usize, SweepError> {
         )));
     }
     Ok(k)
+}
+
+/// The tail of every `rumor`/`rumor-zealot` backend arm: runs `engine`
+/// until all `n` agents are active or the cell's round cap, under the
+/// context's telemetry, and reports the rounds run, the final fraction
+/// holding [`Opinion::One`] and the messages sent.
+fn run_to_activation<E: FlipEngine>(
+    mut engine: E,
+    n: usize,
+    spec: &ScenarioSpec,
+    ctx: &TrialContext,
+) -> Vec<(&'static str, f64)> {
+    let rounds = ctx.observe(&mut engine, |engine| {
+        engine.run_until(spec.rounds, |e| e.census().active() == n)
+    });
+    vec![
+        ("rounds", rounds as f64),
+        (
+            "fraction_correct",
+            engine.census().fraction_correct(Opinion::One),
+        ),
+        ("messages_sent", engine.metrics().messages_sent as f64),
+    ]
 }
 
 /// `rumor`: `informed` agents start active; runs until full activation or
@@ -858,8 +922,7 @@ fn run_rumor(
             "`rumor` needs a round cap (`rounds` > 0)".into(),
         ));
     }
-    let n = usize::try_from(spec.n())
-        .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
+    let n = population_size(spec)?;
     let informed: u64 = int_param(spec, "informed", 1)?;
     if informed > spec.n() {
         return Err(SweepError::Spec(format!(
@@ -868,16 +931,9 @@ fn run_rumor(
         )));
     }
     let fault = fault_spec_for(spec)?;
-    let channel = BinarySymmetricChannel::from_epsilon(spec.epsilon())
-        .map_err(|e| SweepError::Spec(e.to_string()))?;
-    let config = with_faults(
-        SimulationConfig::new(n)
-            .with_seed(spec.seed_for_trial(trial))
-            .with_reference(Opinion::One)
-            .with_threads(ctx.round_threads),
-        fault,
-    );
-    let (rounds, fraction, messages) = match spec.backend {
+    let channel = channel(spec)?;
+    let config = engine_config(n, spec.seed_for_trial(trial), ctx, fault);
+    Ok(match spec.backend {
         Backend::Dense => {
             if fault.is_some() {
                 return Err(SweepError::Spec(
@@ -887,27 +943,12 @@ fn run_rumor(
                 ));
             }
             let population = RumorProtocol::population(spec.n(), 0, informed);
-            let mut sim = DenseSimulation::new(RumorProtocol, channel, population, config)?;
-            let rounds = sim.run_until(spec.rounds, |s| s.census().active() == n);
-            (
-                rounds,
-                sim.census().fraction_correct(Opinion::One),
-                sim.metrics().messages_sent,
-            )
+            let sim = DenseSimulation::new(RumorProtocol, channel, population, config)?;
+            run_to_activation(sim, n, spec, ctx)
         }
         Backend::Agents => {
             let agents = RumorAgent::population(n, 0, informed as usize);
-            let mut sim = Simulation::new(agents, channel, config)?;
-            if ctx.telemetry_enabled() {
-                sim.enable_telemetry();
-            }
-            let rounds = sim.run_until(spec.rounds, |s| s.census().active() == n);
-            ctx.absorb(sim.take_telemetry());
-            (
-                rounds,
-                sim.census().fraction_correct(Opinion::One),
-                sim.metrics().messages_sent,
-            )
+            run_to_activation(Simulation::new(agents, channel, config)?, n, spec, ctx)
         }
         Backend::Hybrid(k) => {
             let k = hybrid_tracked(k, n)?;
@@ -918,24 +959,10 @@ fn run_rumor(
                 0,
                 informed - tracked_ones,
             ));
-            let mut sim = HybridSimulation::new(tracked, RumorProtocol, channel, bulk, config)?;
-            if ctx.telemetry_enabled() {
-                sim.enable_telemetry();
-            }
-            let rounds = sim.run_until(spec.rounds, |s| s.census().active() == n);
-            ctx.absorb(sim.take_telemetry());
-            (
-                rounds,
-                sim.census().fraction_correct(Opinion::One),
-                sim.metrics().messages_sent,
-            )
+            let sim = HybridSimulation::new(tracked, RumorProtocol, channel, bulk, config)?;
+            run_to_activation(sim, n, spec, ctx)
         }
-    };
-    Ok(vec![
-        ("rounds", rounds as f64),
-        ("fraction_correct", fraction),
-        ("messages_sent", messages as f64),
-    ])
+    })
 }
 
 /// `rumor-zealot`: heterogeneous rumor spreading — `informed` honest agents
@@ -954,8 +981,7 @@ fn run_rumor_zealot(
             "`rumor-zealot` needs a round cap (`rounds` > 0)".into(),
         ));
     }
-    let n = usize::try_from(spec.n())
-        .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
+    let n = population_size(spec)?;
     let informed: u64 = int_param(spec, "informed", 1)?;
     let zealots: u64 = int_param(spec, "zealots", 0)?;
     if zealots == 0 {
@@ -970,41 +996,22 @@ fn run_rumor_zealot(
             spec.n()
         )));
     }
-    let channel = BinarySymmetricChannel::from_epsilon(spec.epsilon())
-        .map_err(|e| SweepError::Spec(e.to_string()))?;
-    let config = SimulationConfig::new(n)
-        .with_seed(spec.seed_for_trial(trial))
-        .with_reference(Opinion::One)
-        .with_threads(ctx.round_threads);
-    let (rounds, fraction, messages) = match spec.backend {
+    let channel = channel(spec)?;
+    let config = engine_config(n, spec.seed_for_trial(trial), ctx, None);
+    Ok(match spec.backend {
         Backend::Dense => {
             let population = ZealotRumorProtocol::population(spec.n(), 0, informed, zealots);
-            let mut sim = StratifiedSimulation::new(
+            let sim = StratifiedSimulation::new(
                 ZealotRumorProtocol,
                 vec![channel; 2],
                 population,
                 config,
             )?;
-            let rounds = sim.run_until(spec.rounds, |s| s.census().active() == n);
-            (
-                rounds,
-                sim.census().fraction_correct(Opinion::One),
-                sim.metrics().messages_sent,
-            )
+            run_to_activation(sim, n, spec, ctx)
         }
         Backend::Agents => {
             let agents = ZealotAgent::population(n, 0, informed as usize, zealots as usize);
-            let mut sim = Simulation::new(agents, channel, config)?;
-            if ctx.telemetry_enabled() {
-                sim.enable_telemetry();
-            }
-            let rounds = sim.run_until(spec.rounds, |s| s.census().active() == n);
-            ctx.absorb(sim.take_telemetry());
-            (
-                rounds,
-                sim.census().fraction_correct(Opinion::One),
-                sim.metrics().messages_sent,
-            )
+            run_to_activation(Simulation::new(agents, channel, config)?, n, spec, ctx)
         }
         Backend::Hybrid(k) => {
             let k = hybrid_tracked(k, n)?;
@@ -1028,35 +1035,26 @@ fn run_rumor_zealot(
                 vec![zealots - tracked_zealots],
             ])
             .map_err(|e| SweepError::Spec(e.to_string()))?;
-            let mut sim =
-                HybridSimulation::new(tracked, ZealotRumorProtocol, channel, bulk, config)?;
-            if ctx.telemetry_enabled() {
-                sim.enable_telemetry();
-            }
-            let rounds = sim.run_until(spec.rounds, |s| s.census().active() == n);
-            ctx.absorb(sim.take_telemetry());
-            (
-                rounds,
-                sim.census().fraction_correct(Opinion::One),
-                sim.metrics().messages_sent,
-            )
+            let sim = HybridSimulation::new(tracked, ZealotRumorProtocol, channel, bulk, config)?;
+            run_to_activation(sim, n, spec, ctx)
         }
-    };
-    Ok(vec![
-        ("rounds", rounds as f64),
-        ("fraction_correct", fraction),
-        ("messages_sent", messages as f64),
-    ])
+    })
 }
+
+/// The most `(opinion, ones, total)` states `majority-sampler` builds.  The
+/// dense engine keeps two count vectors of this many `u64`s (16 MiB each at
+/// the cap), and a round visits every state.  E8-D's ε = 0.3 needs 600.
+const MAX_SAMPLER_STATES: u64 = 1 << 21;
 
 /// `majority-sampler`: dense Stage-II boost.  Param `initial_bias` sets the
 /// whole-population bias towards the correct opinion; phase length is the
-/// paper's odd `Θ(1/ε²)` and the phase count `2·⌈log₂ n⌉` (the E8-D
-/// schedule).
+/// paper's odd `L = ⌈2/ε²⌉ | 1` and the phase count `2·⌈log₂ n⌉` (the E8-D
+/// schedule).  The sampler has `(L+1)(L+2)` states, which must not exceed
+/// [`MAX_SAMPLER_STATES`].
 fn run_majority_sampler(
     spec: &ScenarioSpec,
     trial: u64,
-    _ctx: &TrialContext,
+    ctx: &TrialContext,
 ) -> Result<Vec<(&'static str, f64)>, SweepError> {
     let epsilon = spec.epsilon();
     let n = spec.n();
@@ -1067,17 +1065,28 @@ fn run_majority_sampler(
         )));
     }
     let phase_len = ((2.0 / (epsilon * epsilon)).ceil() as u64) | 1;
+    let states = phase_len
+        .checked_add(1)
+        .zip(phase_len.checked_add(2))
+        .and_then(|(a, b)| a.checked_mul(b));
+    if states.is_none_or(|states| states > MAX_SAMPLER_STATES) {
+        return Err(SweepError::Spec(format!(
+            "`epsilon` = {epsilon} gives the sampler phases of L = {phase_len} rounds and \
+             (L+1)(L+2) tally states, more than the {MAX_SAMPLER_STATES} it can hold; \
+             raise `epsilon`"
+        )));
+    }
     let phases = 2 * (n as f64).log2().ceil() as u64;
     let correct = (((0.5 + bias) * n as f64).round() as u64).min(n);
     let sampler = MajoritySamplerProtocol::new(phase_len);
     let population = sampler.population(n - correct, correct);
-    let channel = BinarySymmetricChannel::from_epsilon(epsilon)
-        .map_err(|e| SweepError::Spec(e.to_string()))?;
-    let config = SimulationConfig::new(
-        usize::try_from(n).map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?,
-    )
-    .with_seed(spec.seed_for_trial(trial))
-    .with_reference(Opinion::One);
+    let channel = channel(spec)?;
+    let config = engine_config(
+        population_size(spec)?,
+        spec.seed_for_trial(trial),
+        ctx,
+        None,
+    );
     let mut sim = DenseSimulation::new(sampler, channel, population, config)?;
     sim.run(phases * phase_len);
     let fraction = sim.census().fraction_correct(Opinion::One);
@@ -1098,8 +1107,7 @@ fn consensus_setup(spec: &ScenarioSpec) -> Result<(usize, usize, u64), SweepErro
             spec.protocol
         )));
     }
-    let n = usize::try_from(spec.n())
-        .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
+    let n = population_size(spec)?;
     let bias = spec.param_or("initial_bias", 0.1);
     if !(-0.5..=0.5).contains(&bias) {
         return Err(SweepError::Spec(format!(
@@ -1114,11 +1122,23 @@ fn consensus_setup(spec: &ScenarioSpec) -> Result<(usize, usize, u64), SweepErro
     Ok((n, correct.min(n), phase_len))
 }
 
+/// A consensus comparator's engine over `agents`: the cell's channel and
+/// fault assignment, seeded with `seed`.
+fn consensus_engine<A: Agent>(
+    spec: &ScenarioSpec,
+    seed: u64,
+    ctx: &TrialContext,
+    agents: Vec<A>,
+) -> Result<Simulation<A, BinarySymmetricChannel>, SweepError> {
+    let config = engine_config(agents.len(), seed, ctx, fault_spec_for(spec)?);
+    Ok(Simulation::new(agents, channel(spec)?, config)?)
+}
+
 /// Counts `(honest agents, honest agents satisfying pred)` over a
 /// per-agent simulation, skipping agents the fault plan marked faulty —
 /// the E13 statistics are about what the *honest* population achieves
 /// despite the faulty one, whose state is adversarial garbage.
-fn honest_count<A: flip_model::Agent, C: flip_model::Channel>(
+fn honest_count<A: Agent, C: Channel>(
     sim: &Simulation<A, C>,
     pred: impl Fn(&A) -> bool,
 ) -> (usize, usize) {
@@ -1134,55 +1154,45 @@ fn honest_count<A: flip_model::Agent, C: flip_model::Channel>(
     (honest, matching)
 }
 
-/// The consensus engine config shared by the `ben-or`/`bv-broadcast`/
-/// `safe-bbc`/`bft-compare` runners.
-fn consensus_config(
-    n: usize,
-    seed: u64,
-    round_threads: usize,
-    fault: Option<FaultSpec>,
-) -> SimulationConfig {
-    with_faults(
-        SimulationConfig::new(n)
-            .with_seed(seed)
-            .with_reference(Opinion::One)
-            .with_threads(round_threads),
-        fault,
-    )
+/// Runs a deciding comparator until every honest agent has decided or the
+/// cell's round cap, under the context's telemetry; returns the rounds run.
+fn run_until_decided<A: Agent, C: Channel>(
+    sim: &mut Simulation<A, C>,
+    spec: &ScenarioSpec,
+    ctx: &TrialContext,
+) -> u64 {
+    ctx.observe(sim, |sim| {
+        sim.run_until(spec.rounds, |s| {
+            s.agents()
+                .iter()
+                .enumerate()
+                .all(|(i, a)| a.is_done() || s.fault_plan().is_some_and(|p| p.is_faulty(i)))
+        })
+    })
 }
 
-/// `ben-or`: gossip-adapted Ben-Or consensus, run until every honest agent
-/// decides or the round cap.  Fault-capable; statistics are honest-only.
-fn run_ben_or(
+/// `ben-or` and `safe-bbc`: a gossip-adapted consensus protocol built by
+/// `population`, run until every honest agent decides or the round cap.
+/// Fault-capable; statistics are honest-only.
+fn run_decider<A: Agent>(
     spec: &ScenarioSpec,
     trial: u64,
     ctx: &TrialContext,
+    population: fn(usize, usize, u64) -> Vec<A>,
+    decided: fn(&A) -> Option<Opinion>,
 ) -> Result<Vec<(&'static str, f64)>, SweepError> {
     let (n, correct, phase_len) = consensus_setup(spec)?;
-    let fault = fault_spec_for(spec)?;
-    let channel = BinarySymmetricChannel::from_epsilon(spec.epsilon())
-        .map_err(|e| SweepError::Spec(e.to_string()))?;
-    let config = consensus_config(n, spec.seed_for_trial(trial), ctx.round_threads, fault);
-    let agents = BenOrAgent::population(n, correct, phase_len);
-    let mut sim = Simulation::new(agents, channel, config)?;
-    if ctx.telemetry_enabled() {
-        sim.enable_telemetry();
-    }
-    let rounds = sim.run_until(spec.rounds, |s| {
-        s.agents()
-            .iter()
-            .enumerate()
-            .all(|(i, a)| a.is_done() || s.fault_plan().is_some_and(|p| p.is_faulty(i)))
-    });
-    ctx.absorb(sim.take_telemetry());
+    let agents = population(n, correct, phase_len);
+    let mut sim = consensus_engine(spec, spec.seed_for_trial(trial), ctx, agents)?;
+    let rounds = run_until_decided(&mut sim, spec, ctx);
     let (honest, correct_now) = honest_count(&sim, |a| a.opinion() == Some(Opinion::One));
-    let (_, decided) = honest_count(&sim, |a| a.is_done());
-    let (_, decided_correct) = honest_count(&sim, |a| a.decided() == Some(Opinion::One));
+    let (_, decided_count) = honest_count(&sim, A::is_done);
+    let (_, decided_correct) = honest_count(&sim, |a| decided(a) == Some(Opinion::One));
     let honest = honest.max(1) as f64;
     Ok(vec![
         ("rounds", rounds as f64),
         ("fraction_correct", correct_now as f64 / honest),
-        ("decided_fraction", decided as f64 / honest),
+        ("decided_fraction", decided_count as f64 / honest),
         ("decided_correct_fraction", decided_correct as f64 / honest),
         ("messages_sent", sim.metrics().messages_sent as f64),
     ])
@@ -1196,17 +1206,11 @@ fn run_bv_broadcast(
     ctx: &TrialContext,
 ) -> Result<Vec<(&'static str, f64)>, SweepError> {
     let (n, correct, phase_len) = consensus_setup(spec)?;
-    let fault = fault_spec_for(spec)?;
-    let channel = BinarySymmetricChannel::from_epsilon(spec.epsilon())
-        .map_err(|e| SweepError::Spec(e.to_string()))?;
-    let config = consensus_config(n, spec.seed_for_trial(trial), ctx.round_threads, fault);
     let agents = BvBroadcastAgent::population(n, correct, phase_len);
-    let mut sim = Simulation::new(agents, channel, config)?;
-    if ctx.telemetry_enabled() {
-        sim.enable_telemetry();
-    }
-    sim.run(spec.rounds);
-    ctx.absorb(sim.take_telemetry());
+    let mut sim = consensus_engine(spec, spec.seed_for_trial(trial), ctx, agents)?;
+    ctx.observe(&mut sim, |sim| {
+        sim.run(spec.rounds);
+    });
     let (honest, delivered_one) = honest_count(&sim, |a| a.bin_value(Opinion::One));
     let (_, delivered_zero) = honest_count(&sim, |a| a.bin_value(Opinion::Zero));
     let honest = honest.max(1) as f64;
@@ -1214,43 +1218,6 @@ fn run_bv_broadcast(
         ("rounds", spec.rounds as f64),
         ("delivered_one_fraction", delivered_one as f64 / honest),
         ("delivered_zero_fraction", delivered_zero as f64 / honest),
-        ("messages_sent", sim.metrics().messages_sent as f64),
-    ])
-}
-
-/// `safe-bbc`: the EST/AUX safe binary Byzantine consensus loop, run until
-/// every honest agent decides or the round cap.  Honest-only statistics.
-fn run_safe_bbc(
-    spec: &ScenarioSpec,
-    trial: u64,
-    ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
-    let (n, correct, phase_len) = consensus_setup(spec)?;
-    let fault = fault_spec_for(spec)?;
-    let channel = BinarySymmetricChannel::from_epsilon(spec.epsilon())
-        .map_err(|e| SweepError::Spec(e.to_string()))?;
-    let config = consensus_config(n, spec.seed_for_trial(trial), ctx.round_threads, fault);
-    let agents = SafeBbcAgent::population(n, correct, phase_len);
-    let mut sim = Simulation::new(agents, channel, config)?;
-    if ctx.telemetry_enabled() {
-        sim.enable_telemetry();
-    }
-    let rounds = sim.run_until(spec.rounds, |s| {
-        s.agents()
-            .iter()
-            .enumerate()
-            .all(|(i, a)| a.is_done() || s.fault_plan().is_some_and(|p| p.is_faulty(i)))
-    });
-    ctx.absorb(sim.take_telemetry());
-    let (honest, correct_now) = honest_count(&sim, |a| a.opinion() == Some(Opinion::One));
-    let (_, decided) = honest_count(&sim, |a| a.is_done());
-    let (_, decided_correct) = honest_count(&sim, |a| a.decided() == Some(Opinion::One));
-    let honest = honest.max(1) as f64;
-    Ok(vec![
-        ("rounds", rounds as f64),
-        ("fraction_correct", correct_now as f64 / honest),
-        ("decided_fraction", decided as f64 / honest),
-        ("decided_correct_fraction", decided_correct as f64 / honest),
         ("messages_sent", sim.metrics().messages_sent as f64),
     ])
 }
@@ -1267,44 +1234,18 @@ fn run_bft_compare(
     ctx: &TrialContext,
 ) -> Result<Vec<(&'static str, f64)>, SweepError> {
     let (n, correct, phase_len) = consensus_setup(spec)?;
-    let fault = fault_spec_for(spec)?;
-    let channel = BinarySymmetricChannel::from_epsilon(spec.epsilon())
-        .map_err(|e| SweepError::Spec(e.to_string()))?;
     let trial_seed = spec.seed_for_trial(trial);
 
-    let config = consensus_config(
-        n,
-        SimRng::stream_seed(trial_seed, 0),
-        ctx.round_threads,
-        fault,
-    );
     let agents = MajorityBoostAgent::population(n, correct, phase_len);
-    let mut majority = Simulation::new(agents, channel, config)?;
-    if ctx.telemetry_enabled() {
-        majority.enable_telemetry();
-    }
-    majority.run(spec.rounds);
-    ctx.absorb(majority.take_telemetry());
+    let mut majority = consensus_engine(spec, SimRng::stream_seed(trial_seed, 0), ctx, agents)?;
+    ctx.observe(&mut majority, |sim| {
+        sim.run(spec.rounds);
+    });
     let (honest, majority_correct) = honest_count(&majority, |a| a.opinion() == Some(Opinion::One));
 
-    let config = consensus_config(
-        n,
-        SimRng::stream_seed(trial_seed, 1),
-        ctx.round_threads,
-        fault,
-    );
     let agents = BenOrAgent::population(n, correct, phase_len);
-    let mut benor = Simulation::new(agents, channel, config)?;
-    if ctx.telemetry_enabled() {
-        benor.enable_telemetry();
-    }
-    let benor_rounds = benor.run_until(spec.rounds, |s| {
-        s.agents()
-            .iter()
-            .enumerate()
-            .all(|(i, a)| a.is_done() || s.fault_plan().is_some_and(|p| p.is_faulty(i)))
-    });
-    ctx.absorb(benor.take_telemetry());
+    let mut benor = consensus_engine(spec, SimRng::stream_seed(trial_seed, 1), ctx, agents)?;
+    let benor_rounds = run_until_decided(&mut benor, spec, ctx);
     // The two runs draw their faulty sets independently, so each fraction
     // is over its own run's honest agents.
     let (benor_honest, benor_correct) = honest_count(&benor, |a| a.opinion() == Some(Opinion::One));
@@ -2042,6 +1983,27 @@ mod tests {
             &[("n", 10_000.0), ("epsilon", 0.3), ("initial_bias", 0.5)],
         );
         assert!(registry.run_trial(&spec, 0).is_ok());
+    }
+
+    #[test]
+    fn majority_sampler_rejects_epsilons_with_too_many_tally_states() {
+        // L = ⌈2/ε²⌉ | 1 overflows the state count at ε = 1e-10 and asks for
+        // two ~3 GB count vectors at ε = 0.01: both are spec errors.
+        let registry = ProtocolRegistry::builtin();
+        for epsilon in [1e-10, 0.01] {
+            let spec = cell(
+                "majority-sampler",
+                Backend::Dense,
+                &[("n", 1_000.0), ("epsilon", epsilon)],
+            );
+            let err = registry.run_trial(&spec, 0).unwrap_err();
+            assert!(matches!(err, SweepError::Spec(_)), "{epsilon}: {err}");
+            let message = err.to_string();
+            assert!(
+                message.contains("epsilon") && message.contains("L ="),
+                "{epsilon}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! * Garbage: truncated, bit-flipped and random input to the record reader,
 //!   the export parser, `json::parse` and, through a shard file, the store
 //!   loader returns `Ok` or `Err` and never panics.  A corrupted middle
-//!   line fails the load; a torn final line is dropped.
+//!   line fails the load; a torn final line is dropped.  The telemetry
+//!   shard reader and the sweep and report manifest loaders get the same
+//!   treatment, and a telemetry line that repeats a phase, event or lane
+//!   entry is an error.
 //! * Equivalent input: reordered keys, extra whitespace, escaped string
 //!   characters and re-spelled numbers read as the same record; a
 //!   duplicated key is an error.
@@ -18,14 +21,15 @@ use std::path::PathBuf;
 
 use analysis::streaming::{P2Quantile, P2State, StreamingMoments};
 use flip_model::Backend;
+use flip_model::{Event, Phase, Recorder};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sweeps::json::{parse, Json};
 use sweeps::{
-    export_json, parse_export_json, Axis, CellRecord, MetricAggregate, SweepSpec, SweepStore,
-    TRACKED_QUANTILES,
+    export_json, parse_export_json, Axis, CellRecord, CellTelemetry, MetricAggregate, ReportSpec,
+    ReportStore, SweepSpec, SweepStore, TRACKED_QUANTILES,
 };
 
 /// Floats a shortest-round-trip codec can get wrong.
@@ -301,6 +305,61 @@ fn read_everywhere(text: &str) {
     let _ = parse(text);
 }
 
+/// A telemetry line with at least one phase, one counting event and one
+/// lane, every value random.
+fn telemetry(rng: &mut StdRng) -> CellTelemetry {
+    let mut recorder = Recorder::new();
+    for _ in 0..rng.gen_range(1..6usize) {
+        let phase = Phase::ALL[rng.gen_range(0..Phase::ALL.len())];
+        recorder.record_phase(phase, rng.gen_range(0..u64::MAX / 8));
+    }
+    let counting: Vec<Event> = Event::ALL
+        .into_iter()
+        .filter(|e| !e.is_high_water())
+        .collect();
+    for _ in 0..rng.gen_range(1..4usize) {
+        let event = counting[rng.gen_range(0..counting.len())];
+        recorder.add_event(event, rng.gen_range(1..u64::MAX / 8));
+    }
+    for _ in 0..rng.gen_range(1..4usize) {
+        recorder.record_lane(rng.gen_range(0..8usize), rng.gen_range(1..u64::MAX / 8));
+    }
+    CellTelemetry {
+        hash: name(rng),
+        point: rng.gen::<u64>(),
+        worker: rng.gen_range(0..4u64),
+        trials: rng.gen_range(1..8u64),
+        elapsed_ns: rng.gen::<u64>(),
+        recorder,
+    }
+}
+
+/// The member of `doc`'s `key` object or array at `index`, duplicated in
+/// place by `edit`.
+fn duplicate_entry(doc: &Json, key: &str, rng: &mut StdRng, edit: impl Fn(&mut Json)) -> String {
+    let Json::Object(mut pairs) = doc.clone() else {
+        panic!("a telemetry line is an object");
+    };
+    let (_, entries) = pairs
+        .iter_mut()
+        .find(|(name, _)| name == key)
+        .expect("the line carries the key");
+    match entries {
+        Json::Object(members) => {
+            let mut copy = members[rng.gen_range(0..members.len())].clone();
+            edit(&mut copy.1);
+            members.insert(rng.gen_range(0..=members.len()), copy);
+        }
+        Json::Array(items) => {
+            let mut copy = items[rng.gen_range(0..items.len())].clone();
+            edit(&mut copy);
+            items.insert(rng.gen_range(0..=items.len()), copy);
+        }
+        _ => panic!("`{key}` is an object or an array"),
+    }
+    Json::Object(pairs).to_string()
+}
+
 fn temp_store(tag: &str) -> (PathBuf, SweepStore) {
     let dir = std::env::temp_dir().join(format!("sweeps-codec-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -438,5 +497,74 @@ proptest! {
         prop_assert!(duplicate_member(&mut duplicated, &mut target, &mut rng));
         let text = duplicated.to_string();
         prop_assert!(CellRecord::from_json_line(&text).is_err(), "accepted {}", text);
+    }
+
+    #[test]
+    fn telemetry_lines_reject_garbage_and_repeated_entries(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let original = telemetry(&mut rng);
+        let line = original.to_json_line();
+        let back = CellTelemetry::from_json_line(&line).map_err(TestCaseError::Fail)?;
+        prop_assert_eq!(&back, &original);
+        for _ in 0..8 {
+            let prefix = torn(&line, &mut rng);
+            prop_assert!(CellTelemetry::from_json_line(&prefix).is_err(), "{} parsed", prefix);
+            let _ = CellTelemetry::from_json_line(&flip_bit(&line, &mut rng));
+            let _ = CellTelemetry::from_json_line(&garbage(&mut rng));
+        }
+
+        // A repeated phase, event or lane is an error, even when merging
+        // the copies would overflow.
+        let doc = parse(&line).map_err(TestCaseError::Fail)?;
+        let saturate_total = |stat: &mut Json| {
+            if let Json::Object(fields) = stat {
+                for (key, value) in fields {
+                    if key == "total_ns" {
+                        *value = Json::UInt(u64::MAX);
+                    }
+                }
+            }
+        };
+        for (key, edit) in [
+            ("phases", &saturate_total as &dyn Fn(&mut Json)),
+            ("events", &|_: &mut Json| {}),
+            ("lanes", &|_: &mut Json| {}),
+        ] {
+            let repeated = duplicate_entry(&doc, key, &mut rng, edit);
+            prop_assert!(
+                CellTelemetry::from_json_line(&repeated).is_err(),
+                "accepted {}",
+                repeated
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_manifests_fail_without_panicking(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dir = std::env::temp_dir().join(format!("sweeps-codec-manifests-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let member = |name: &str| SweepSpec { name: name.into(), ..sweep_spec(2) };
+        let report = ReportSpec::new("codec", vec![member("m1"), member("m2")]).expect("valid report");
+        ReportStore::create(&dir, &report).expect("report store creates");
+        let report_manifest = dir.join("report.json");
+        let member_manifest = dir.join("members").join("m2").join("manifest.json");
+        for path in [&report_manifest, &member_manifest] {
+            let text = fs::read_to_string(path).expect("manifest reads");
+            for _ in 0..4 {
+                fs::write(path, torn(&text, &mut rng)).expect("manifest writes");
+                prop_assert!(ReportStore::open(&dir).is_err());
+                prop_assert!(path == &report_manifest || SweepStore::open(path.parent().unwrap()).is_err());
+                for corrupt in [flip_bit(&text, &mut rng), garbage(&mut rng)] {
+                    fs::write(path, corrupt).expect("manifest writes");
+                    let _ = ReportStore::open(&dir);
+                    let _ = SweepStore::open(member_manifest.parent().unwrap());
+                }
+            }
+            fs::write(path, text).expect("manifest writes");
+        }
+        let (_, reopened) = ReportStore::open(&dir).map_err(|e| TestCaseError::Fail(e.to_string()))?;
+        prop_assert_eq!(reopened, report);
+        fs::remove_dir_all(&dir).expect("temp store removable");
     }
 }

@@ -220,7 +220,8 @@ impl PhaseStat {
         self.total_ns += ns;
     }
 
-    /// Folds another statistic into this one.
+    /// Folds another statistic into this one; the count and total
+    /// saturate, so merging many cells' profiles cannot overflow.
     pub fn merge(&mut self, other: &PhaseStat) {
         if other.count == 0 {
             return;
@@ -231,8 +232,8 @@ impl PhaseStat {
             self.min_ns.min(other.min_ns)
         };
         self.max_ns = self.max_ns.max(other.max_ns);
-        self.count += other.count;
-        self.total_ns += other.total_ns;
+        self.count = self.count.saturating_add(other.count);
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
     }
 
     /// Mean span length in nanoseconds (`None` when nothing was recorded).
@@ -318,9 +319,10 @@ impl Recorder {
         self.phases.record(phase, ns);
     }
 
-    /// Adds `count` occurrences of `event`.
+    /// Adds `count` occurrences of `event` (saturating).
     pub fn add_event(&mut self, event: Event, count: u64) {
-        self.events[event.index()] += count;
+        let slot = &mut self.events[event.index()];
+        *slot = slot.saturating_add(count);
     }
 
     /// Observes a high-water `value` for `event` (folded with `max`).
@@ -329,11 +331,11 @@ impl Recorder {
         *slot = (*slot).max(value);
     }
 
-    /// Adds `ns` nanoseconds of busy time for worker `lane` (lanes at or
-    /// past the tracked width are dropped).
+    /// Adds `ns` nanoseconds of busy time for worker `lane` (saturating;
+    /// lanes at or past the tracked width are dropped).
     pub fn record_lane(&mut self, lane: usize, ns: u64) {
-        if lane < MAX_LANES {
-            self.lanes[lane] += ns;
+        if let Some(slot) = self.lanes.get_mut(lane) {
+            *slot = slot.saturating_add(ns);
         }
     }
 
@@ -377,11 +379,11 @@ impl Recorder {
             if event.is_high_water() {
                 self.events[i] = self.events[i].max(other.events[i]);
             } else {
-                self.events[i] += other.events[i];
+                self.events[i] = self.events[i].saturating_add(other.events[i]);
             }
         }
         for (mine, theirs) in self.lanes.iter_mut().zip(&other.lanes) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
     }
 
@@ -620,6 +622,30 @@ mod tests {
         assert_eq!(a.lane_nanos()[0], 70);
         assert_eq!(a.lane_nanos()[1], 30);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn merges_saturate_instead_of_overflowing() {
+        let mut a = Recorder::new();
+        a.absorb_phase(
+            Phase::Scatter,
+            &PhaseStat {
+                count: u64::MAX,
+                total_ns: u64::MAX,
+                min_ns: 1,
+                max_ns: 9,
+            },
+        );
+        a.add_event(Event::RadixSpills, u64::MAX);
+        a.record_lane(0, u64::MAX);
+        let b = a.clone();
+        a.merge(&b);
+        a.add_event(Event::RadixSpills, 1);
+        a.record_lane(0, 1);
+        let scatter = a.phases().get(Phase::Scatter);
+        assert_eq!((scatter.count, scatter.total_ns), (u64::MAX, u64::MAX));
+        assert_eq!(a.event(Event::RadixSpills), u64::MAX);
+        assert_eq!(a.lane_nanos()[0], u64::MAX);
     }
 
     #[test]

@@ -6,9 +6,9 @@ use breathe::{
     Multipliers, OffsetAgent, Params, ResyncAgent, Schedule, Stage1State, StageKind,
 };
 use flip_model::{
-    Agent, BinarySymmetricChannel, Census, HybridSimulation, Metrics, Opinion, OpinionDelta, Phase,
-    Recorder, Round, RoundSummary, RumorProtocol, SimRng, Simulation, SimulationConfig,
-    StratifiedPopulation,
+    Agent, BinarySymmetricChannel, Census, FlipEngine, HybridSimulation, Metrics, Opinion,
+    OpinionDelta, Phase, Recorder, Round, RoundSummary, RumorProtocol, SimRng, Simulation,
+    SimulationConfig, StratifiedPopulation,
 };
 
 #[test]

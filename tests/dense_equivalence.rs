@@ -17,10 +17,10 @@
 
 use breathe_paper as _;
 use flip_model::{
-    AdversarialCapChannel, Agent, BinarySymmetricChannel, DenseSimulation, HybridSimulation,
-    NoiselessChannel, Opinion, OpinionDelta, Round, RumorAgent, RumorProtocol, SimRng, Simulation,
-    SimulationConfig, StratifiedPopulation, StratifiedSimulation, VoterProtocol, ZealotAgent,
-    ZealotRumorProtocol,
+    AdversarialCapChannel, Agent, BinarySymmetricChannel, DenseSimulation, FlipEngine,
+    HybridSimulation, NoiselessChannel, Opinion, OpinionDelta, Round, RumorAgent, RumorProtocol,
+    SimRng, Simulation, SimulationConfig, StratifiedPopulation, StratifiedSimulation,
+    VoterProtocol, ZealotAgent, ZealotRumorProtocol,
 };
 
 /// The per-agent twin of `VoterProtocol`: always pushes its opinion, adopts
@@ -800,7 +800,7 @@ fn dense_million_agents_500_rounds_under_a_second() {
     let mut sim = DenseSimulation::new(RumorProtocol, channel, population, config).unwrap();
     sim.run(500);
     let elapsed = start.elapsed();
-    assert_eq!(sim.round(), 500);
+    assert_eq!(sim.metrics().rounds, 500);
     assert_eq!(
         sim.census().active(),
         n as usize,

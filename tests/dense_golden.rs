@@ -13,8 +13,8 @@
 
 use breathe_paper as _;
 use flip_model::{
-    BinarySymmetricChannel, DenseSimulation, MajoritySamplerProtocol, Opinion, RumorProtocol,
-    SimulationConfig,
+    BinarySymmetricChannel, DenseSimulation, FlipEngine, MajoritySamplerProtocol, Opinion,
+    RumorProtocol, SimulationConfig,
 };
 
 #[test]

@@ -8,8 +8,8 @@
 
 use breathe_paper as _;
 use flip_model::{
-    Agent, BinarySymmetricChannel, FaultSpec, HybridSimulation, NoiselessChannel, Opinion,
-    RumorAgent, RumorProtocol, Simulation, SimulationConfig, StratifiedPopulation,
+    Agent, BinarySymmetricChannel, FaultSpec, FlipEngine, HybridSimulation, NoiselessChannel,
+    Opinion, RumorAgent, RumorProtocol, Simulation, SimulationConfig, StratifiedPopulation,
 };
 
 #[test]

@@ -13,8 +13,8 @@
 
 use breathe_paper as _;
 use flip_model::{
-    BinarySymmetricChannel, FaultSpec, Opinion, RumorAgent, Simulation, SimulationConfig,
-    RADIX_MIN_N,
+    BinarySymmetricChannel, FaultSpec, FlipEngine, Opinion, RumorAgent, Simulation,
+    SimulationConfig, RADIX_MIN_N,
 };
 
 /// One snapshot run: census split and exact message accounting.

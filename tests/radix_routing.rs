@@ -12,7 +12,7 @@
 //! exactly at the crossover boundary.
 //!
 //! The second half of the suite pins the *thread-invariance* contract: the
-//! parallel router (`route_into_parallel` over a `RoundPool`) must be
+//! parallel router (`route_into` handed a `RoundPool`) must be
 //! bit-identical to **both** sequential paths — deliveries, counts, and the
 //! post-round RNG stream — for every pool width in {1, 2, 3, 8}, at every
 //! population in {10³, 10⁵, `RADIX_MIN_N`, 10⁶}, for dense and sparse
@@ -21,9 +21,9 @@
 
 use breathe_paper as _;
 use flip_model::{
-    BinarySymmetricChannel, FaultSpec, GossipScheduler, HybridSimulation, Opinion, RoundPool,
-    RoundRouting, RumorAgent, RumorProtocol, SimRng, Simulation, SimulationConfig,
-    StratifiedPopulation, RADIX_MIN_N,
+    BinarySymmetricChannel, FaultSpec, FlipEngine, GossipScheduler, HybridSimulation, Opinion,
+    RoundPool, RoundRouting, RumorAgent, RumorProtocol, SimRng, Simulation, SimulationConfig,
+    StratifiedPopulation, Telemetry, RADIX_MIN_N,
 };
 use rand::RngCore;
 
@@ -37,8 +37,13 @@ fn assert_paths_agree(n: usize, sends: &[(u32, Opinion)], seed: u64, rounds: usi
     let mut out_single = RoundRouting::with_capacity(n);
     let mut out_radix = RoundRouting::with_capacity(n);
     for round in 0..rounds {
-        single.route_into_single_pass(sends, &mut rng_single, &mut out_single);
-        radix.route_into_radix(sends, &mut rng_radix, &mut out_radix);
+        single.route_into_single_pass(
+            sends,
+            &mut rng_single,
+            &mut out_single,
+            &mut Telemetry::off(),
+        );
+        radix.route_into_radix(sends, &mut rng_radix, &mut out_radix, &mut Telemetry::off());
         assert_eq!(
             out_single.sent, out_radix.sent,
             "n = {n}, round {round}: sent diverged"
@@ -124,9 +129,15 @@ fn assert_parallel_agrees(
     let mut out_s = RoundRouting::with_capacity(n);
     let mut out_r = RoundRouting::with_capacity(n);
     for round in 0..rounds {
-        parallel.route_into_parallel(sends, &mut rng_p, &mut out_p, &pool);
-        single.route_into_single_pass(sends, &mut rng_s, &mut out_s);
-        radix.route_into_radix(sends, &mut rng_r, &mut out_r);
+        parallel.route_into(
+            sends,
+            &mut rng_p,
+            &mut out_p,
+            Some(&pool),
+            &mut Telemetry::off(),
+        );
+        single.route_into_single_pass(sends, &mut rng_s, &mut out_s, &mut Telemetry::off());
+        radix.route_into_radix(sends, &mut rng_r, &mut out_r, &mut Telemetry::off());
         let ctx = format!("n = {n}, workers = {workers}, round {round}");
         assert_eq!(out_p.sent, out_s.sent, "{ctx}: sent diverged");
         assert_eq!(out_p.collided, out_s.collided, "{ctx}: collided diverged");
@@ -305,9 +316,9 @@ fn crossover_straddles_identically() {
         let mut out_s = RoundRouting::with_capacity(n);
         let mut out_r = RoundRouting::with_capacity(n);
         for _ in 0..2 {
-            dispatched.route_into(&sends, &mut rng_d, &mut out_d);
-            single.route_into_single_pass(&sends, &mut rng_s, &mut out_s);
-            radix.route_into_radix(&sends, &mut rng_r, &mut out_r);
+            dispatched.route_into(&sends, &mut rng_d, &mut out_d, None, &mut Telemetry::off());
+            single.route_into_single_pass(&sends, &mut rng_s, &mut out_s, &mut Telemetry::off());
+            radix.route_into_radix(&sends, &mut rng_r, &mut out_r, &mut Telemetry::off());
             assert_eq!(out_d.accepted(), out_s.accepted(), "n = {n}");
             assert_eq!(out_d.accepted(), out_r.accepted(), "n = {n}");
         }

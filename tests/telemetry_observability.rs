@@ -9,8 +9,8 @@
 
 use breathe_paper as _;
 use flip_model::{
-    Agent, BinarySymmetricChannel, Event, HybridSimulation, Metrics, NoiselessChannel, Opinion,
-    Phase, RumorAgent, RumorProtocol, Simulation, SimulationConfig, StratifiedPopulation,
+    Agent, BinarySymmetricChannel, Event, FlipEngine, HybridSimulation, Metrics, NoiselessChannel,
+    Opinion, Phase, RumorAgent, RumorProtocol, Simulation, SimulationConfig, StratifiedPopulation,
 };
 
 /// Pinned fault accounting on a seeded crash run: `crash:0.2@3` over 1000

@@ -17,8 +17,8 @@ use std::cell::Cell;
 use breathe::{BroadcastProtocol, Params};
 use breathe_paper as _;
 use flip_model::{
-    Agent, BinarySymmetricChannel, Channel, Opinion, OpinionDelta, Round, RumorAgent, SimRng,
-    Simulation, SimulationConfig,
+    Agent, BinarySymmetricChannel, Channel, FlipEngine, Opinion, OpinionDelta, Round, RumorAgent,
+    SimRng, Simulation, SimulationConfig,
 };
 
 thread_local! {
