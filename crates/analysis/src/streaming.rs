@@ -135,8 +135,10 @@ impl StreamingEstimator for StreamingMoments {
 /// The full serializable state of a [`P2Quantile`] sketch.
 ///
 /// `buffer` holds the raw observations while fewer than five have been seen
-/// (the sketch proper initialises from the first five); afterwards it is
-/// empty and the five markers carry all state.
+/// (the sketch proper initialises from the first five); its first
+/// `buffered` slots are in use and the rest are `0.0`.  Afterwards
+/// `buffered` is 0 and the five markers carry all state.  The state is
+/// plain inline data, so taking or restoring it never allocates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct P2State {
     /// The tracked quantile in `(0, 1)`.
@@ -149,8 +151,20 @@ pub struct P2State {
     pub positions: [f64; 5],
     /// Desired marker positions.
     pub desired: [f64; 5],
-    /// Raw observations while `count < 5`, in arrival order.
-    pub buffer: Vec<f64>,
+    /// Raw observations while `count < 5`, in arrival order, in the first
+    /// `buffered` slots.
+    pub buffer: [f64; 5],
+    /// How many leading `buffer` slots hold observations.
+    pub buffered: usize,
+}
+
+impl P2State {
+    /// The buffered observations, in arrival order (empty when `buffered`
+    /// is out of range).
+    #[must_use]
+    pub fn observations(&self) -> &[f64] {
+        self.buffer.get(..self.buffered).unwrap_or_default()
+    }
 }
 
 /// A P² single-quantile sketch (Jain & Chlamtac, 1985).
@@ -158,6 +172,12 @@ pub struct P2State {
 /// Tracks an estimate of the `q`-quantile of a stream using five markers,
 /// adjusted with piecewise-parabolic interpolation — O(1) memory and O(1)
 /// work per observation, no sorting, deterministic given the input order.
+///
+/// The first five observations wait in an inline `[f64; 5]` buffer rather
+/// than a heap vector, so creating, feeding, cloning, snapshotting and
+/// restoring a sketch never allocate.  Slots not holding an observation
+/// stay `0.0` (the buffer is zeroed again once the markers initialise), so
+/// the derived `PartialEq` compares exactly the state that matters.
 ///
 /// # Example
 ///
@@ -179,7 +199,8 @@ pub struct P2Quantile {
     positions: [f64; 5],
     desired: [f64; 5],
     increments: [f64; 5],
-    buffer: Vec<f64>,
+    /// The first `count` observations while `count < 5`; `0.0` elsewhere.
+    buffer: [f64; 5],
 }
 
 impl P2Quantile {
@@ -197,7 +218,7 @@ impl P2Quantile {
             positions: [1.0, 2.0, 3.0, 4.0, 5.0],
             desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
             increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            buffer: Vec::with_capacity(5),
+            buffer: [0.0; 5],
         })
     }
 
@@ -217,8 +238,9 @@ impl P2Quantile {
             return f64::NAN;
         }
         if self.count < 5 {
-            let mut sorted = self.buffer.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let mut buffer = self.buffer;
+            let sorted = &mut buffer[..self.buffered()];
+            sort(sorted);
             // Linear interpolation between order statistics.
             let rank = self.q * (sorted.len() - 1) as f64;
             let lo = rank.floor() as usize;
@@ -227,6 +249,16 @@ impl P2Quantile {
             return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
         }
         self.heights[2]
+    }
+
+    /// How many buffer slots hold observations: `count` before the markers
+    /// initialise, 0 after.
+    fn buffered(&self) -> usize {
+        if self.count < 5 {
+            self.count as usize
+        } else {
+            0
+        }
     }
 
     /// Exports the full sketch state for serialization.
@@ -238,19 +270,21 @@ impl P2Quantile {
             heights: self.heights,
             positions: self.positions,
             desired: self.desired,
-            buffer: self.buffer.clone(),
+            buffer: self.buffer,
+            buffered: self.buffered(),
         }
     }
 
     /// Rebuilds a sketch from a [`snapshot`](Self::snapshot); returns `None`
-    /// on an invalid quantile or an inconsistent buffer.
+    /// on an invalid quantile or an inconsistent buffer.  Only the first
+    /// `buffered` slots of the state's buffer are read.
     #[must_use]
     pub fn restore(state: P2State) -> Option<Self> {
         let mut sketch = Self::new(state.q)?;
-        if state.count < 5 && state.buffer.len() as u64 != state.count {
+        if state.count < 5 && state.buffered as u64 != state.count {
             return None;
         }
-        if state.count >= 5 && !state.buffer.is_empty() {
+        if state.count >= 5 && state.buffered != 0 {
             // Initialisation drains the buffer into the markers; a state
             // claiming both is corrupt and would diverge from the sketch
             // that produced it.
@@ -260,18 +294,17 @@ impl P2Quantile {
         sketch.heights = state.heights;
         sketch.positions = state.positions;
         sketch.desired = state.desired;
-        sketch.buffer = state.buffer;
+        let buffered = sketch.buffered();
+        sketch.buffer[..buffered].copy_from_slice(&state.buffer[..buffered]);
         Some(sketch)
     }
 
-    /// Initialises the markers from the first five observations.
+    /// Initialises the markers from the first five observations and zeroes
+    /// the buffer.
     fn initialise(&mut self) {
-        let mut sorted = self.buffer.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        for (h, s) in self.heights.iter_mut().zip(sorted) {
-            *h = s;
-        }
-        self.buffer.clear();
+        self.heights = self.buffer;
+        sort(&mut self.heights);
+        self.buffer = [0.0; 5];
     }
 
     /// One P² marker-adjustment step after a new observation landed in cell
@@ -312,11 +345,17 @@ impl P2Quantile {
     }
 }
 
+/// Sorts observations ascending; incomparable pairs (NaN) count as equal,
+/// and the sort is stable, so their arrival order decides.
+fn sort(values: &mut [f64]) {
+    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+}
+
 impl StreamingEstimator for P2Quantile {
     fn observe(&mut self, x: f64) {
         self.count += 1;
         if self.count <= 5 {
-            self.buffer.push(x);
+            self.buffer[self.count as usize - 1] = x;
             if self.count == 5 {
                 self.initialise();
             }
@@ -450,8 +489,16 @@ mod tests {
             sketch.observe(f64::from(i));
         }
         let mut torn = sketch.snapshot();
-        torn.buffer = vec![1.0, 2.0];
+        torn.buffer[..2].copy_from_slice(&[1.0, 2.0]);
+        torn.buffered = 2;
         assert!(P2Quantile::restore(torn).is_none());
+        // A buffer claiming more slots than it has is rejected at every count.
+        for count in [4, 5, 6] {
+            let mut state = P2Quantile::new(0.5).unwrap().snapshot();
+            state.count = count;
+            state.buffered = 6;
+            assert!(P2Quantile::restore(state).is_none(), "count {count}");
+        }
     }
 
     #[test]
@@ -532,5 +579,206 @@ mod tests {
         assert_eq!(m.min, 0.1);
         assert_eq!(m.max, 0.1);
         assert_eq!(m.mean(), (0.1 + 0.1 + 0.1) / 3.0, "in-order sum exactly");
+    }
+
+    /// A reference P² sketch that buffers in a heap `Vec`; the inline
+    /// buffer must reproduce it bit for bit.
+    struct VecSketch {
+        q: f64,
+        count: u64,
+        heights: [f64; 5],
+        positions: [f64; 5],
+        desired: [f64; 5],
+        increments: [f64; 5],
+        buffer: Vec<f64>,
+    }
+
+    impl VecSketch {
+        fn new(q: f64) -> Self {
+            Self {
+                q,
+                count: 0,
+                heights: [0.0; 5],
+                positions: [1.0, 2.0, 3.0, 4.0, 5.0],
+                desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
+                increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
+                buffer: Vec::with_capacity(5),
+            }
+        }
+
+        fn sorted_buffer(&self) -> Vec<f64> {
+            let mut sorted = self.buffer.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            sorted
+        }
+
+        fn estimate(&self) -> f64 {
+            if self.count == 0 {
+                return f64::NAN;
+            }
+            if self.count < 5 {
+                let sorted = self.sorted_buffer();
+                let rank = self.q * (sorted.len() - 1) as f64;
+                let lo = rank.floor() as usize;
+                let hi = rank.ceil() as usize;
+                let frac = rank - lo as f64;
+                return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+            }
+            self.heights[2]
+        }
+
+        fn observe(&mut self, x: f64) {
+            self.count += 1;
+            if self.count <= 5 {
+                self.buffer.push(x);
+                if self.count == 5 {
+                    let sorted = self.sorted_buffer();
+                    for (h, s) in self.heights.iter_mut().zip(sorted) {
+                        *h = s;
+                    }
+                    self.buffer.clear();
+                }
+                return;
+            }
+            let k = if x < self.heights[0] {
+                self.heights[0] = x;
+                0
+            } else if x >= self.heights[4] {
+                self.heights[4] = x;
+                3
+            } else {
+                (0..=3).rfind(|&i| self.heights[i] <= x).unwrap_or(0)
+            };
+            for pos in self.positions.iter_mut().skip(k + 1) {
+                *pos += 1.0;
+            }
+            for (des, inc) in self.desired.iter_mut().zip(self.increments) {
+                *des += inc;
+            }
+            for i in 1..=3 {
+                let d = self.desired[i] - self.positions[i];
+                let can_right = d >= 1.0 && self.positions[i + 1] - self.positions[i] > 1.0;
+                let can_left = d <= -1.0 && self.positions[i - 1] - self.positions[i] < -1.0;
+                if !(can_right || can_left) {
+                    continue;
+                }
+                let d = d.signum();
+                let (p, h) = (self.positions, self.heights);
+                let parabolic = h[i]
+                    + d / (p[i + 1] - p[i - 1])
+                        * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
+                            + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]));
+                if h[i - 1] < parabolic && parabolic < h[i + 1] {
+                    self.heights[i] = parabolic;
+                } else {
+                    let j = if d > 0.0 { i + 1 } else { i - 1 };
+                    self.heights[i] += d * (h[j] - h[i]) / (p[j] - p[i]);
+                }
+                self.positions[i] += d;
+            }
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A stream with many ties, signed zeros and wide magnitudes, from a
+    /// SplitMix64 counter.
+    fn stream(seed: u64, len: usize) -> Vec<f64> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..len)
+            .map(|_| {
+                let word = next();
+                match word % 6 {
+                    0 => [0.0, -0.0, 1.0, -2.5, 1e300][(word >> 8) as usize % 5],
+                    1 => f64::from((word >> 8) as u32 % 7),
+                    2 => (word >> 11) as f64 * -1e-12,
+                    _ => (word >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Feeds `values` to the inline sketch and the reference, checking
+    /// after every observation that estimates and states agree bit for bit
+    /// and that the snapshot restores to an equal sketch, which then keeps
+    /// pace with the original through the rest of the stream.
+    fn check_against_reference(q: f64, values: &[f64]) {
+        let mut sketch = P2Quantile::new(q).unwrap();
+        let mut reference = VecSketch::new(q);
+        for (seen, &x) in values.iter().enumerate() {
+            sketch.observe(x);
+            reference.observe(x);
+            let at = format!("q = {q}, after {} of {values:?}", seen + 1);
+            assert_eq!(
+                sketch.estimate().to_bits(),
+                reference.estimate().to_bits(),
+                "{at}"
+            );
+            let state = sketch.snapshot();
+            assert_eq!(state.count, reference.count, "{at}");
+            assert_eq!(bits(&state.heights), bits(&reference.heights), "{at}");
+            assert_eq!(bits(&state.positions), bits(&reference.positions), "{at}");
+            assert_eq!(bits(&state.desired), bits(&reference.desired), "{at}");
+            assert_eq!(bits(state.observations()), bits(&reference.buffer), "{at}");
+            assert!(
+                state.buffer[state.buffered..]
+                    .iter()
+                    .all(|v| v.to_bits() == 0),
+                "{at}: unused slots must stay 0.0"
+            );
+            let mut restored = P2Quantile::restore(state.clone()).unwrap();
+            assert_eq!(restored.snapshot(), state, "{at}");
+            assert_eq!(restored, sketch, "{at}");
+            let mut original = sketch.clone();
+            for &y in &values[seen + 1..] {
+                original.observe(y);
+                restored.observe(y);
+                assert_eq!(restored, original, "{at}, continued with {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn p2_inline_buffer_matches_the_vec_reference() {
+        for q in [0.1, 0.25, 0.5, 0.9] {
+            for len in 0..=12 {
+                for seed in 0..40 {
+                    check_against_reference(q, &stream(seed * 13 + len as u64, len));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn p2_inline_buffer_matches_the_vec_reference_on_long_streams() {
+        for q in [0.1, 0.5, 0.9] {
+            for seed in 0..3 {
+                let values = stream(1_000 + seed, 2_000);
+                let mut sketch = P2Quantile::new(q).unwrap();
+                let mut reference = VecSketch::new(q);
+                for &x in &values {
+                    sketch.observe(x);
+                    reference.observe(x);
+                    assert_eq!(sketch.estimate().to_bits(), reference.estimate().to_bits());
+                }
+                let state = sketch.snapshot();
+                assert_eq!(bits(&state.heights), bits(&reference.heights));
+                assert_eq!(bits(&state.positions), bits(&reference.positions));
+                assert_eq!(bits(&state.desired), bits(&reference.desired));
+                assert_eq!(state.buffer, [0.0; 5]);
+                assert_eq!(P2Quantile::restore(state).unwrap(), sketch);
+            }
+        }
+        // The prefix-by-prefix check, restores included, on one long stream.
+        check_against_reference(0.5, &stream(7, 300));
     }
 }

@@ -126,7 +126,7 @@ fn write_sketch(out: &mut String, state: &P2State) {
         (",\"heights\":[", &state.heights[..]),
         (",\"positions\":[", &state.positions[..]),
         (",\"desired\":[", &state.desired[..]),
-        (",\"buffer\":[", &state.buffer[..]),
+        (",\"buffer\":[", state.observations()),
     ] {
         out.push_str(key);
         for (i, &value) in values.iter().enumerate() {
@@ -141,13 +141,15 @@ fn write_sketch(out: &mut String, state: &P2State) {
 }
 
 /// Reads the three sketches, checking each against its tracked quantile
-/// and restoring it.
+/// and restoring it in place.
 fn read_sketches(s: &mut Scanner<'_>) -> Result<[P2Quantile; 3], String> {
-    let mut sketches = Vec::with_capacity(TRACKED_QUANTILES.len());
+    let mut sketches = MetricAggregate::new().quantiles;
+    let mut found = 0;
     s.array(|s| {
-        let expected_q = *TRACKED_QUANTILES
-            .get(sketches.len())
+        let slot = sketches
+            .get_mut(found)
             .ok_or_else(|| format!("more than {} quantile sketches", TRACKED_QUANTILES.len()))?;
+        let expected_q = TRACKED_QUANTILES[found];
         let state = read_sketch(s)?;
         if (state.q - expected_q).abs() > 1e-12 {
             return Err(format!(
@@ -155,18 +157,18 @@ fn read_sketches(s: &mut Scanner<'_>) -> Result<[P2Quantile; 3], String> {
                 state.q
             ));
         }
-        sketches.push(
-            P2Quantile::restore(state).ok_or_else(|| "inconsistent P² sketch state".to_string())?,
-        );
+        *slot =
+            P2Quantile::restore(state).ok_or_else(|| "inconsistent P² sketch state".to_string())?;
+        found += 1;
         Ok(())
     })?;
-    sketches.try_into().map_err(|found: Vec<P2Quantile>| {
-        format!(
-            "expected {} quantile sketches, found {}",
-            TRACKED_QUANTILES.len(),
-            found.len()
-        )
-    })
+    if found != sketches.len() {
+        return Err(format!(
+            "expected {} quantile sketches, found {found}",
+            TRACKED_QUANTILES.len()
+        ));
+    }
+    Ok(sketches)
 }
 
 fn read_sketch(s: &mut Scanner<'_>) -> Result<P2State, String> {
@@ -179,42 +181,45 @@ fn read_sketch(s: &mut Scanner<'_>) -> Result<P2State, String> {
         "heights" => put(&mut heights, &key, read_markers(s, &key)?),
         "positions" => put(&mut positions, &key, read_markers(s, &key)?),
         "desired" => put(&mut desired, &key, read_markers(s, &key)?),
-        "buffer" => {
-            let mut values = Vec::new();
-            s.array(|s| {
-                values.push(s.f64()?);
-                Ok(())
-            })?;
-            put(&mut buffer, &key, values)
-        }
+        "buffer" => put(&mut buffer, &key, read_up_to_five(s, &key)?),
         _ => s.skip_value(),
     })?;
+    let (buffer, buffered) = required(buffer, "buffer")?;
     Ok(P2State {
         q: required(q, "q")?,
         count: required(count, "count")?,
         heights: required(heights, "heights")?,
         positions: required(positions, "positions")?,
         desired: required(desired, "desired")?,
-        buffer: required(buffer, "buffer")?,
+        buffer,
+        buffered,
     })
 }
 
 /// Reads one of a sketch's five-entry marker arrays.
 fn read_markers(s: &mut Scanner<'_>, key: &str) -> Result<[f64; 5], String> {
-    let mut markers = [0.0; 5];
+    match read_up_to_five(s, key)? {
+        (markers, 5) => Ok(markers),
+        _ => Err(format!("`{key}` must have exactly 5 entries")),
+    }
+}
+
+/// Reads an array of at most five numbers into an inline array, zeroed past
+/// the entries read, and returns it with the entry count.  No sketch array
+/// is longer: markers have five entries and a buffer at most four, so a
+/// sixth entry is an error.
+fn read_up_to_five(s: &mut Scanner<'_>, key: &str) -> Result<([f64; 5], usize), String> {
+    let mut values = [0.0; 5];
     let mut len = 0;
     s.array(|s| {
-        let slot = markers
+        let slot = values
             .get_mut(len)
-            .ok_or_else(|| format!("`{key}` must have exactly 5 entries"))?;
+            .ok_or_else(|| format!("`{key}` has more than 5 entries"))?;
         *slot = s.f64()?;
         len += 1;
         Ok(())
     })?;
-    if len != markers.len() {
-        return Err(format!("`{key}` must have exactly 5 entries"));
-    }
-    Ok(markers)
+    Ok((values, len))
 }
 
 /// A completed sweep cell: its address, spec echo, and per-metric aggregates.

@@ -23,6 +23,7 @@ use crate::error::SweepError;
 use crate::json::{parse, Json};
 use crate::orchestrator::{SweepOutcome, SweepRunner};
 use crate::registry::ProtocolRegistry;
+use crate::runner::default_threads;
 use crate::spec::{fnv1a, SweepSpec};
 use crate::store::SweepStore;
 
@@ -396,6 +397,7 @@ impl ReportRunner {
         registry: &ProtocolRegistry,
         store: Option<&ReportStore>,
     ) -> Result<ReportOutcome, SweepError> {
+        let threads = self.threads.unwrap_or_else(default_threads);
         let mut budget = self.max_cells;
         let mut members = Vec::with_capacity(spec.members.len());
         for member in &spec.members {
@@ -404,14 +406,12 @@ impl ReportRunner {
                 None => None,
             };
             let outcome = if budget == Some(0) {
-                status_only(member, sub.as_ref())?
+                status_only(member, sub.as_ref(), threads)?
             } else {
                 let mut runner = SweepRunner::new()
+                    .with_threads(threads)
                     .with_telemetry(self.telemetry)
                     .with_progress(self.progress);
-                if let Some(threads) = self.threads {
-                    runner = runner.with_threads(threads);
-                }
                 if let Some(limit) = budget {
                     runner = runner.with_max_cells(limit);
                 }
@@ -450,11 +450,16 @@ impl ReportRunner {
 }
 
 /// The member's status without executing anything: what a drained budget
-/// reports for the members it never reached.
-fn status_only(member: &SweepSpec, store: Option<&SweepStore>) -> Result<SweepOutcome, SweepError> {
+/// reports for the members it never reached.  The store loads on `threads`
+/// lanes, the budget the member's run would have had.
+fn status_only(
+    member: &SweepSpec,
+    store: Option<&SweepStore>,
+    threads: usize,
+) -> Result<SweepOutcome, SweepError> {
     let grid = member.expand()?;
     let persisted = match store {
-        Some(store) => store.load_cells()?,
+        Some(store) => store.load_cells_on(threads)?,
         None => std::collections::BTreeMap::new(),
     };
     let mut cells = Vec::new();

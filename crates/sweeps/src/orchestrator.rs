@@ -132,7 +132,8 @@ impl SweepRunner {
     /// Runs `spec`, skipping cells already persisted in `store`, appending
     /// each newly completed cell to the store as it finishes.  Pass
     /// `store = None` for a purely in-memory run (the thin experiment
-    /// binaries do this).
+    /// binaries do this).  The store's shards load on this runner's thread
+    /// budget, so `with_threads(1)` loads on the calling thread.
     ///
     /// # Errors
     ///
@@ -155,7 +156,7 @@ impl SweepRunner {
         // the record and the outcome all reuse it.
         let hashes: Vec<String> = grid.iter().map(ScenarioSpec::hash_hex).collect();
         let mut persisted = match store {
-            Some(store) => store.load_cells()?,
+            Some(store) => store.load_cells_on(self.threads)?,
             None => std::collections::BTreeMap::new(),
         };
 
@@ -163,7 +164,8 @@ impl SweepRunner {
             .filter(|&i| !persisted.contains_key(&hashes[i]))
             .take(self.max_cells.unwrap_or(usize::MAX))
             .collect();
-        let skipped = persisted.len().min(grid.len());
+        // Only grid cells count: a store may hold records of other cells.
+        let skipped = hashes.iter().filter(|h| persisted.contains_key(*h)).count();
 
         let outer = self.threads.min(pending.len()).max(1);
         let inner = (self.threads / outer).max(1);
@@ -538,6 +540,48 @@ mod tests {
         for cell in &resumed.cells {
             assert!(profiles.contains_key(&cell.hash));
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn records_of_other_cells_are_not_counted_as_skipped() {
+        use crate::store::SweepStore;
+
+        let dir =
+            std::env::temp_dir().join(format!("sweep-orchestrator-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = tiny_sweep();
+        let registry = ProtocolRegistry::builtin();
+        let store = SweepStore::create(&dir, &spec).unwrap();
+        let cut = SweepRunner::new()
+            .with_threads(1)
+            .with_max_cells(2)
+            .run(&spec, &registry, Some(&store))
+            .unwrap();
+        assert_eq!(cut.executed, 2);
+
+        // A valid record of a cell outside the grid, appended to the shard.
+        let mut shards = std::fs::read_dir(dir.join("shards"))
+            .unwrap()
+            .map(|entry| entry.unwrap().path());
+        let shard = shards.next().unwrap();
+        assert!(shards.next().is_none(), "one worker, one shard");
+        let mut foreign = cut.cells[0].clone();
+        foreign.hash = "f0f0f0f0f0f0f0f0".into();
+        let mut text = std::fs::read_to_string(&shard).unwrap();
+        text.push_str(&foreign.to_json_line());
+        text.push('\n');
+        std::fs::write(&shard, text).unwrap();
+
+        let resumed = SweepRunner::new()
+            .with_threads(1)
+            .run(&spec, &registry, Some(&store))
+            .unwrap();
+        assert!(resumed.completed);
+        assert_eq!(resumed.executed, 1);
+        assert_eq!(resumed.skipped, 2, "the foreign record is not a grid cell");
+        assert_eq!(resumed.total, 3);
+        assert_eq!(resumed.cells.len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,8 +18,21 @@
 //! drops (the cell simply re-runs on resume).  Because every record is a
 //! deterministic function of its hash-addressed spec, re-running loses
 //! nothing and the final export is byte-identical to an uninterrupted run.
+//!
+//! # Loading on lanes
+//!
+//! Result shards and telemetry shards go through one loader.  It reads the
+//! `*.jsonl` files in sorted name order, splits their lines into one
+//! contiguous share per lane of the thread budget (cut into runs at file
+//! boundaries, so a single-shard store also uses every lane), decodes the
+//! shares on scoped threads — the calling thread is lane 0, so a budget of
+//! one spawns nothing — and merges them in file and line order.  The result
+//! is the sequential loader's, whatever the lane count: the same map (a
+//! hash read twice keeps the later read), the same torn-final-line rule per
+//! file, and the same first error, reported as `path:line`.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::fs;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -28,6 +41,7 @@ use crate::aggregate::CellRecord;
 use crate::error::SweepError;
 use crate::json::{parse, Json};
 use crate::observe::CellTelemetry;
+use crate::runner::default_threads;
 use crate::spec::SweepSpec;
 
 /// The store format version written to manifests.
@@ -110,52 +124,36 @@ impl SweepStore {
 
     /// Loads every persisted cell record, keyed by cell hash.
     ///
-    /// Shards are read in sorted filename order.  A record whose hash
+    /// Shards are read in sorted filename order and decoded on
+    /// [`default_threads`] lanes (the `FLIP_THREADS` override or the machine
+    /// width, the budget [`SweepRunner::new`](crate::SweepRunner::new)
+    /// starts from); the lanes' records merge in file and line order, so
+    /// the result does not depend on the lane count.  A record whose hash
     /// appears twice keeps the later read (identical by construction).  A
     /// torn **final** line — the signature of a killed run — is dropped;
-    /// a malformed line anywhere else is corruption and fails loudly.
+    /// a malformed line anywhere else is corruption and fails loudly, and
+    /// the first such line in file and line order is the one reported.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] on read failures, [`SweepError::Store`]
     /// on mid-file corruption.
     pub fn load_cells(&self) -> Result<BTreeMap<String, CellRecord>, SweepError> {
-        let mut cells = BTreeMap::new();
-        let shards_dir = self.dir.join("shards");
-        let mut paths: Vec<PathBuf> = fs::read_dir(&shards_dir)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|entry| entry.path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let content = fs::read_to_string(&path)?;
-            let lines: Vec<&str> = content.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match CellRecord::from_json_line(line) {
-                    Ok(record) => {
-                        cells.insert(record.hash.clone(), record);
-                    }
-                    Err(err) if i + 1 == lines.len() && !content.ends_with('\n') => {
-                        // Torn final line from a killed writer: the cell
-                        // never checkpointed, so resuming re-runs it.
-                        let _ = err;
-                    }
-                    Err(err) => {
-                        return Err(SweepError::Store(format!(
-                            "{}:{}: {err}",
-                            path.display(),
-                            i + 1
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(cells)
+        self.load_cells_on(default_threads())
+    }
+
+    /// [`Self::load_cells`] on a budget of `threads` lanes (at least one;
+    /// one decodes on the calling thread).
+    pub(crate) fn load_cells_on(
+        &self,
+        threads: usize,
+    ) -> Result<BTreeMap<String, CellRecord>, SweepError> {
+        load_shards(
+            &self.dir.join("shards"),
+            threads,
+            CellRecord::from_json_line,
+            |record| &record.hash,
+        )
     }
 
     /// Opens one shard writer per worker for a new run generation.
@@ -202,54 +200,161 @@ impl SweepStore {
 
     /// Loads every persisted per-cell telemetry record, keyed by cell hash.
     ///
-    /// Same tolerance contract as [`Self::load_cells`]: a torn final line is
-    /// dropped (the kill signature), mid-file corruption fails loudly, and a
-    /// store that never ran with telemetry yields an empty map.
+    /// Same loader and tolerance contract as [`Self::load_cells`]: shards
+    /// decode on [`default_threads`] lanes, a torn final line is dropped
+    /// (the kill signature), mid-file corruption fails loudly, and a store
+    /// that never ran with telemetry yields an empty map.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] on read failures, [`SweepError::Store`]
     /// on mid-file corruption.
     pub fn load_telemetry(&self) -> Result<BTreeMap<String, CellTelemetry>, SweepError> {
-        let mut cells = BTreeMap::new();
         let telemetry_dir = self.dir.join("telemetry");
         if !telemetry_dir.is_dir() {
-            return Ok(cells);
+            return Ok(BTreeMap::new());
         }
-        let mut paths: Vec<PathBuf> = fs::read_dir(&telemetry_dir)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|entry| entry.path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let content = fs::read_to_string(&path)?;
-            let lines: Vec<&str> = content.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
+        load_shards(
+            &telemetry_dir,
+            default_threads(),
+            CellTelemetry::from_json_line,
+            |record| &record.hash,
+        )
+    }
+}
+
+/// A contiguous run of one shard file's lines.
+struct Run {
+    /// Index of the file in the sorted shard list.
+    file: usize,
+    /// Index of the run's first line in its file.
+    first: usize,
+    /// Lines in the run.
+    len: usize,
+}
+
+/// The first undecodable line a lane met: file index, line index, error.
+type LaneError<E> = (usize, usize, E);
+
+/// Loads every `*.jsonl` file in `dir`, keyed by `key`: the one shard
+/// loader behind [`SweepStore::load_cells`] and
+/// [`SweepStore::load_telemetry`].
+///
+/// The files' lines, in sorted file order, are cut into one contiguous
+/// share per lane (`threads` lanes at most, one per line at most); a share
+/// is a list of [`Run`]s, each inside one file.  Lane 0 decodes on the
+/// calling thread and the others on scoped threads.  Each lane stops at its
+/// first error, so the first lane (in share order) that failed holds the
+/// first error in file and line order.  The merge walks the lanes in order
+/// and inserts every record, so a hash read twice keeps the later read.
+/// Blank lines are skipped, and a file's last line may fail to decode only
+/// when the file does not end in a newline (a torn write).  A file that
+/// cannot be read fails the load after the decode errors of the files
+/// before it, in the order a file-by-file loader would meet them.
+fn load_shards<T: Send, E: Display + Send>(
+    dir: &Path,
+    threads: usize,
+    decode: impl Fn(&str) -> Result<T, E> + Sync,
+    key: impl Fn(&T) -> &str,
+) -> Result<BTreeMap<String, T>, SweepError> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .map(|entry| entry.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
+        .collect();
+    paths.sort();
+    let mut contents = Vec::with_capacity(paths.len());
+    let mut read_error = None;
+    for path in &paths {
+        match fs::read_to_string(path) {
+            Ok(content) => contents.push(content),
+            Err(err) => {
+                read_error = Some(err);
+                break;
+            }
+        }
+    }
+    let lines: Vec<Vec<&str>> = contents.iter().map(|c| c.lines().collect()).collect();
+
+    let total: usize = lines.iter().map(Vec::len).sum();
+    let lanes = threads.min(total).max(1);
+    let mut shares: Vec<Vec<Run>> = Vec::with_capacity(lanes);
+    let (mut file, mut line) = (0, 0);
+    for lane in 0..lanes {
+        let mut quota = (lane + 1) * total / lanes - lane * total / lanes;
+        let mut runs = Vec::new();
+        while quota > 0 {
+            while line == lines[file].len() {
+                file += 1;
+                line = 0;
+            }
+            let len = quota.min(lines[file].len() - line);
+            runs.push(Run {
+                file,
+                first: line,
+                len,
+            });
+            line += len;
+            quota -= len;
+        }
+        shares.push(runs);
+    }
+
+    let decode_share = |runs: &[Run]| -> Result<Vec<T>, LaneError<E>> {
+        let mut records = Vec::with_capacity(runs.iter().map(|run| run.len).sum());
+        for run in runs {
+            let file_lines = &lines[run.file];
+            let may_tear = !contents[run.file].ends_with('\n');
+            for (i, text) in file_lines.iter().enumerate().skip(run.first).take(run.len) {
+                if text.trim().is_empty() {
                     continue;
                 }
-                match CellTelemetry::from_json_line(line) {
-                    Ok(record) => {
-                        cells.insert(record.hash.clone(), record);
-                    }
-                    Err(err) if i + 1 == lines.len() && !content.ends_with('\n') => {
-                        // Torn final line from a killed writer: that cell's
-                        // profile is simply missing, never fatal.
-                        let _ = err;
-                    }
-                    Err(err) => {
-                        return Err(SweepError::Store(format!(
-                            "{}:{}: {err}",
-                            path.display(),
-                            i + 1
-                        )));
-                    }
+                match decode(text) {
+                    Ok(record) => records.push(record),
+                    // Torn final line from a killed writer: the cell never
+                    // checkpointed, so resuming re-runs it.
+                    Err(_) if may_tear && i + 1 == file_lines.len() => {}
+                    Err(err) => return Err((run.file, i, err)),
                 }
             }
         }
-        Ok(cells)
+        Ok(records)
+    };
+    let decoded: Vec<Result<Vec<T>, LaneError<E>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shares[1..]
+            .iter()
+            .map(|runs| scope.spawn(|| decode_share(runs)))
+            .collect();
+        let mut decoded = vec![decode_share(&shares[0])];
+        decoded.extend(
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("shard decode lane panicked")),
+        );
+        decoded
+    });
+
+    let mut cells = BTreeMap::new();
+    for share in decoded {
+        match share {
+            Ok(records) => {
+                for record in records {
+                    cells.insert(key(&record).to_owned(), record);
+                }
+            }
+            Err((file, i, err)) => {
+                return Err(SweepError::Store(format!(
+                    "{}:{}: {err}",
+                    paths[file].display(),
+                    i + 1
+                )));
+            }
+        }
+    }
+    match read_error {
+        Some(err) => Err(err.into()),
+        None => Ok(cells),
     }
 }
 
@@ -486,6 +591,164 @@ mod tests {
         // Corruption before the end is a hard error.
         fs::write(&path, "garbage\n{\"also\":\"bad\"}\n").unwrap();
         assert!(store.load_cells().is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sequential reference loader: file by file, line by line, on the
+    /// calling thread.
+    fn load_sequentially(dir: &Path) -> Result<BTreeMap<String, CellRecord>, String> {
+        let mut cells = BTreeMap::new();
+        let mut paths: Vec<PathBuf> = fs::read_dir(dir.join("shards"))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
+            .collect();
+        paths.sort();
+        for path in paths {
+            let content = fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = content.lines().collect();
+            for (i, line) in lines.iter().enumerate() {
+                if line.trim().is_empty() {
+                    continue;
+                }
+                match CellRecord::from_json_line(line) {
+                    Ok(record) => {
+                        cells.insert(record.hash.clone(), record);
+                    }
+                    Err(_) if i + 1 == lines.len() && !content.ends_with('\n') => {}
+                    Err(err) => {
+                        let message = format!("{}:{}: {err}", path.display(), i + 1);
+                        return Err(SweepError::Store(message).to_string());
+                    }
+                }
+            }
+        }
+        Ok(cells)
+    }
+
+    /// A store whose shards directory holds exactly `shards` (name, lines).
+    fn store_with_shards(dir: &Path, shards: &[(String, Vec<String>)]) -> SweepStore {
+        let _ = fs::remove_dir_all(dir);
+        let store = SweepStore::create(dir, &demo_spec()).unwrap();
+        for (name, lines) in shards {
+            fs::write(dir.join("shards").join(name), lines.concat()).unwrap();
+        }
+        store
+    }
+
+    /// Loads `store` at 1, 2, 3 and 8 lanes and checks each result against
+    /// the sequential loader's; returns that result.
+    fn load_at_every_width(store: &SweepStore) -> Result<BTreeMap<String, CellRecord>, String> {
+        let reference = load_sequentially(store.dir());
+        for lanes in [1, 2, 3, 8] {
+            let loaded = store.load_cells_on(lanes).map_err(|e| e.to_string());
+            assert_eq!(loaded, reference, "{lanes} lanes");
+        }
+        reference
+    }
+
+    /// Shard layouts: three files of 7, 1 and 12 lines (plus a file that is
+    /// not a shard), and a single file of 20 lines.  Hashes repeat across
+    /// and within files with different points, so the later read shows.
+    fn layouts() -> Vec<Vec<(String, Vec<String>)>> {
+        let line = |i: u64| {
+            format!(
+                "{}\n",
+                demo_record(&format!("cell-{}", i % 13), i).to_json_line()
+            )
+        };
+        let file = |name: &str, points: std::ops::Range<u64>| {
+            (name.to_string(), points.map(line).collect::<Vec<_>>())
+        };
+        vec![
+            vec![
+                file("shard-0001-00.jsonl", 0..7),
+                file("shard-0001-01.jsonl", 7..8),
+                file("shard-0002-00.jsonl", 8..20),
+                ("notes.txt".to_string(), vec!["not a shard\n".to_string()]),
+            ],
+            vec![file("shard-0001-00.jsonl", 0..20)],
+        ]
+    }
+
+    #[test]
+    fn lane_loads_match_the_sequential_loader() {
+        let dir = temp_dir("lanes");
+        for shards in layouts() {
+            let store = store_with_shards(&dir, &shards);
+            let cells = load_at_every_width(&store).unwrap();
+            assert_eq!(cells.len(), 13);
+            // The later read wins: the last point of each hash.
+            assert_eq!(cells["cell-0"].point, 13);
+            assert_eq!(cells["cell-6"].point, 19);
+            assert_eq!(cells["cell-7"].point, 7);
+
+            // Blank lines are skipped.
+            let mut spaced = shards.clone();
+            spaced[0].1.insert(2, " \n".to_string());
+            spaced[0].1.push("\n".to_string());
+            let store = store_with_shards(&dir, &spaced);
+            assert_eq!(load_at_every_width(&store).unwrap(), cells);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lane_loads_drop_every_torn_final_line() {
+        let dir = temp_dir("lanes-torn");
+        for mut shards in layouts() {
+            // What survives: every shard line but the last, later reads
+            // winning.
+            let mut kept = BTreeMap::new();
+            for (name, lines) in &mut shards {
+                if name.ends_with(".jsonl") {
+                    for line in &lines[..lines.len() - 1] {
+                        let record = CellRecord::from_json_line(line.trim_end()).unwrap();
+                        kept.insert(record.hash.clone(), record);
+                    }
+                    let last = lines.last_mut().unwrap();
+                    last.truncate(last.len() / 2);
+                }
+            }
+            let store = store_with_shards(&dir, &shards);
+            assert_eq!(load_at_every_width(&store).unwrap(), kept);
+        }
+
+        // A final line without its newline that still decodes is kept.
+        let mut whole = layouts().remove(1);
+        whole[0].1.last_mut().unwrap().pop();
+        let store = store_with_shards(&dir, &whole);
+        assert_eq!(load_at_every_width(&store).unwrap().len(), 13);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lane_loads_report_the_first_corrupt_line() {
+        let dir = temp_dir("lanes-corrupt");
+        for mut shards in layouts() {
+            // Corrupt a middle line of the first shard and, when there is
+            // one, of the last; the single shard gets two corrupt lines.
+            let last = if shards.len() > 1 { 2 } else { 0 };
+            shards[0].1[3] = "{\"cell\":\n".to_string();
+            shards[last].1[9] = "garbage\n".to_string();
+            let store = store_with_shards(&dir, &shards);
+            let err = load_at_every_width(&store).unwrap_err();
+            let first = store.dir().join("shards").join(&shards[0].0);
+            assert!(err.contains(&format!("{}:4: ", first.display())), "{err}");
+        }
+
+        // A bad final line is torn only when its file lacks the closing
+        // newline; with the newline it is corruption, in any shard.
+        for mut shards in layouts() {
+            let last = shards.len().min(3) - 1;
+            let lines = &mut shards[last].1;
+            let at = lines.len();
+            lines[at - 1] = "{\"cell\":\"x\"}\n".to_string();
+            let store = store_with_shards(&dir, &shards);
+            let err = load_at_every_width(&store).unwrap_err();
+            let path = store.dir().join("shards").join(&shards[last].0);
+            assert!(err.contains(&format!("{}:{at}: ", path.display())), "{err}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

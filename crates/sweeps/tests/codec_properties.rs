@@ -94,11 +94,11 @@ fn markers(rng: &mut StdRng) -> [f64; 5] {
 fn aggregate(rng: &mut StdRng, trials: u32) -> MetricAggregate {
     let count = u64::from(trials);
     let quantiles = TRACKED_QUANTILES.map(|q| {
-        let buffer = if count < 5 {
-            (0..count).map(|_| float(rng)).collect()
-        } else {
-            Vec::new()
-        };
+        let buffered = if count < 5 { count as usize } else { 0 };
+        let mut buffer = [0.0; 5];
+        for slot in &mut buffer[..buffered] {
+            *slot = float(rng);
+        }
         P2Quantile::restore(P2State {
             q,
             count,
@@ -106,6 +106,7 @@ fn aggregate(rng: &mut StdRng, trials: u32) -> MetricAggregate {
             positions: markers(rng),
             desired: markers(rng),
             buffer,
+            buffered,
         })
         .expect("consistent sketch state")
     });
