@@ -7,10 +7,23 @@
 //! matches the source's is only `1/2 + (2ε)^{Θ(log n)}` — indistinguishable
 //! from a coin flip for small `ε`.  This baseline reproduces exactly that
 //! failure mode.
+//!
+//! # Stopping once nothing can change
+//!
+//! An informed agent keeps its opinion for good (only the first message is
+//! adopted) and sends it in every round after the one it adopted in.  So
+//! once every agent holds an opinion — after `O(log n)` rounds, far inside
+//! the Breathe budget the E10 comparison gives every baseline — no later
+//! round can change the census, and every later round sends exactly `n`
+//! messages.  [`ForwardingProtocol::run_with_seed`] therefore simulates
+//! only until full activation and adds `n` messages per skipped round; its
+//! outcome equals a full-budget run's field for field.
+//! [`ForwardingProtocol::run_until_informed`] keeps a per-round history and
+//! simulates the whole budget.
 
 use flip_model::{Agent, FlipError, Opinion, OpinionDelta, Round, SimRng};
 
-use crate::{BaselineOutcome, BaselineRun};
+use crate::{BaselineOutcome, BaselineRun, Rounds};
 
 /// An agent running the immediate-forwarding strategy.
 #[derive(Debug, Clone, Default)]
@@ -106,13 +119,15 @@ impl ForwardingProtocol {
         agents
     }
 
-    /// Runs one execution in which the source holds `correct`.
+    /// Runs one execution in which the source holds `correct`, simulating
+    /// rounds only until every agent is informed (see the module docs).
     ///
     /// # Errors
     ///
     /// Propagates [`FlipError`] from engine construction.
     pub fn run_with_seed(&self, correct: Opinion, seed: u64) -> Result<BaselineOutcome, FlipError> {
-        Ok(self.0.run(self.agents(correct), correct, seed, false)?.0)
+        let agents = self.agents(correct);
+        Ok(self.0.run(agents, correct, seed, Rounds::UntilAllActive)?.0)
     }
 
     /// Runs one execution and also reports how many rounds it took to inform
@@ -126,7 +141,8 @@ impl ForwardingProtocol {
         correct: Opinion,
         seed: u64,
     ) -> Result<(BaselineOutcome, Option<u64>), FlipError> {
-        let (outcome, trace) = self.0.run(self.agents(correct), correct, seed, true)?;
+        let agents = self.agents(correct);
+        let (outcome, trace) = self.0.run(agents, correct, seed, Rounds::AllWithHistory)?;
         Ok((outcome, trace.round_reaching_active(self.0.n)))
     }
 }
@@ -134,6 +150,7 @@ impl ForwardingProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flip_model::{BinarySymmetricChannel, Simulation, SimulationConfig};
 
     #[test]
     fn constructor_validates_inputs() {
@@ -168,6 +185,72 @@ mod tests {
             outcome.fraction_correct < 0.75,
             "forwarding should be unreliable, got {}",
             outcome.fraction_correct
+        );
+    }
+
+    /// A full-budget run built from the agents and the engine directly,
+    /// with the first round after which every agent was informed.
+    fn full_budget_run(
+        n: usize,
+        epsilon: f64,
+        budget: u64,
+        seed: u64,
+    ) -> (BaselineOutcome, Option<u64>) {
+        let correct = Opinion::One;
+        let mut agents = vec![ForwardingAgent::uninformed(); n];
+        agents[0] = ForwardingAgent::source(correct);
+        let channel = BinarySymmetricChannel::from_epsilon(epsilon).unwrap();
+        let config = SimulationConfig::new(n)
+            .with_seed(seed)
+            .with_reference(correct);
+        let mut sim = Simulation::new(agents, channel, config).unwrap();
+        let mut informed = None;
+        for round in 1..=budget {
+            sim.step();
+            if informed.is_none() && sim.census().active() == n {
+                informed = Some(round);
+            }
+        }
+        let census = sim.census();
+        let outcome = BaselineOutcome {
+            n,
+            epsilon,
+            correct,
+            rounds: budget,
+            messages_sent: sim.metrics().messages_sent,
+            fraction_correct: census.fraction_correct(correct),
+            all_correct: census.is_unanimous(correct),
+        };
+        (outcome, informed)
+    }
+
+    #[test]
+    fn stopping_once_everyone_is_informed_matches_a_full_budget_run() {
+        let (mut cut_short, mut never_informed) = (0, 0);
+        for n in [2, 3, 10, 200] {
+            for epsilon in [0.05, 0.2, 0.5] {
+                for budget in [0, 1, 5, 40, 300] {
+                    for seed in 0..3 {
+                        let (expected, informed) = full_budget_run(n, epsilon, budget, seed);
+                        let outcome = ForwardingProtocol::new(n, epsilon, budget)
+                            .unwrap()
+                            .run_with_seed(Opinion::One, seed)
+                            .unwrap();
+                        assert_eq!(outcome, expected, "n {n}, ε {epsilon}, {budget} rounds");
+                        match informed {
+                            Some(round) if round < budget => cut_short += 1,
+                            None => never_informed += 1,
+                            Some(_) => {}
+                        }
+                    }
+                }
+            }
+        }
+        // Both sides of the exit are covered: runs that skip rounds and
+        // budgets that end before everyone is informed.
+        assert!(
+            cut_short > 50 && never_informed > 20,
+            "{cut_short}, {never_informed}"
         );
     }
 

@@ -59,7 +59,9 @@ pub struct BaselineOutcome {
     pub epsilon: f64,
     /// The correct opinion the population was supposed to converge to.
     pub correct: Opinion,
-    /// Rounds executed.
+    /// The round budget the outcome covers.  A forwarding run stops
+    /// simulating once no agent can change, and its outcome still covers
+    /// the whole budget.
     pub rounds: u64,
     /// Messages (bits) pushed in total.
     pub messages_sent: u64,
@@ -67,6 +69,19 @@ pub struct BaselineOutcome {
     pub fraction_correct: f64,
     /// Whether every agent held the correct opinion at the end.
     pub all_correct: bool,
+}
+
+/// How much of its round budget a [`BaselineRun`] simulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rounds {
+    /// Every round.
+    All,
+    /// Every round, keeping a census snapshot per round in the trace.
+    AllWithHistory,
+    /// Rounds until every agent holds an opinion.  Only for agents that,
+    /// once every agent is informed, never change state again and send in
+    /// every round: the outcome then adds `n` messages per skipped round.
+    UntilAllActive,
 }
 
 /// What the engine-backed baselines share: `n` agents pushing over a binary
@@ -92,9 +107,9 @@ impl BaselineRun {
         Ok(Self { n, epsilon, rounds })
     }
 
-    /// Runs `agents` for the round budget on an engine seeded with `seed`,
-    /// scoring against `correct`, and returns the outcome with the run's
-    /// trace (which keeps per-round snapshots when `history` is set).
+    /// Runs `agents` over the round budget on an engine seeded with `seed`,
+    /// simulating the rounds `rounds` asks for, scoring against `correct`,
+    /// and returns the outcome with the run's trace.
     ///
     /// # Errors
     ///
@@ -104,15 +119,21 @@ impl BaselineRun {
         agents: Vec<A>,
         correct: Opinion,
         seed: u64,
-        history: bool,
+        rounds: Rounds,
     ) -> Result<(BaselineOutcome, TraceRecorder), FlipError> {
         let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
         let config = SimulationConfig::new(self.n)
             .with_seed(seed)
             .with_reference(correct)
-            .with_history(history);
+            .with_history(rounds == Rounds::AllWithHistory);
         let mut sim = Simulation::new(agents, channel, config)?;
-        sim.run(self.rounds);
+        let skipped = if rounds == Rounds::UntilAllActive {
+            let n = self.n;
+            self.rounds - sim.run_until(self.rounds, |sim| sim.census().active() == n)
+        } else {
+            sim.run(self.rounds);
+            0
+        };
         let census = sim.census();
         let (_, metrics, trace) = sim.into_parts();
         let outcome = BaselineOutcome {
@@ -120,7 +141,7 @@ impl BaselineRun {
             epsilon: self.epsilon,
             correct,
             rounds: self.rounds,
-            messages_sent: metrics.messages_sent,
+            messages_sent: metrics.messages_sent + self.n as u64 * skipped,
             fraction_correct: census.fraction_correct(correct),
             all_correct: census.is_unanimous(correct),
         };

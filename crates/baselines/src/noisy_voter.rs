@@ -10,7 +10,7 @@
 
 use flip_model::{Agent, FlipError, Opinion, OpinionDelta, Round, SimRng};
 
-use crate::{BaselineOutcome, BaselineRun};
+use crate::{BaselineOutcome, BaselineRun, Rounds};
 
 /// A voter-model agent (the zealot never updates).
 #[derive(Debug, Clone, Default)]
@@ -84,7 +84,8 @@ impl NoisyVoterProtocol {
     ///
     /// Propagates [`FlipError`] from engine construction.
     pub fn run_with_seed(&self, correct: Opinion, seed: u64) -> Result<BaselineOutcome, FlipError> {
-        Ok(self.0.run(self.agents(correct), correct, seed, false)?.0)
+        let agents = self.agents(correct);
+        Ok(self.0.run(agents, correct, seed, Rounds::All)?.0)
     }
 
     /// Runs one execution and returns the per-round fraction of correct agents.
@@ -93,7 +94,8 @@ impl NoisyVoterProtocol {
     ///
     /// Propagates [`FlipError`] from engine construction.
     pub fn run_trajectory(&self, correct: Opinion, seed: u64) -> Result<Vec<f64>, FlipError> {
-        let (_, trace) = self.0.run(self.agents(correct), correct, seed, true)?;
+        let agents = self.agents(correct);
+        let (_, trace) = self.0.run(agents, correct, seed, Rounds::AllWithHistory)?;
         Ok(trace
             .history()
             .iter()

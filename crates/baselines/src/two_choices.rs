@@ -16,7 +16,7 @@
 
 use flip_model::{Agent, FlipError, Opinion, OpinionDelta, Round, SimRng};
 
-use crate::{BaselineOutcome, BaselineRun};
+use crate::{BaselineOutcome, BaselineRun, Rounds};
 
 /// An agent running the two-choices dynamics over push gossip.
 #[derive(Debug, Clone)]
@@ -132,7 +132,7 @@ impl TwoChoicesProtocol {
                 })
             })
             .collect();
-        Ok(self.0.run(agents, correct, seed, false)?.0)
+        Ok(self.0.run(agents, correct, seed, Rounds::All)?.0)
     }
 }
 

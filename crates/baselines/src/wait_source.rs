@@ -10,7 +10,7 @@
 
 use flip_model::{Agent, FlipError, Opinion, OpinionDelta, Round, SimRng};
 
-use crate::{BaselineOutcome, BaselineRun};
+use crate::{BaselineOutcome, BaselineRun, Rounds};
 
 /// An agent running the wait-for-source strategy.
 #[derive(Debug, Clone, Default)]
@@ -99,7 +99,7 @@ impl WaitForSourceProtocol {
     pub fn run_with_seed(&self, correct: Opinion, seed: u64) -> Result<BaselineOutcome, FlipError> {
         let mut agents = vec![WaitAgent::default(); self.0.n];
         agents[0].source_opinion = Some(correct);
-        Ok(self.0.run(agents, correct, seed, false)?.0)
+        Ok(self.0.run(agents, correct, seed, Rounds::All)?.0)
     }
 }
 

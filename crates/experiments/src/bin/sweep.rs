@@ -508,12 +508,11 @@ fn cmd_report(args: &[String]) -> Result<(), SweepError> {
         return cmd_report_composed(Path::new(dir), &flags);
     }
     let (store, spec) = SweepStore::open(Path::new(dir))?;
-    let records = store.load_cells()?;
     println!(
         "sweep `{}` ({}): {}/{} cells persisted",
         spec.name,
         spec.hash_hex(),
-        records.len(),
+        grid_cells_persisted(&spec, &store)?,
         spec.grid_len(),
     );
     if !flags.telemetry_requested() {
@@ -553,6 +552,17 @@ fn cmd_report(args: &[String]) -> Result<(), SweepError> {
     Ok(())
 }
 
+/// How many of `spec`'s grid cells `store` holds a record for.  Records of
+/// other cells (a shard copied from another sweep) are not counted.
+fn grid_cells_persisted(spec: &SweepSpec, store: &SweepStore) -> Result<usize, SweepError> {
+    let records = store.load_cells()?;
+    Ok(spec
+        .expand()?
+        .iter()
+        .filter(|cell| records.contains_key(&cell.hash_hex()))
+        .count())
+}
+
 /// `sweep report` on a composed report store: per-member completion status
 /// plus, with `--telemetry`, the profile aggregate merged across members.
 fn cmd_report_composed(dir: &Path, flags: &Flags) -> Result<(), SweepError> {
@@ -566,15 +576,13 @@ fn cmd_report_composed(dir: &Path, flags: &Flags) -> Result<(), SweepError> {
     let mut cell_ns = 0u64;
     for member in &spec.members {
         let sub = store.member_store(member)?;
-        let records = sub.load_cells()?;
+        let found = grid_cells_persisted(member, &sub)?;
         let cells = member.grid_len();
         member_lines.push(format!(
-            "  member `{}`: {}/{} cells persisted",
+            "  member `{}`: {found}/{cells} cells persisted",
             member.name,
-            records.len(),
-            cells
         ));
-        persisted += records.len().min(cells);
+        persisted += found;
         total += cells;
         if flags.telemetry_requested() {
             for profile in sub.load_telemetry()?.values() {

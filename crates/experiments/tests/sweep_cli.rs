@@ -487,6 +487,65 @@ fn list_groups_builtins_by_family_and_marks_composed_specs() {
     assert!(report_at < protocols_at);
 }
 
+/// Appends to the first shard of the store at `dir` a copy of its first
+/// record under a hash no grid cell has.
+fn append_foreign_record(dir: &Path) {
+    let shard = fs::read_dir(dir.join("shards"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "jsonl"))
+        .min()
+        .expect("the store has a shard");
+    let mut content = fs::read_to_string(&shard).unwrap();
+    let line = content.lines().next().unwrap().to_string();
+    let hash = line.find("\"cell\":\"").unwrap() + "\"cell\":\"".len();
+    content.push_str(&format!(
+        "{}{}{}\n",
+        &line[..hash],
+        "f".repeat(16),
+        &line[hash + 16..]
+    ));
+    fs::write(&shard, content).unwrap();
+}
+
+#[test]
+fn report_counts_only_grid_cells() {
+    let root = scratch("report-foreign");
+    let spec = write_spec(&root);
+    let dir = root.join("store");
+    let dir_str = dir.to_str().unwrap();
+    sweep_ok(&[
+        "run",
+        spec.to_str().unwrap(),
+        "--out",
+        dir_str,
+        "--max-cells",
+        "3",
+    ]);
+    append_foreign_record(&dir);
+    let report = sweep_ok(&["report", dir_str]);
+    assert!(report.contains(": 3/4 cells persisted"), "{report}");
+
+    // The same in a composed report: the member line and the total.
+    let composed = root.join("report");
+    let composed_str = composed.to_str().unwrap();
+    sweep_ok(&[
+        "run",
+        "report",
+        "--out",
+        composed_str,
+        "--trials",
+        "1",
+        "--max-cells",
+        "2",
+    ]);
+    append_foreign_record(&composed.join("members").join("e01"));
+    let status = sweep_ok(&["report", composed_str]);
+    let total = status.lines().next().unwrap();
+    assert!(total.contains(": 2/"), "{status}");
+    assert!(status.contains("member `e01`: 2/"), "{status}");
+}
+
 #[test]
 fn composed_report_runs_resume_and_refuse_flat_export() {
     let root = scratch("composed");

@@ -14,14 +14,27 @@
 //! * **JSON** — the full aggregate schema, including quantile-sketch state;
 //!   [`parse_export_json`] round-trips it losslessly back into
 //!   [`CellRecord`]s.
+//!
+//! # Formatting on lanes
+//!
+//! Both exports format on the lanes of the [`default_threads`] budget (the
+//! `FLIP_THREADS` override or the machine width), the budget
+//! [`SweepStore::load_cells`](crate::SweepStore::load_cells) loads on.  The
+//! grid-ordered cells are cut into one contiguous chunk per lane; each
+//! chunk is formatted into its own buffer on a scoped thread, the calling
+//! thread formatting the first, and the buffers are joined in chunk order.
+//! So the bytes are those of a one-lane export, whatever the lane count.
+//! A budget of one, or a single cell, spawns no thread.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::aggregate::CellRecord;
 use crate::error::SweepError;
-use crate::json::{put, required, write_str, Json, Scanner};
+use crate::json::{put, required, write_f64, write_str, Json, Scanner};
+use crate::runner::default_threads;
 use crate::spec::{ScenarioSpec, SweepSpec};
+use crate::store::on_lanes;
 
 /// Pairs every grid cell with its persisted record, in grid order.
 ///
@@ -48,61 +61,109 @@ pub fn ordered_cells(
 }
 
 /// The union of parameter keys across cells, sorted (CSV column stability).
-fn param_columns(cells: &[(ScenarioSpec, CellRecord)]) -> Vec<String> {
-    let mut keys: Vec<String> = cells
+fn param_columns(cells: &[(ScenarioSpec, CellRecord)]) -> BTreeSet<&str> {
+    cells
         .iter()
-        .flat_map(|(spec, _)| spec.params.keys().cloned())
-        .collect();
-    keys.sort();
-    keys.dedup();
-    keys
+        .flat_map(|(spec, _)| spec.params.keys().map(String::as_str))
+        .collect()
 }
 
 /// The union of metric names across cells, sorted.
-fn metric_columns(cells: &[(ScenarioSpec, CellRecord)]) -> Vec<String> {
-    let mut names: Vec<String> = cells
+fn metric_columns(cells: &[(ScenarioSpec, CellRecord)]) -> BTreeSet<&str> {
+    cells
         .iter()
-        .flat_map(|(_, record)| record.metrics.keys().cloned())
+        .flat_map(|(_, record)| record.metrics.keys().map(String::as_str))
+        .collect()
+}
+
+/// Writes `cells` after `head`: one contiguous chunk of cells per lane of a
+/// `threads` budget, each formatted into its own buffer by `write` (given
+/// the cell's index in `cells`) on [`on_lanes`], the buffers joined in
+/// chunk order.  Lane 0 writes into `head` itself.
+fn write_on_lanes(
+    head: String,
+    cells: &[(ScenarioSpec, CellRecord)],
+    threads: usize,
+    write: impl Fn(&mut String, usize, &(ScenarioSpec, CellRecord)) + Sync,
+) -> String {
+    let chunk = cells.len().div_ceil(threads.max(1)).max(1);
+    let mut shares: Vec<_> = cells
+        .chunks(chunk)
+        .enumerate()
+        .map(|(lane, cells)| (String::new(), lane * chunk, cells))
         .collect();
-    names.sort();
-    names.dedup();
-    names
+    match shares.first_mut() {
+        Some(first) => first.0 = head,
+        None => return head,
+    }
+    let mut pieces = on_lanes(shares, |(mut out, first, cells)| {
+        for (i, cell) in cells.iter().enumerate() {
+            write(&mut out, first + i, cell);
+        }
+        out
+    })
+    .into_iter();
+    let mut out = pieces.next().expect("one piece per share");
+    out.reserve(pieces.as_slice().iter().map(String::len).sum());
+    for piece in pieces {
+        out.push_str(&piece);
+    }
+    out
+}
+
+/// Writes a CSV float as `{:?}`, the shortest round-trip form.  Finite
+/// values go through [`write_f64`], which prints the same bytes and skips
+/// the float formatter for integral ones; non-finite values, which JSON
+/// writes as `null`, keep `{:?}` (`NaN`, `inf`).
+fn write_csv_f64(out: &mut String, value: f64) {
+    if value.is_finite() {
+        write_f64(out, value);
+    } else {
+        let _ = write!(out, "{value:?}");
+    }
 }
 
 /// Renders the summary CSV (see the module docs for the column layout).
 /// Floats use the shortest round-trip form (`{:?}`), the byte-stable form.
+/// Rows are formatted on [`default_threads`] lanes.
 #[must_use]
 pub fn export_csv(cells: &[(ScenarioSpec, CellRecord)]) -> String {
+    export_csv_on(cells, default_threads())
+}
+
+/// [`export_csv`] on a budget of `threads` lanes (one formats on the
+/// calling thread).
+pub(crate) fn export_csv_on(cells: &[(ScenarioSpec, CellRecord)], threads: usize) -> String {
     let params = param_columns(cells);
     let metrics = metric_columns(cells);
-    let mut out = String::new();
-    out.push_str("point,protocol,backend,trials,rounds");
+    let mut head = String::new();
+    head.push_str("point,protocol,backend,trials,rounds");
     for key in &params {
-        out.push(',');
-        out.push_str(key);
+        head.push(',');
+        head.push_str(key);
     }
     for name in &metrics {
         for stat in ["mean", "std", "min", "max", "p10", "p50", "p90"] {
-            out.push(',');
-            out.push_str(name);
-            out.push('_');
-            out.push_str(stat);
+            head.push(',');
+            head.push_str(name);
+            head.push('_');
+            head.push_str(stat);
         }
     }
-    out.push('\n');
-    for (spec, record) in cells {
+    head.push('\n');
+    write_on_lanes(head, cells, threads, |out, _, (spec, record)| {
         let _ = write!(
             out,
             "{},{},{},{},{}",
             record.point, spec.protocol, spec.backend, record.trials, spec.rounds
         );
-        for key in &params {
+        for &key in &params {
             out.push(',');
-            if let Some(v) = spec.params.get(key) {
-                let _ = write!(out, "{v:?}");
+            if let Some(&v) = spec.params.get(key) {
+                write_csv_f64(out, v);
             }
         }
-        for name in &metrics {
+        for &name in &metrics {
             match record.metrics.get(name) {
                 Some(agg) => {
                     let m = &agg.moments;
@@ -115,40 +176,51 @@ pub fn export_csv(cells: &[(ScenarioSpec, CellRecord)]) -> String {
                         agg.quantile(1),
                         agg.quantile(2),
                     ] {
-                        let _ = write!(out, ",{v:?}");
+                        out.push(',');
+                        write_csv_f64(out, v);
                     }
                 }
                 None => out.push_str(",,,,,,,"),
             }
         }
         out.push('\n');
-    }
-    out
+    })
 }
 
 /// Renders the lossless JSON export: sweep identity plus every cell's full
 /// aggregate state (spec echo included), as
 /// `{"name":…,"sweep_hash":…,"cells":[{"spec":…,"record":…},…]}` where
 /// `spec` is the cell's canonical JSON and `record` its shard-store line.
-/// Both are written straight into the document.
+/// Both are written straight into the document, on [`default_threads`]
+/// lanes.
 #[must_use]
 pub fn export_json(spec: &SweepSpec, cells: &[(ScenarioSpec, CellRecord)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"name\":");
-    write_str(&mut out, &spec.name);
-    out.push_str(",\"sweep_hash\":");
-    write_str(&mut out, &spec.hash_hex());
-    out.push_str(",\"cells\":[");
-    for (i, (cell_spec, record)) in cells.iter().enumerate() {
+    export_json_on(spec, cells, default_threads())
+}
+
+/// [`export_json`] on a budget of `threads` lanes (one formats on the
+/// calling thread).
+pub(crate) fn export_json_on(
+    spec: &SweepSpec,
+    cells: &[(ScenarioSpec, CellRecord)],
+    threads: usize,
+) -> String {
+    let mut head = String::new();
+    head.push_str("{\"name\":");
+    write_str(&mut head, &spec.name);
+    head.push_str(",\"sweep_hash\":");
+    write_str(&mut head, &spec.hash_hex());
+    head.push_str(",\"cells\":[");
+    let mut out = write_on_lanes(head, cells, threads, |out, i, (cell_spec, record)| {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"spec\":");
-        cell_spec.write_canonical_json(&mut out);
+        cell_spec.write_canonical_json(out);
         out.push_str(",\"record\":");
-        record.write_json(&mut out);
+        record.write_json(out);
         out.push('}');
-    }
+    });
     out.push_str("]}");
     out
 }
@@ -276,6 +348,96 @@ mod tests {
         let (partial, missing) = ordered_cells(&spec, &records).unwrap();
         assert_eq!(partial.len(), 1);
         assert_eq!(missing, 1);
+    }
+
+    /// The first `count` cells of a sweep over `n`, with records of one to
+    /// six trials that mix integral, fractional, huge and non-finite values
+    /// and leave a metric out of every third cell (an empty CSV run).
+    fn synthetic_cells(count: usize) -> (SweepSpec, Vec<(ScenarioSpec, CellRecord)>) {
+        let spec = SweepSpec {
+            name: "lanes".into(),
+            protocol: "rumor".into(),
+            backend: Backend::Agents,
+            trials: 3,
+            base_seed: 5,
+            point_base: 0,
+            rounds: 50,
+            faults: String::new(),
+            defaults: BTreeMap::from([("epsilon".to_string(), 0.25)]),
+            axes: vec![Axis {
+                key: "n".into(),
+                values: (0..count.max(1)).map(|i| 10.0 + i as f64).collect(),
+            }],
+        };
+        let values = [0.1, 3.0, -0.0, 1e17, 2.5e-9, f64::INFINITY, f64::NAN];
+        let pairs = spec
+            .expand()
+            .unwrap()
+            .into_iter()
+            .take(count)
+            .enumerate()
+            .map(|(i, cell)| {
+                let trials: Vec<Vec<(&'static str, f64)>> = (0..=i % 6)
+                    .map(|t| {
+                        let mut metrics = vec![("rounds", (i * 7 + t) as f64)];
+                        if i % 3 != 0 {
+                            metrics.push(("x", values[(i + t) % values.len()]));
+                        }
+                        metrics
+                    })
+                    .collect();
+                let record = CellRecord::from_trials(cell.hash_hex(), i as u64, &trials);
+                (cell, record)
+            })
+            .collect();
+        (spec, pairs)
+    }
+
+    #[test]
+    fn exports_write_the_same_bytes_on_every_lane_count() {
+        for count in [0, 1, 2, 37] {
+            let (spec, pairs) = synthetic_cells(count);
+            let csv = export_csv_on(&pairs, 1);
+            let json = export_json_on(&spec, &pairs, 1);
+            assert_eq!(csv.lines().count(), count + 1, "{count} cells");
+            for lanes in [2, 3, 8] {
+                assert_eq!(
+                    export_csv_on(&pairs, lanes),
+                    csv,
+                    "{count} cells, {lanes} lanes"
+                );
+                assert_eq!(
+                    export_json_on(&spec, &pairs, lanes),
+                    json,
+                    "{count} cells, {lanes} lanes"
+                );
+            }
+            assert_eq!(export_csv(&pairs), csv);
+            assert_eq!(export_json(&spec, &pairs), json);
+        }
+    }
+
+    #[test]
+    fn csv_floats_print_as_debug() {
+        for v in [
+            0.0,
+            -0.0,
+            3.0,
+            -7.0,
+            0.1,
+            1e15,
+            9_999_999_999_999_998.0,
+            1e16,
+            1e300,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let mut out = String::new();
+            write_csv_f64(&mut out, v);
+            assert_eq!(out, format!("{v:?}"));
+        }
     }
 
     #[test]

@@ -233,39 +233,6 @@ pub(crate) fn write_u64<W: Write + ?Sized>(out: &mut W, mut value: u64) {
     );
 }
 
-/// Reads `-?digits.digits` exactly, without the general float parser, when
-/// the digits (at most 19, so at most 18 after the point) form an integer
-/// `m ≤ 2^53`: `m` and `10^f`, for `f` fraction digits, are then both exact
-/// doubles (powers of ten are exact up to `10^22`), so the one division
-/// `m / 10^f` is correctly rounded — the value `str::parse` returns
-/// (Clinger's fast path).  Anything else returns `None`.
-fn exact_decimal(text: &str) -> Option<f64> {
-    const POW10: [f64; 23] = [
-        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
-        1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-    ];
-    let (negative, body) = match text.strip_prefix('-') {
-        Some(body) => (true, body),
-        None => (false, text),
-    };
-    let (int, frac) = body.split_once('.')?;
-    if int.is_empty() || frac.is_empty() || int.len() + frac.len() > 19 {
-        return None;
-    }
-    let mut mantissa = 0u64;
-    for digit in int.bytes().chain(frac.bytes()) {
-        if !digit.is_ascii_digit() {
-            return None;
-        }
-        mantissa = mantissa * 10 + u64::from(digit - b'0');
-    }
-    if mantissa > 1 << 53 {
-        return None;
-    }
-    let value = mantissa as f64 / POW10[frac.len()];
-    Some(if negative { -value } else { value })
-}
-
 /// Parses a JSON document; the whole input must be one value (surrounding
 /// whitespace allowed).
 ///
@@ -569,55 +536,125 @@ impl<'a> Scanner<'a> {
 
     /// Reads a number: `UInt`/`Int` when it has no fraction or exponent and
     /// fits in 64 bits, `Float` otherwise.
+    ///
+    /// One pass: the scan that finds the token's end also takes its sign,
+    /// its first 19 digits as an integer `m` (19 digits never overflow a
+    /// `u64`) and the digit count before the `.`.  That settles the tokens a
+    /// store holds without a second look at the text:
+    ///
+    /// * `-?digits`, at most 19 digits: `m` itself, negated for `Int` (`-0`
+    ///   is `Int(0)`, and `m = 2⁶³` negates to `i64::MIN`);
+    /// * `-?digits.digits`, at most 19 digits, `m ≤ 2⁵³`: `m / 10^f` for `f`
+    ///   fraction digits, negated when signed (`-0.0` stays -0.0).  Both
+    ///   operands are exact doubles (powers of ten are exact up to 10²²), so
+    ///   the one division is correctly rounded: the value `str::parse`
+    ///   returns (Clinger's fast path).
+    ///
+    /// Everything else — exponents, more than 19 digits, a larger mantissa,
+    /// an integer outside 64 bits, malformed tokens — goes to `str::parse`,
+    /// which also decides what is an error.
     pub(crate) fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        self.pos += 1;
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = &self.text[start..self.pos];
-        if !is_float {
-            if text.starts_with('-') {
-                if let Ok(v) = text.parse::<i64>() {
-                    return Ok(Json::Int(v));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::UInt(v));
-            }
-            // Integers beyond 64 bits degrade to the float path below.
-        }
-        exact_decimal(text)
-            .map_or_else(|| text.parse::<f64>(), Ok)
-            .map(Json::Float)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+        self.read_number().map(Json::from)
     }
 
     /// Reads a number as `f64` (any numeric form, as [`Json::as_f64`]).
     pub(crate) fn f64(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        self.number()?
-            .as_f64()
-            .ok_or_else(|| format!("expected a float at byte {start}"))
+        Ok(match self.read_number()? {
+            Number::UInt(v) => v as f64,
+            Number::Int(v) => v as f64,
+            Number::Float(v) => v,
+        })
     }
 
     /// Reads a number as `u64` (integral floats included, as
     /// [`Json::as_u64`]).
     pub(crate) fn u64(&mut self) -> Result<u64, String> {
         let start = self.pos;
-        self.number()?
+        Json::from(self.read_number()?)
             .as_u64()
             .ok_or_else(|| format!("expected an unsigned integer at byte {start}"))
+    }
+
+    /// The one number reader behind [`Self::number`], [`Self::f64`] and
+    /// [`Self::u64`].  Inlined into each, so the typed readers never build
+    /// a [`Json`] value.
+    #[inline(always)]
+    fn read_number(&mut self) -> Result<Number, String> {
+        const POW10: [f64; 19] = [
+            1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+            1e16, 1e17, 1e18,
+        ];
+        let start = self.pos;
+        let bytes = self.bytes();
+        let negative = match bytes.get(start) {
+            Some(b'-') => true,
+            Some(b'0'..=b'9') => false,
+            _ => return Err(format!("expected a number at byte {start}")),
+        };
+        let mut end = start + usize::from(negative);
+        // `plain`: digits and at most one `.`; `point`: digits before it.
+        let (mut mantissa, mut digits, mut point, mut plain) = (0u64, 0usize, None, true);
+        while let Some(&b) = bytes.get(end) {
+            match b {
+                b'0'..=b'9' => {
+                    if digits < 19 {
+                        mantissa = mantissa * 10 + u64::from(b - b'0');
+                    }
+                    digits += 1;
+                }
+                b'.' if point.is_none() => point = Some(digits),
+                b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
+                _ => break,
+            }
+            end += 1;
+        }
+        self.pos = end;
+        if plain && digits <= 19 {
+            match point {
+                None if !negative => return Ok(Number::UInt(mantissa)),
+                None if digits > 0 && mantissa <= 1 << 63 => {
+                    return Ok(Number::Int((mantissa as i64).wrapping_neg()));
+                }
+                Some(int) if int > 0 && int < digits && mantissa <= 1 << 53 => {
+                    let value = mantissa as f64 / POW10[digits - int];
+                    return Ok(Number::Float(if negative { -value } else { value }));
+                }
+                _ => {}
+            }
+        }
+        let text = &self.text[start..end];
+        if plain && point.is_none() {
+            // Past 19 digits an integer may still fit in 64 bits.
+            let int = if negative {
+                text.parse().map(Number::Int)
+            } else {
+                text.parse().map(Number::UInt)
+            };
+            if let Ok(int) = int {
+                return Ok(int);
+            }
+        }
+        text.parse::<f64>()
+            .map(Number::Float)
+            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    }
+}
+
+/// A number token's value: the numeric [`Json`] variants alone.
+#[derive(Clone, Copy)]
+enum Number {
+    UInt(u64),
+    Int(i64),
+    Float(f64),
+}
+
+impl From<Number> for Json {
+    fn from(number: Number) -> Self {
+        match number {
+            Number::UInt(v) => Json::UInt(v),
+            Number::Int(v) => Json::Int(v),
+            Number::Float(v) => Json::Float(v),
+        }
     }
 }
 
@@ -724,6 +761,194 @@ mod tests {
                 text.parse::<f64>().unwrap().to_bits(),
                 "{text}"
             );
+        }
+    }
+
+    /// The two-pass number reader the one-pass `Scanner::number` replaced:
+    /// scan the token, then re-read it as an integer, as `-?digits.digits`
+    /// with an exact division, or with `str::parse`.  Returns the result and
+    /// the end position.
+    fn two_pass_number(text: &str, start: usize) -> (Result<Json, String>, usize) {
+        fn exact_decimal(text: &str) -> Option<f64> {
+            const POW10: [f64; 23] = [
+                1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14,
+                1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+            ];
+            let (negative, body) = match text.strip_prefix('-') {
+                Some(body) => (true, body),
+                None => (false, text),
+            };
+            let (int, frac) = body.split_once('.')?;
+            if int.is_empty() || frac.is_empty() || int.len() + frac.len() > 19 {
+                return None;
+            }
+            let mut mantissa = 0u64;
+            for digit in int.bytes().chain(frac.bytes()) {
+                if !digit.is_ascii_digit() {
+                    return None;
+                }
+                mantissa = mantissa * 10 + u64::from(digit - b'0');
+            }
+            if mantissa > 1 << 53 {
+                return None;
+            }
+            let value = mantissa as f64 / POW10[frac.len()];
+            Some(if negative { -value } else { value })
+        }
+        let bytes = text.as_bytes();
+        if !matches!(bytes.get(start), Some(b'-' | b'0'..=b'9')) {
+            return (Err(format!("expected a number at byte {start}")), start);
+        }
+        let mut pos = start + 1;
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(pos) {
+            match b {
+                b'0'..=b'9' => pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    is_float = true;
+                    pos += 1;
+                }
+                _ => break,
+            }
+        }
+        let token = &text[start..pos];
+        if !is_float {
+            if token.starts_with('-') {
+                if let Ok(v) = token.parse::<i64>() {
+                    return (Ok(Json::Int(v)), pos);
+                }
+            } else if let Ok(v) = token.parse::<u64>() {
+                return (Ok(Json::UInt(v)), pos);
+            }
+        }
+        let value = exact_decimal(token)
+            .map_or_else(|| token.parse::<f64>(), Ok)
+            .map(Json::Float)
+            .map_err(|_| format!("invalid number `{token}` at byte {start}"));
+        (value, pos)
+    }
+
+    /// A number's variant and exact bits (`Json`'s `==` equates 0.0 and
+    /// -0.0).
+    fn bits(value: &Result<Json, String>) -> Result<(u8, u64), String> {
+        match value {
+            Ok(Json::UInt(v)) => Ok((0, *v)),
+            Ok(Json::Int(v)) => Ok((1, *v as u64)),
+            Ok(Json::Float(v)) => Ok((2, v.to_bits())),
+            Ok(other) => panic!("a number reader returned {other:?}"),
+            Err(err) => Err(err.clone()),
+        }
+    }
+
+    /// `number`, `f64` and `u64` on `text` from byte `start` return what the
+    /// two-pass reader (and `f64`/`u64` over it) returns, bit for bit, and
+    /// end where it ends.
+    fn check_against_two_pass(text: &str, start: usize) {
+        let (expected, end) = two_pass_number(text, start);
+        let scanner = || Scanner {
+            pos: start,
+            ..Scanner::new(text)
+        };
+        let mut s = scanner();
+        assert_eq!(bits(&s.number()), bits(&expected), "number `{text}`");
+        assert_eq!(s.pos, end, "number end `{text}`");
+
+        let mut s = scanner();
+        let expected_f64 = expected.clone().and_then(|v| {
+            v.as_f64()
+                .ok_or_else(|| format!("expected a float at byte {start}"))
+        });
+        assert_eq!(
+            s.f64().map(f64::to_bits),
+            expected_f64.map(f64::to_bits),
+            "f64 `{text}`"
+        );
+        assert_eq!(s.pos, end, "f64 end `{text}`");
+
+        let mut s = scanner();
+        let expected_u64 = expected.and_then(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("expected an unsigned integer at byte {start}"))
+        });
+        assert_eq!(s.u64(), expected_u64, "u64 `{text}`");
+        assert_eq!(s.pos, end, "u64 end `{text}`");
+    }
+
+    /// The one-pass reader against the two-pass one, on the edge cases and
+    /// on random strings over the number alphabet.
+    #[test]
+    fn one_pass_numbers_match_the_two_pass_reader() {
+        use rand::{Rng, SeedableRng};
+
+        for text in [
+            "0",
+            "-0",
+            "-0.0",
+            "0.0",
+            "-",
+            "01",
+            "-01",
+            "00.5",
+            "1.",
+            "-.5",
+            ".5",
+            "1.5.2",
+            "1-2",
+            "1e5",
+            "1E+5",
+            "1.e5",
+            "1e",
+            "--1",
+            "9007199254740992",
+            "9007199254740993",
+            "900719925474099.2",
+            "900719925474099.3",
+            "0.9007199254740993",
+            "9007199254740993.0",
+            "1234567890.123456789",
+            "-1234567890.123456789",
+            "0.0000000000000000001",
+            "9999999999999999999",
+            "-9999999999999999999",
+            "-9223372036854775807",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "18446744073709551615",
+            "18446744073709551616",
+            "12345678901234567890",
+            "00000000000000000001",
+            "-00000000000000000001",
+            "x",
+            "",
+        ] {
+            check_against_two_pass(text, 0);
+            check_against_two_pass(&format!("[{text},1]"), 1);
+        }
+        const ALPHABET: &[u8] = b"0123456789.eE+-";
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        for _ in 0..200_000 {
+            let len = rng.gen_range(1..=24);
+            let mut text: String = (0..len)
+                .map(|_| char::from(ALPHABET[rng.gen_range(0..ALPHABET.len())]))
+                .collect();
+            if rng.gen_range(0..4) == 0 {
+                text.push(',');
+            }
+            check_against_two_pass(&text, 0);
+        }
+        // Well-formed decimals around the 19-digit and 2^53 limits.
+        for _ in 0..100_000 {
+            let sign = if rng.gen() { "-" } else { "" };
+            let digits: String = (0..rng.gen_range(1..=22))
+                .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+                .collect();
+            let point = rng.gen_range(0..=digits.len());
+            let text = if point == digits.len() {
+                format!("{sign}{digits}")
+            } else {
+                format!("{sign}{}.{}", &digits[..point], &digits[point..])
+            };
+            check_against_two_pass(&text, 0);
         }
     }
 

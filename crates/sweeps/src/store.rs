@@ -29,7 +29,8 @@
 //! one spawns nothing — and merges them in file and line order.  The result
 //! is the sequential loader's, whatever the lane count: the same map (a
 //! hash read twice keeps the later read), the same torn-final-line rule per
-//! file, and the same first error, reported as `path:line`.
+//! file, and the same first error, reported as `path:line`.  The exports
+//! format on the same fan-out (`on_lanes`).
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -321,22 +322,8 @@ fn load_shards<T: Send, E: Display + Send>(
         }
         Ok(records)
     };
-    let decoded: Vec<Result<Vec<T>, LaneError<E>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shares[1..]
-            .iter()
-            .map(|runs| scope.spawn(|| decode_share(runs)))
-            .collect();
-        let mut decoded = vec![decode_share(&shares[0])];
-        decoded.extend(
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("shard decode lane panicked")),
-        );
-        decoded
-    });
-
     let mut cells = BTreeMap::new();
-    for share in decoded {
+    for share in on_lanes(shares, |runs| decode_share(&runs)) {
         match share {
             Ok(records) => {
                 for record in records {
@@ -356,6 +343,31 @@ fn load_shards<T: Send, E: Display + Send>(
         Some(err) => Err(err.into()),
         None => Ok(cells),
     }
+}
+
+/// Runs `work` once per share, the first share on the calling thread and
+/// every other one on a scoped thread of its own, and returns the results
+/// in share order.  The one lane fan-out of the store loader and the
+/// exports: one share spawns nothing, and a panicking lane panics the
+/// caller with its own payload.
+pub(crate) fn on_lanes<S: Send, R: Send>(shares: Vec<S>, work: impl Fn(S) -> R + Sync) -> Vec<R> {
+    let mut shares = shares.into_iter();
+    let Some(first) = shares.next() else {
+        return Vec::new();
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let lanes: Vec<_> = shares
+            .map(|share| scope.spawn(move || work(share)))
+            .collect();
+        let mut results = Vec::with_capacity(lanes.len() + 1);
+        results.push(work(first));
+        results.extend(lanes.into_iter().map(|lane| {
+            lane.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        results
+    })
 }
 
 /// One past the highest run generation among `prefix`-named files in `dir`.
