@@ -18,8 +18,6 @@
 //! messages.  [`ForwardingProtocol::run_with_seed`] therefore simulates
 //! only until full activation and adds `n` messages per skipped round; its
 //! outcome equals a full-budget run's field for field.
-//! [`ForwardingProtocol::run_until_informed`] keeps a per-round history and
-//! simulates the whole budget.
 
 use flip_model::{Agent, FlipError, Opinion, OpinionDelta, Round, SimRng};
 
@@ -112,13 +110,6 @@ impl ForwardingProtocol {
         BaselineRun::new(n, epsilon, rounds).map(Self)
     }
 
-    /// The source holding `correct`, then `n − 1` uninformed agents.
-    fn agents(&self, correct: Opinion) -> Vec<ForwardingAgent> {
-        let mut agents = vec![ForwardingAgent::uninformed(); self.0.n];
-        agents[0] = ForwardingAgent::source(correct);
-        agents
-    }
-
     /// Runs one execution in which the source holds `correct`, simulating
     /// rounds only until every agent is informed (see the module docs).
     ///
@@ -126,24 +117,9 @@ impl ForwardingProtocol {
     ///
     /// Propagates [`FlipError`] from engine construction.
     pub fn run_with_seed(&self, correct: Opinion, seed: u64) -> Result<BaselineOutcome, FlipError> {
-        let agents = self.agents(correct);
-        Ok(self.0.run(agents, correct, seed, Rounds::UntilAllActive)?.0)
-    }
-
-    /// Runs one execution and also reports how many rounds it took to inform
-    /// everybody (`None` if some agent never heard anything).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FlipError`] from engine construction.
-    pub fn run_until_informed(
-        &self,
-        correct: Opinion,
-        seed: u64,
-    ) -> Result<(BaselineOutcome, Option<u64>), FlipError> {
-        let agents = self.agents(correct);
-        let (outcome, trace) = self.0.run(agents, correct, seed, Rounds::AllWithHistory)?;
-        Ok((outcome, trace.round_reaching_active(self.0.n)))
+        let mut agents = vec![ForwardingAgent::uninformed(); self.0.n];
+        agents[0] = ForwardingAgent::source(correct);
+        self.0.run(agents, correct, seed, Rounds::UntilAllActive)
     }
 }
 
@@ -161,8 +137,7 @@ mod tests {
 
     #[test]
     fn forwarding_informs_everyone_quickly() {
-        let protocol = ForwardingProtocol::new(500, 0.45, 200).unwrap();
-        let (_, informed) = protocol.run_until_informed(Opinion::One, 3).unwrap();
+        let (_, informed) = full_budget_run(500, 0.45, 200, 3);
         let informed = informed.expect("everyone should hear something in 200 rounds");
         // Exponential growth: ~log n rounds, far less than 200.
         assert!(informed < 100, "informed after {informed} rounds");

@@ -47,7 +47,6 @@ pub use wait_source::WaitForSourceProtocol;
 
 use flip_model::{
     Agent, BinarySymmetricChannel, FlipEngine, FlipError, Opinion, Simulation, SimulationConfig,
-    TraceRecorder,
 };
 
 /// The outcome shared by every baseline runner.
@@ -76,8 +75,6 @@ pub struct BaselineOutcome {
 enum Rounds {
     /// Every round.
     All,
-    /// Every round, keeping a census snapshot per round in the trace.
-    AllWithHistory,
     /// Rounds until every agent holds an opinion.  Only for agents that,
     /// once every agent is informed, never change state again and send in
     /// every round: the outcome then adds `n` messages per skipped round.
@@ -108,8 +105,8 @@ impl BaselineRun {
     }
 
     /// Runs `agents` over the round budget on an engine seeded with `seed`,
-    /// simulating the rounds `rounds` asks for, scoring against `correct`,
-    /// and returns the outcome with the run's trace.
+    /// simulating the rounds `rounds` asks for, and scores the outcome
+    /// against `correct`.
     ///
     /// # Errors
     ///
@@ -120,12 +117,9 @@ impl BaselineRun {
         correct: Opinion,
         seed: u64,
         rounds: Rounds,
-    ) -> Result<(BaselineOutcome, TraceRecorder), FlipError> {
+    ) -> Result<BaselineOutcome, FlipError> {
         let channel = BinarySymmetricChannel::from_epsilon(self.epsilon)?;
-        let config = SimulationConfig::new(self.n)
-            .with_seed(seed)
-            .with_reference(correct)
-            .with_history(rounds == Rounds::AllWithHistory);
+        let config = SimulationConfig::new(self.n).with_seed(seed);
         let mut sim = Simulation::new(agents, channel, config)?;
         let skipped = if rounds == Rounds::UntilAllActive {
             let n = self.n;
@@ -135,17 +129,15 @@ impl BaselineRun {
             0
         };
         let census = sim.census();
-        let (_, metrics, trace) = sim.into_parts();
-        let outcome = BaselineOutcome {
+        Ok(BaselineOutcome {
             n: self.n,
             epsilon: self.epsilon,
             correct,
             rounds: self.rounds,
-            messages_sent: metrics.messages_sent + self.n as u64 * skipped,
+            messages_sent: sim.metrics().messages_sent + self.n as u64 * skipped,
             fraction_correct: census.fraction_correct(correct),
             all_correct: census.is_unanimous(correct),
-        };
-        Ok((outcome, trace))
+        })
     }
 }
 

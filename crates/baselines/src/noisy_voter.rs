@@ -68,39 +68,19 @@ impl NoisyVoterProtocol {
         BaselineRun::new(n, epsilon, rounds).map(Self)
     }
 
-    /// The zealot holding `correct`, then `n − 1` undecided agents.
-    fn agents(&self, correct: Opinion) -> Vec<VoterAgent> {
-        let mut agents = vec![VoterAgent::default(); self.0.n];
-        agents[0] = VoterAgent {
-            opinion: Some(correct),
-            is_zealot: true,
-        };
-        agents
-    }
-
-    /// Runs one execution in which the zealot holds `correct`.
+    /// Runs one execution in which the zealot holds `correct` and the other
+    /// `n − 1` agents start undecided.
     ///
     /// # Errors
     ///
     /// Propagates [`FlipError`] from engine construction.
     pub fn run_with_seed(&self, correct: Opinion, seed: u64) -> Result<BaselineOutcome, FlipError> {
-        let agents = self.agents(correct);
-        Ok(self.0.run(agents, correct, seed, Rounds::All)?.0)
-    }
-
-    /// Runs one execution and returns the per-round fraction of correct agents.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FlipError`] from engine construction.
-    pub fn run_trajectory(&self, correct: Opinion, seed: u64) -> Result<Vec<f64>, FlipError> {
-        let agents = self.agents(correct);
-        let (_, trace) = self.0.run(agents, correct, seed, Rounds::AllWithHistory)?;
-        Ok(trace
-            .history()
-            .iter()
-            .map(|s| s.correct.unwrap_or(0) as f64 / self.0.n as f64)
-            .collect())
+        let mut agents = vec![VoterAgent::default(); self.0.n];
+        agents[0] = VoterAgent {
+            opinion: Some(correct),
+            is_zealot: true,
+        };
+        self.0.run(agents, correct, seed, Rounds::All)
     }
 }
 
@@ -124,14 +104,6 @@ mod tests {
             "outcome = {outcome:?}"
         );
         assert!(!outcome.all_correct);
-    }
-
-    #[test]
-    fn trajectory_has_one_entry_per_round() {
-        let protocol = NoisyVoterProtocol::new(100, 0.2, 50).unwrap();
-        let trajectory = protocol.run_trajectory(Opinion::One, 1).unwrap();
-        assert_eq!(trajectory.len(), 50);
-        assert!(trajectory.iter().all(|&f| (0.0..=1.0).contains(&f)));
     }
 
     #[test]

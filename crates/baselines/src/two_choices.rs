@@ -132,7 +132,7 @@ impl TwoChoicesProtocol {
                 })
             })
             .collect();
-        Ok(self.0.run(agents, correct, seed, Rounds::All)?.0)
+        self.0.run(agents, correct, seed, Rounds::All)
     }
 }
 

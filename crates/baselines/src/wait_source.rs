@@ -99,7 +99,7 @@ impl WaitForSourceProtocol {
     pub fn run_with_seed(&self, correct: Opinion, seed: u64) -> Result<BaselineOutcome, FlipError> {
         let mut agents = vec![WaitAgent::default(); self.0.n];
         agents[0].source_opinion = Some(correct);
-        Ok(self.0.run(agents, correct, seed, Rounds::All)?.0)
+        self.0.run(agents, correct, seed, Rounds::All)
     }
 }
 

@@ -16,9 +16,10 @@
 use std::sync::Arc;
 
 use flip_model::{
-    Agent, BinarySymmetricChannel, ClockModel, FlipEngine, FlipError, Opinion, OpinionDelta, Round,
-    SimRng, Simulation, SimulationConfig,
+    Agent, BinarySymmetricChannel, FlipEngine, FlipError, Opinion, OpinionDelta, Round, SimRng,
+    Simulation, SimulationConfig,
 };
+use rand::Rng;
 
 use crate::agent_core::ProtocolCore;
 use crate::params::Params;
@@ -308,7 +309,6 @@ impl AsyncBroadcastProtocol {
             AsyncVariant::BoundedOffsets { max_offset } => {
                 let d = max_offset.max(1);
                 let mut offset_rng = SimRng::from_seed(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-                let clock_model = ClockModel::BoundedOffset { max_offset: d };
                 let mut agents = Vec::with_capacity(self.params.n());
                 for i in 0..self.params.n() {
                     let stage1 = if i == 0 {
@@ -316,7 +316,7 @@ impl AsyncBroadcastProtocol {
                     } else {
                         Stage1State::uninformed()
                     };
-                    let offset = clock_model.initial_offset(&mut offset_rng);
+                    let offset = initial_offset(d, &mut offset_rng);
                     agents.push(OffsetAgent::new(self.schedule.clone(), stage1, offset, d));
                 }
                 let total = self.schedule.shifted_total_rounds(d);
@@ -372,9 +372,36 @@ impl AsyncBroadcastProtocol {
     }
 }
 
+/// Draws one agent's initial clock value, uniform in `[0, d)` (§3.1); a
+/// bound of `0` or `1` draws nothing and starts the clock at `0`.
+fn initial_offset(d: u64, rng: &mut SimRng) -> u64 {
+    if d > 1 {
+        rng.gen_range(0..d)
+    } else {
+        0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bounded_offsets_are_in_range_and_varied() {
+        let mut rng = SimRng::from_seed(1);
+        let offsets: Vec<u64> = (0..200).map(|_| initial_offset(10, &mut rng)).collect();
+        assert!(offsets.iter().all(|&o| o < 10));
+        assert!(offsets.iter().any(|&o| o != offsets[0]));
+    }
+
+    #[test]
+    fn degenerate_bound_yields_zero() {
+        let mut rng = SimRng::from_seed(2);
+        let before = rng.clone();
+        assert_eq!(initial_offset(1, &mut rng), 0);
+        assert_eq!(initial_offset(0, &mut rng), 0);
+        assert_eq!(rng, before, "a degenerate bound draws nothing");
+    }
 
     #[test]
     fn offset_agent_with_zero_offset_matches_synchronous_positions() {

@@ -137,14 +137,17 @@ fn main() -> ExitCode {
                 .store
                 .as_deref()
                 .expect("in-memory runs always complete");
-            println!(
-                "report `{}` ({}): incomplete ({}/{} cells); resume by re-running \
-                 with --store {}",
-                spec.name,
-                spec.hash_hex(),
-                outcome.skipped + outcome.executed,
-                outcome.total,
-                dir.display(),
+            cli::print(
+                "full_report",
+                format_args!(
+                    "report `{}` ({}): incomplete ({}/{} cells); resume by re-running \
+                     with --store {}\n",
+                    spec.name,
+                    spec.hash_hex(),
+                    outcome.skipped + outcome.executed,
+                    outcome.total,
+                    dir.display(),
+                ),
             );
             if flags.export.is_some() {
                 return Err(sweeps::SweepError::Incomplete {
@@ -157,7 +160,7 @@ fn main() -> ExitCode {
         let markdown = render(&spec, &outcome);
         match &flags.export {
             Some(path) => std::fs::write(path, markdown)?,
-            None => print!("{markdown}"),
+            None => cli::print("full_report", format_args!("{markdown}")),
         }
         Ok(())
     };

@@ -69,6 +69,14 @@ const USAGE: &str = "usage:
 /// Environment opt-in for `--telemetry`: any non-empty value except `0`.
 const TELEMETRY_ENV: &str = "FLIP_TELEMETRY";
 
+/// `println!` through [`cli::print`]: a reader that closes stdout early ends
+/// the run quietly.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        cli::print("sweep", format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -80,7 +88,7 @@ fn main() -> ExitCode {
         Some("export") => cmd_export(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
-            println!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         Some(other) => Err(SweepError::Spec(format!(
@@ -97,16 +105,16 @@ fn main() -> ExitCode {
 }
 
 fn cmd_list() -> Result<(), SweepError> {
-    println!("builtin sweeps (sweep gen <name>), by experiment family:");
+    out!("builtin sweeps (sweep gen <name>), by experiment family:");
     let cfg = ExperimentConfig::quick();
     let mut family = "";
     for experiment in specs::EXPERIMENTS {
         if experiment.family != family {
             family = experiment.family;
-            println!("  {family}:");
+            out!("  {family}:");
         }
         let spec = (experiment.build)(&cfg);
-        println!(
+        out!(
             "    {:<10} protocol={} backend={} cells={}",
             experiment.name,
             spec.protocol,
@@ -115,17 +123,17 @@ fn cmd_list() -> Result<(), SweepError> {
         );
     }
     let report = specs::report_spec(&cfg);
-    println!("composed specs (sweep run report --out <dir>):");
-    println!(
+    out!("composed specs (sweep run report --out <dir>):");
+    out!(
         "    {:<10} members={} cells={} — E1-E12 as one resumable run",
         specs::REPORT_SPEC_NAME,
         report.members.len(),
         report.total_cells()?,
     );
-    println!("registered protocols:");
+    out!("registered protocols:");
     for (id, backends) in ProtocolRegistry::builtin().list() {
         let names: Vec<&str> = backends.iter().map(|b| b.as_str()).collect();
-        println!("  {id:<20} backends: {}", names.join(", "));
+        out!("  {id:<20} backends: {}", names.join(", "));
     }
     Ok(())
 }
@@ -172,7 +180,7 @@ fn cmd_gen(args: &[String]) -> Result<(), SweepError> {
         // loosen a real cap.
         spec.rounds = rounds;
     }
-    println!("{}", spec.to_pretty_json());
+    out!("{}", spec.to_pretty_json());
     Ok(())
 }
 
@@ -184,7 +192,7 @@ fn cmd_table(args: &[String]) -> Result<(), SweepError> {
     let cfg = cli::parse_config(cfg_args.to_vec());
     cli::require_no_rounds_override(&cfg, &format!("sweep table {binary}"));
     for name in specs::binary_sweeps(binary, &cfg).map_err(SweepError::Spec)? {
-        println!("{}", specs::table(name, &cfg).to_markdown());
+        out!("{}", specs::table(name, &cfg).to_markdown());
     }
     Ok(())
 }
@@ -296,7 +304,7 @@ fn execute(spec: &SweepSpec, store: &SweepStore, flags: &Flags) -> Result<(), Sw
             eprint!("{}", recorder.render());
         }
     }
-    println!(
+    out!(
         "sweep `{}` ({}): {} cells total, {} executed, {} already persisted",
         spec.name,
         spec.hash_hex(),
@@ -305,12 +313,12 @@ fn execute(spec: &SweepSpec, store: &SweepStore, flags: &Flags) -> Result<(), Sw
         outcome.skipped,
     );
     if outcome.completed {
-        println!(
+        out!(
             "complete; export with: sweep export {} --csv",
             store.dir().display()
         );
     } else {
-        println!(
+        out!(
             "incomplete ({}/{} cells); continue with: sweep resume {}",
             outcome.skipped + outcome.executed,
             outcome.total,
@@ -415,7 +423,7 @@ fn execute_report(spec: &ReportSpec, store: &ReportStore, flags: &Flags) -> Resu
         runner = runner.with_max_cells(max_cells);
     }
     let outcome = runner.run(spec, &ProtocolRegistry::builtin(), Some(store))?;
-    println!(
+    out!(
         "report `{}` ({}): {} members, {} cells total, {} executed, {} already persisted",
         spec.name,
         spec.hash_hex(),
@@ -425,13 +433,13 @@ fn execute_report(spec: &ReportSpec, store: &ReportStore, flags: &Flags) -> Resu
         outcome.skipped,
     );
     if outcome.completed {
-        println!(
+        out!(
             "complete; render with: full_report --store {} --export report.md \
              (same config flags)",
             store.dir().display()
         );
     } else {
-        println!(
+        out!(
             "incomplete ({}/{} cells); continue with: sweep resume {}",
             outcome.skipped + outcome.executed,
             outcome.total,
@@ -492,7 +500,7 @@ fn cmd_export(args: &[String]) -> Result<(), SweepError> {
     };
     match &flags.out {
         Some(path) => std::fs::write(path, document)?,
-        None => print!("{document}"),
+        None => cli::print("sweep", format_args!("{document}")),
     }
     Ok(())
 }
@@ -508,7 +516,7 @@ fn cmd_report(args: &[String]) -> Result<(), SweepError> {
         return cmd_report_composed(Path::new(dir), &flags);
     }
     let (store, spec) = SweepStore::open(Path::new(dir))?;
-    println!(
+    out!(
         "sweep `{}` ({}): {}/{} cells persisted",
         spec.name,
         spec.hash_hex(),
@@ -520,7 +528,7 @@ fn cmd_report(args: &[String]) -> Result<(), SweepError> {
     }
     let profiles = store.load_telemetry()?;
     if profiles.is_empty() {
-        println!(
+        out!(
             "no telemetry profiles recorded; capture them with: sweep run <spec.json> --out {dir} \
              --telemetry"
         );
@@ -536,7 +544,7 @@ fn cmd_report(args: &[String]) -> Result<(), SweepError> {
         trials += cell.trials;
         cell_ns += cell.elapsed_ns;
     }
-    println!(
+    out!(
         "telemetry: {} cell profiles, {} trials, {:.2}s total cell time",
         profiles.len(),
         trials,
@@ -545,9 +553,9 @@ fn cmd_report(args: &[String]) -> Result<(), SweepError> {
     if merged.is_empty() {
         // Counts-only backends (dense strata) have no per-message engine
         // work to time; the shards still carry trial counts and wall time.
-        println!("profiles contain no engine phases (counts-only backend)");
+        out!("profiles contain no engine phases (counts-only backend)");
     } else {
-        print!("{}", merged.render());
+        cli::print("sweep", format_args!("{}", merged.render()));
     }
     Ok(())
 }
@@ -593,33 +601,33 @@ fn cmd_report_composed(dir: &Path, flags: &Flags) -> Result<(), SweepError> {
             }
         }
     }
-    println!(
+    out!(
         "report `{}` ({}): {persisted}/{total} cells persisted",
         spec.name,
         store.report_hash(),
     );
     for line in member_lines {
-        println!("{line}");
+        out!("{line}");
     }
     if !flags.telemetry_requested() {
         return Ok(());
     }
     if profiles == 0 {
-        println!(
+        out!(
             "no telemetry profiles recorded; capture them with: sweep run report --out {} \
              --telemetry",
             dir.display()
         );
         return Ok(());
     }
-    println!(
+    out!(
         "telemetry: {profiles} cell profiles, {trials} trials, {:.2}s total cell time",
         cell_ns as f64 / 1.0e9,
     );
     if merged.is_empty() {
-        println!("profiles contain no engine phases (counts-only backend)");
+        out!("profiles contain no engine phases (counts-only backend)");
     } else {
-        print!("{}", merged.render());
+        cli::print("sweep", format_args!("{}", merged.render()));
     }
     Ok(())
 }

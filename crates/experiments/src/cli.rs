@@ -25,6 +25,14 @@
 //! the Byzantine-consensus bound `1/3` needs the explicit
 //! `--allow-supermajority-faults` waiver (the E13 family sweeps past the
 //! bound on purpose; a stray `byz:0.4` elsewhere is a typo).
+//!
+//! Both binaries write their stdout through [`print()`], so a reader that
+//! closes the pipe early (`sweep list | head -n 3`) ends the run quietly
+//! instead of panicking.
+
+use std::fmt;
+use std::io::{self, Write};
+use std::process;
 
 use crate::ExperimentConfig;
 
@@ -138,6 +146,24 @@ pub fn require_no_rounds_override(cfg: &ExperimentConfig, binary: &str) {
         "`{binary}` runs its experiment's own round schedule and does not honour \
          --rounds; the override only applies to `sweep gen`"
     );
+}
+
+/// Writes `text` to stdout and flushes it.
+///
+/// A reader that has closed the pipe (`ErrorKind::BrokenPipe`) wants no
+/// more output, so the process ends with status 0 and nothing on stderr.
+/// Any other write error is reported as `<binary>: <error>` and ends the
+/// process with status 1.
+pub fn print(binary: &str, text: fmt::Arguments<'_>) {
+    let mut stdout = io::stdout().lock();
+    match stdout.write_fmt(text).and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => process::exit(0),
+        Err(err) => {
+            eprintln!("{binary}: {err}");
+            process::exit(1);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -164,6 +164,26 @@ fn the_report_renders_every_member_table_in_order() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_report_quietly() {
+    // `full_report | head -n 1`: once the reader is gone the report stops
+    // with status 0 and says nothing on stderr.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let run = Command::new(env!("CARGO_BIN_EXE_full_report"))
+        .args(CONFIG)
+        .env_remove("FLIP_TELEMETRY")
+        .stdout(writer)
+        .output()
+        .expect("full_report binary runs");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        run.status.success() && stderr.is_empty(),
+        "{}, stderr: {stderr}",
+        run.status
+    );
+}
+
+#[test]
 fn a_cut_without_a_store_is_refused() {
     let out = full_report(&["--max-cells", "2"]);
     assert!(!out.status.success());

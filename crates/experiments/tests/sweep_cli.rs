@@ -487,6 +487,43 @@ fn list_groups_builtins_by_family_and_marks_composed_specs() {
     assert!(report_at < protocols_at);
 }
 
+#[test]
+fn a_closed_stdout_ends_every_command_quietly() {
+    // `sweep list | head -n 1` and friends: once the reader is gone the
+    // command stops with status 0 and says nothing on stderr.
+    let dir = scratch("closed-stdout");
+    let spec = write_spec(&dir);
+    let out = dir.join("out");
+    sweep_ok(&[
+        "run",
+        spec.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    let store = out.to_str().unwrap();
+    for args in [
+        vec!["list"],
+        vec!["gen", "e01"],
+        vec!["report", store],
+        vec!["export", store, "--csv"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let run = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(&args)
+            .env_remove("FLIP_TELEMETRY")
+            .stdout(writer)
+            .output()
+            .expect("sweep binary runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            run.status.success() && stderr.is_empty(),
+            "sweep {args:?}: {}, stderr: {stderr}",
+            run.status
+        );
+    }
+}
+
 /// Appends to the first shard of the store at `dir` a copy of its first
 /// record under a hash no grid cell has.
 fn append_foreign_record(dir: &Path) {

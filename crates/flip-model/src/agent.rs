@@ -8,14 +8,14 @@ use crate::rng::SimRng;
 /// A round number (the global, zero-based round counter of the engine).
 ///
 /// Protocols that do not assume a global clock should ignore the value and
-/// maintain their own [`LocalClock`](crate::LocalClock).
+/// count rounds on a clock of their own.
 pub type Round = u64;
 
 /// Identifier of an agent within a population.
 ///
 /// Only the simulation engine ever sees agent identifiers; they are used for
-/// routing and tracing.  They are *never* exposed to protocol logic, which
-/// keeps the model anonymous as required by the paper.
+/// routing.  They are *never* exposed to protocol logic, which keeps the
+/// model anonymous as required by the paper.
 ///
 /// Stored as 32 bits so a routed [`Delivery`](crate::Delivery) packs into
 /// 12 bytes — population indices are bounded well below `u32::MAX` by the
@@ -150,11 +150,10 @@ impl OpinionDelta {
 /// the delivery walk of one round on several [`RoundPool`](crate::RoundPool)
 /// lanes, each over a contiguous range of agents.  It does so only when an
 /// agent type declares [`RNG_FREE_HOOKS`](Agent::RNG_FREE_HOOKS), the
-/// population has at least [`RADIX_MIN_N`](crate::RADIX_MIN_N) agents,
+/// population has at least [`RADIX_MIN_N`](crate::RADIX_MIN_N) agents and
 /// [`SimulationConfig::with_threads`](crate::SimulationConfig::with_threads)
-/// asked for more than one lane and no activation trace is recorded; the
-/// delivery walk also needs a dense round and a fixed-crossover or noiseless
-/// channel.  Every other round runs both passes on the calling thread.
+/// asked for more than one lane; the delivery walk also needs a dense round
+/// and a fixed-crossover or noiseless channel.  Every other round runs both passes on the calling thread.
 /// Results are bit-identical either way, provided no two agents share
 /// mutable state.
 pub trait Agent: Send {

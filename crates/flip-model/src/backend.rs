@@ -13,8 +13,9 @@ pub const DEFAULT_HYBRID_TRACKED: u32 = 16;
 /// Which simulation engine executes a workload.
 ///
 /// * [`Backend::Agents`] — the per-agent [`Simulation`](crate::Simulation):
-///   one state machine object per agent, exact collision resolution, per-agent
-///   traces.  The reference semantics; practical up to `n ≈ 10⁴–10⁵`.
+///   one state machine object per agent, exact collision resolution and
+///   per-message noise.  The reference semantics; practical up to
+///   `n ≈ 10⁴–10⁵`.
 /// * [`Backend::Dense`] — the counts-based
 ///   [`DenseSimulation`](crate::DenseSimulation) /
 ///   [`StratifiedSimulation`](crate::StratifiedSimulation): `O(#strata ×

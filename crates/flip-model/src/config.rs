@@ -2,7 +2,6 @@
 
 use crate::faults::FaultSpec;
 use crate::opinion::Opinion;
-use crate::trace::TraceOptions;
 
 /// Configuration for a [`Simulation`](crate::Simulation).
 ///
@@ -16,8 +15,7 @@ use crate::trace::TraceOptions;
 ///
 /// let config = SimulationConfig::new(1_000)
 ///     .with_seed(7)
-///     .with_reference(Opinion::One)
-///     .with_history(true);
+///     .with_reference(Opinion::One);
 /// assert_eq!(config.population(), 1_000);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -25,7 +23,6 @@ pub struct SimulationConfig {
     n: usize,
     seed: u64,
     reference: Option<Opinion>,
-    trace: TraceOptions,
     threads: usize,
     faults: Option<FaultSpec>,
 }
@@ -38,7 +35,6 @@ impl SimulationConfig {
             n,
             seed: 0,
             reference: None,
-            trace: TraceOptions::default(),
             threads: 1,
             faults: None,
         }
@@ -51,32 +47,12 @@ impl SimulationConfig {
         self
     }
 
-    /// Declares which opinion is "correct" so that traces can record the
-    /// per-round fraction of correct agents.
+    /// Declares which opinion is "correct", so that every round's summary
+    /// counts the agents holding it
+    /// ([`RoundSummary::census_correct`](crate::RoundSummary::census_correct)).
     #[must_use]
     pub fn with_reference(mut self, reference: Opinion) -> Self {
         self.reference = Some(reference);
-        self
-    }
-
-    /// Enables (or disables) per-round history recording in the trace.
-    #[must_use]
-    pub fn with_history(mut self, record: bool) -> Self {
-        self.trace.record_history = record;
-        self
-    }
-
-    /// Enables (or disables) recording each agent's activation round.
-    #[must_use]
-    pub fn with_activation_trace(mut self, record: bool) -> Self {
-        self.trace.record_activations = record;
-        self
-    }
-
-    /// Replaces the trace options wholesale.
-    #[must_use]
-    pub fn with_trace_options(mut self, trace: TraceOptions) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -129,12 +105,6 @@ impl SimulationConfig {
         self.reference
     }
 
-    /// The configured trace options.
-    #[must_use]
-    pub fn trace_options(&self) -> TraceOptions {
-        self.trace
-    }
-
     /// The configured number of per-round worker lanes (at least `1`).
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -156,14 +126,10 @@ mod tests {
     fn builder_sets_all_fields() {
         let config = SimulationConfig::new(42)
             .with_seed(9)
-            .with_reference(Opinion::Zero)
-            .with_history(true)
-            .with_activation_trace(true);
+            .with_reference(Opinion::Zero);
         assert_eq!(config.population(), 42);
         assert_eq!(config.seed(), 9);
         assert_eq!(config.reference(), Some(Opinion::Zero));
-        assert!(config.trace_options().record_history);
-        assert!(config.trace_options().record_activations);
     }
 
     #[test]
@@ -171,8 +137,6 @@ mod tests {
         let config = SimulationConfig::new(5);
         assert_eq!(config.seed(), 0);
         assert_eq!(config.reference(), None);
-        assert!(!config.trace_options().record_history);
-        assert!(!config.trace_options().record_activations);
         assert_eq!(config.threads(), 1);
     }
 
@@ -190,14 +154,5 @@ mod tests {
             SimulationConfig::new(5).with_faults(spec).faults(),
             Some(spec)
         );
-    }
-
-    #[test]
-    fn trace_options_can_be_replaced() {
-        let config = SimulationConfig::new(5).with_trace_options(TraceOptions {
-            record_history: true,
-            record_activations: false,
-        });
-        assert!(config.trace_options().record_history);
     }
 }

@@ -13,7 +13,6 @@ use crate::pool::{RoundPool, MAX_WORKERS};
 use crate::population::{Census, CensusDelta};
 use crate::rng::{BernoulliSkip, SimRng};
 use crate::scheduler::{Delivery, GossipScheduler, RoundRouting, RADIX_MIN_N};
-use crate::trace::TraceRecorder;
 use telemetry::{Event, Phase, Recorder, Telemetry};
 
 /// How the engine applies channel noise to accepted messages.
@@ -156,8 +155,6 @@ struct WalkRange<'a, A> {
     /// The round's flip positions from the first one at or after `start`,
     /// ending in a `u32::MAX` sentinel.
     flips: &'a [u32],
-    /// The activation trace, when one is recorded (single-lane walks only).
-    trace: Option<&'a mut TraceRecorder>,
 }
 
 impl<A: Agent> WalkRange<'_, A> {
@@ -166,7 +163,7 @@ impl<A: Agent> WalkRange<'_, A> {
     /// reaches it) ends the list, so the scan needs no end test, and whether
     /// a message flips, a random bit, is never branched on: the comparison
     /// both flips the payload and advances the pointer.
-    fn deliver(mut self, round: Round, faults: Option<&FaultPlan>, rng: &mut SimRng) -> LaneTally {
+    fn deliver(self, round: Round, faults: Option<&FaultPlan>, rng: &mut SimRng) -> LaneTally {
         let mut tally = LaneTally::default();
         let mut next_flip = 0;
         for (i, delivery) in self.deliveries.iter().enumerate() {
@@ -177,9 +174,6 @@ impl<A: Agent> WalkRange<'_, A> {
             if FaultPlan::is_deaf(faults, recipient, round) {
                 tally.faulted += 1;
                 continue;
-            }
-            if let Some(trace) = self.trace.as_deref_mut() {
-                trace.on_delivery(recipient, round);
             }
             let agent = &mut self.agents[recipient - self.first];
             tally.census.apply(agent.deliver(round, payload, rng));
@@ -303,10 +297,11 @@ pub trait FlipEngine {
 
 /// A synchronous Flip-model simulation over a homogeneous population of agents.
 ///
-/// The engine owns the agents, the gossip scheduler, the noise channel, the
-/// metrics and the trace.  Each call to [`Simulation::step`] executes one
-/// round with exactly the semantics of paper §1.3.2; [`FlipEngine::run`] and
-/// [`FlipEngine::run_until`] execute many.
+/// The engine owns the agents, the gossip scheduler, the noise channel and
+/// the metrics.  Each call to [`Simulation::step`] executes one round with
+/// exactly the semantics of paper §1.3.2 and returns it as a
+/// [`RoundSummary`]; [`FlipEngine::run`] and [`FlipEngine::run_until`]
+/// execute many.
 ///
 /// See the crate-level documentation for a complete example.
 ///
@@ -337,7 +332,6 @@ pub struct Simulation<A, C> {
     rng: SimRng,
     round: Round,
     metrics: Metrics,
-    trace: TraceRecorder,
     reference: Option<Opinion>,
     noise: NoiseMode,
     /// Running opinion counts, maintained from agent-reported deltas.
@@ -400,7 +394,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         }
         let n = agents.len();
         let mut scheduler = GossipScheduler::new(n)?;
-        let trace = TraceRecorder::new(n, config.trace_options(), config.reference());
         let census = Census::of_agents(&agents);
         let mut routing = RoundRouting::with_capacity(n);
         let pool = (config.threads() > 1).then(|| RoundPool::new(config.threads()));
@@ -431,7 +424,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             rng,
             round: 0,
             metrics: Metrics::new(),
-            trace,
             reference: config.reference(),
             census,
             census_dirty: false,
@@ -451,8 +443,8 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
     ///
     /// Purely observational: telemetry reads the monotonic clock and adds
     /// integers the round loop already computed, never the RNG stream, so an
-    /// instrumented run's deliveries, metrics and traces are bit-identical
-    /// to an uninstrumented one.
+    /// instrumented run's deliveries and metrics are bit-identical to an
+    /// uninstrumented one.
     pub fn enable_telemetry(&mut self) {
         if !self.telemetry.is_enabled() {
             self.telemetry = Telemetry::enabled();
@@ -489,7 +481,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         if self.send_buffer.len() < n {
             self.send_buffer.resize(n, (0, Opinion::Zero));
         }
-        let record_activations = self.trace.options().record_activations;
         // The agent passes run on every lane only when hooks that draw
         // nothing cannot tell lanes apart (see the `Agent` docs), and only
         // from routing's crossover on, below which a round is too short to
@@ -497,7 +488,7 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         let lanes = self
             .pool
             .as_ref()
-            .filter(|_| A::RNG_FREE_HOOKS && n >= RADIX_MIN_N && !record_activations);
+            .filter(|_| A::RNG_FREE_HOOKS && n >= RADIX_MIN_N);
         let faults = self.faults.as_ref();
 
         // Phase 1: collect sends, each lane into its own range of the send
@@ -546,14 +537,13 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             &mut self.telemetry,
         );
 
-        // Split borrows: the routing buffer is read while agents, census,
-        // trace and rng are written.
+        // Split borrows: the routing buffer is read while agents, census and
+        // rng are written.
         let noise = self.noise;
-        let (agents, routing, rng, trace, census, channel, flip_buffer, lane_tallies, tel) = (
+        let (agents, routing, rng, census, channel, flip_buffer, lane_tallies, tel) = (
             &mut self.agents,
             &self.routing,
             &mut self.rng,
-            &mut self.trace,
             &mut self.census,
             &self.channel,
             &mut self.flip_buffer,
@@ -578,9 +568,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
                     suppressed += 1;
                     continue;
                 }
-                if record_activations {
-                    trace.on_delivery(recipient, round);
-                }
                 census.apply(agents[recipient].deliver(round, corrupted, rng));
             }
             tel.add(Event::PerMessageFallbacks, accepted.len() as u64);
@@ -602,7 +589,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             // dense rounds emit.
             let lanes = lanes.filter(|_| self.scheduler.is_dense(sent));
             let chunk = n.div_ceil(lanes.map_or(1, RoundPool::workers));
-            let mut trace = record_activations.then_some(trace);
             let ranges = agents.chunks_mut(chunk).enumerate().map(|(lane, agents)| {
                 let first = lane * chunk;
                 let (start, end, first_flip) = if lanes.is_some() {
@@ -622,7 +608,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
                     start,
                     deliveries: &accepted[start..end],
                     flips: &flip_list[first_flip..],
-                    trace: trace.take(),
                 }
             });
             let tallies = agent_pass::<A, _>(lanes, rng, ranges, lane_tallies, |range, rng| {
@@ -664,10 +649,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
                 .map_or(0, |plan| plan.crashed_count(round) as u64),
         };
         self.metrics.absorb_round(&round_metrics);
-
-        // The trace consumes the maintained census; no O(n) recount.
-        self.trace
-            .on_round_end(round, &self.census, self.routing.sent);
         self.round += 1;
 
         // Debug builds periodically audit the incremental census against a
@@ -730,12 +711,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         &self.metrics
     }
 
-    /// The recorded trace.
-    #[must_use]
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
-    }
-
     /// The next round index to be executed (equals rounds executed so far).
     #[must_use]
     pub fn round(&self) -> Round {
@@ -754,10 +729,10 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         self.faults.as_ref()
     }
 
-    /// Consumes the simulation, returning the agents, metrics and trace.
+    /// Consumes the simulation, returning the agents and metrics.
     #[must_use]
-    pub fn into_parts(self) -> (Vec<A>, Metrics, TraceRecorder) {
-        (self.agents, self.metrics, self.trace)
+    pub fn into_parts(self) -> (Vec<A>, Metrics) {
+        (self.agents, self.metrics)
     }
 }
 
@@ -945,18 +920,10 @@ mod tests {
     fn identical_seeds_give_identical_runs() {
         let run = |seed: u64| {
             let agents = adopters(100, 1);
-            let config = SimulationConfig::new(100)
-                .with_seed(seed)
-                .with_history(true);
+            let config = SimulationConfig::new(100).with_seed(seed);
             let channel = BinarySymmetricChannel::from_epsilon(0.2).unwrap();
             let mut sim = Simulation::new(agents, channel, config).unwrap();
-            sim.run(50);
-            let history: Vec<(usize, u64)> = sim
-                .trace()
-                .history()
-                .iter()
-                .map(|s| (s.active, s.messages_sent))
-                .collect();
+            let history: Vec<RoundSummary> = (0..50).map(|_| sim.step()).collect();
             (history, sim.metrics().clone())
         };
         let (h1, m1) = run(99);
@@ -983,16 +950,13 @@ mod tests {
         let agents = adopters(50, 5);
         let config = SimulationConfig::new(50)
             .with_seed(2)
-            .with_reference(Opinion::One)
-            .with_history(true)
-            .with_activation_trace(true);
+            .with_reference(Opinion::One);
         let mut sim = Simulation::new(agents, NoiselessChannel, config).unwrap();
         let summary = sim.step();
         assert_eq!(
             summary.census_correct,
             Some(sim.census().holding(Opinion::One))
         );
-        assert!(!sim.trace().history().is_empty());
     }
 
     #[test]
@@ -1154,19 +1118,13 @@ mod tests {
         // machinery: its history equals the plain run digit for digit.
         let run = |faulty: bool| {
             let agents = adopters(100, 1);
-            let mut config = SimulationConfig::new(100).with_seed(99).with_history(true);
+            let mut config = SimulationConfig::new(100).with_seed(99);
             if faulty {
                 config = config.with_faults("byz:0.2".parse().unwrap());
             }
             let channel = BinarySymmetricChannel::from_epsilon(0.2).unwrap();
             let mut sim = Simulation::new(agents, channel, config).unwrap();
-            sim.run(50);
-            let history: Vec<(usize, u64)> = sim
-                .trace()
-                .history()
-                .iter()
-                .map(|s| (s.active, s.messages_sent))
-                .collect();
+            let history: Vec<RoundSummary> = (0..50).map(|_| sim.step()).collect();
             (history, sim.metrics().clone())
         };
         let (h_clean, m_clean) = run(false);
@@ -1240,7 +1198,7 @@ mod tests {
         let config = SimulationConfig::new(10).with_seed(2);
         let mut sim = Simulation::new(agents, NoiselessChannel, config).unwrap();
         sim.run(3);
-        let (agents, metrics, _trace) = sim.into_parts();
+        let (agents, metrics) = sim.into_parts();
         assert_eq!(agents.len(), 10);
         assert_eq!(metrics.rounds, 3);
     }

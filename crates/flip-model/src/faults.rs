@@ -1,5 +1,4 @@
-//! Fault injection: faulty-participant roles, deterministic fault plans and
-//! adversarial message schedules.
+//! Fault injection: faulty-participant roles and deterministic fault plans.
 //!
 //! The Flip model's only adversary so far was *stochastic*: channel noise up
 //! to the crossover cap.  This module adds *faulty participants* — agents
@@ -38,12 +37,10 @@
 //! scheduler — so fault-free agents observe exactly the same stream with or
 //! without faulty peers in the population.
 
-use std::cell::Cell;
 use std::fmt;
 use std::str::FromStr;
 
 use crate::agent::{Agent, Round};
-use crate::channel::Channel;
 use crate::error::FlipError;
 use crate::opinion::Opinion;
 use crate::rng::SimRng;
@@ -399,115 +396,9 @@ impl FaultPlan {
     }
 }
 
-/// A message-injection adversary composing with any [`Channel`]: every
-/// `period`-th transmission (counted 1-based across the whole run) is
-/// *replaced* by a fixed bit instead of passing through the inner channel.
-///
-/// This models an adversary with limited write access to the medium rather
-/// than to the participants: contrast [`FaultRole::ByzantineConstant`],
-/// which corrupts a sender, with a schedule that corrupts every k-th
-/// *message* regardless of who sent it.
-///
-/// The replacement counter makes the channel stateful, so
-/// [`Channel::fixed_crossover`] reports `None` and the engine always takes
-/// the exact per-message path — the schedule composes with fused-noise
-/// channels by disabling their fusion, never by being skipped.
-///
-/// # Example
-///
-/// ```
-/// use flip_model::{AdversarialSchedule, Channel, NoiselessChannel, Opinion, SimRng};
-///
-/// # fn main() -> Result<(), flip_model::FlipError> {
-/// let schedule = AdversarialSchedule::new(NoiselessChannel, Opinion::Zero, 3)?;
-/// let mut rng = SimRng::from_seed(1);
-/// let sent: Vec<Opinion> = (0..6).map(|_| schedule.transmit(Opinion::One, &mut rng)).collect();
-/// // Every third message is replaced by the adversary's bit.
-/// assert_eq!(sent[2], Opinion::Zero);
-/// assert_eq!(sent[5], Opinion::Zero);
-/// assert_eq!(sent[0], Opinion::One);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct AdversarialSchedule<C> {
-    inner: C,
-    bit: Opinion,
-    period: u64,
-    transmitted: Cell<u64>,
-}
-
-impl<C: Channel> AdversarialSchedule<C> {
-    /// Wraps `inner`, replacing every `period`-th transmission with `bit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlipError::InvalidParameter`] when `period` is zero.
-    pub fn new(inner: C, bit: Opinion, period: u64) -> Result<Self, FlipError> {
-        if period == 0 {
-            return Err(FlipError::InvalidParameter {
-                name: "period",
-                message: "the adversarial schedule period must be >= 1 \
-                          (1 replaces every message)"
-                    .into(),
-            });
-        }
-        Ok(Self {
-            inner,
-            bit,
-            period,
-            transmitted: Cell::new(0),
-        })
-    }
-
-    /// The wrapped channel.
-    #[must_use]
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// How many messages have passed through the schedule so far.
-    #[must_use]
-    pub fn transmitted(&self) -> u64 {
-        self.transmitted.get()
-    }
-}
-
-impl<C: Channel> Channel for AdversarialSchedule<C> {
-    fn transmit(&self, message: Opinion, rng: &mut SimRng) -> Opinion {
-        let count = self.transmitted.get() + 1;
-        self.transmitted.set(count);
-        if count.is_multiple_of(self.period) {
-            self.bit
-        } else {
-            self.inner.transmit(message, rng)
-        }
-    }
-
-    fn crossover(&self) -> f64 {
-        // An upper bound: the injected bit differs from the payload at most
-        // once per period, on top of the inner channel's own crossover.
-        (self.inner.crossover() + 1.0 / self.period as f64).min(1.0)
-    }
-
-    fn mean_crossover(&self) -> f64 {
-        // The schedule's replacements flip only when the payload disagrees
-        // with the injected bit (unknowable here), so the inner mean plus
-        // the full replacement rate is the honest upper bound.
-        (self.inner.mean_crossover() + 1.0 / self.period as f64).min(1.0)
-    }
-
-    fn fixed_crossover(&self) -> Option<f64> {
-        // Stateful by construction: the engine must call `transmit` for
-        // every message or the schedule would silently never fire.
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{BinarySymmetricChannel, NoiselessChannel};
 
     #[test]
     fn fault_specs_parse_and_round_trip() {
@@ -632,44 +523,5 @@ mod tests {
         let sampled = FaultPlan::sample(&crash, 1000, &mut rng);
         assert_eq!(sampled.crashed_count(2), 0);
         assert_eq!(sampled.crashed_count(3), sampled.faulty_count());
-    }
-
-    #[test]
-    fn adversarial_schedule_replaces_every_period_th_message() {
-        let schedule = AdversarialSchedule::new(NoiselessChannel, Opinion::Zero, 1).unwrap();
-        let mut rng = SimRng::from_seed(7);
-        for _ in 0..10 {
-            assert_eq!(schedule.transmit(Opinion::One, &mut rng), Opinion::Zero);
-        }
-        assert_eq!(schedule.transmitted(), 10);
-        assert!(AdversarialSchedule::new(NoiselessChannel, Opinion::Zero, 0).is_err());
-    }
-
-    #[test]
-    fn adversarial_schedule_composes_with_noisy_channels() {
-        // Between injections the inner channel's stream is untouched: a
-        // period-3 schedule over a BSC must produce the inner channel's
-        // exact outputs on non-multiples (same RNG draws, same results).
-        let inner = BinarySymmetricChannel::new(0.3).unwrap();
-        let schedule = AdversarialSchedule::new(inner, Opinion::Zero, 3).unwrap();
-        let mut rng_direct = SimRng::from_seed(9);
-        let mut rng_sched = SimRng::from_seed(9);
-        for i in 1..=30u64 {
-            let through = schedule.transmit(Opinion::One, &mut rng_sched);
-            if i.is_multiple_of(3) {
-                assert_eq!(through, Opinion::Zero, "message {i} must be replaced");
-            } else {
-                assert_eq!(
-                    through,
-                    inner.transmit(Opinion::One, &mut rng_direct),
-                    "message {i} must pass through the inner channel"
-                );
-            }
-        }
-        assert!(
-            schedule.fixed_crossover().is_none(),
-            "stateful: never fused"
-        );
-        assert!(schedule.crossover() >= inner.crossover());
     }
 }

@@ -67,7 +67,6 @@ use crate::opinion::Opinion;
 use crate::population::Census;
 use crate::rng::SimRng;
 use crate::stratified::{Bulk, MessagePool, StratifiedPopulation, StratifiedProtocol};
-use crate::trace::TraceRecorder;
 use telemetry::{Event, Phase, Recorder, Telemetry};
 
 /// A synchronous Flip-model simulation over `k` exactly-simulated tracked
@@ -95,10 +94,6 @@ pub struct HybridSimulation<A, P, C> {
     /// Fault roles over the tracked prefix — the hybrid engine carries the
     /// faulty agents on its exactly-simulated side, against an honest bulk.
     faults: Option<FaultPlan>,
-    /// Activation times and round snapshots for the *tracked* prefix: agent
-    /// index `i` in the trace is tracked agent `i`; the anonymous bulk has no
-    /// per-agent identity to trace.
-    trace: TraceRecorder,
     telemetry: Telemetry,
 }
 
@@ -166,7 +161,6 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
                 Some(FaultPlan::leading(&spec, faulty as usize, tracked.len()))
             }
         };
-        let trace = TraceRecorder::new(tracked.len(), config.trace_options(), config.reference());
         Ok(Self {
             tracked,
             channel,
@@ -177,7 +171,6 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
             reference: config.reference(),
             n,
             faults,
-            trace,
             telemetry: Telemetry::off(),
         })
     }
@@ -204,13 +197,6 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
     #[must_use]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
-    }
-
-    /// The recorded trace over the tracked prefix (activation index `i` is
-    /// tracked agent `i`; snapshots cover the whole population).
-    #[must_use]
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
     }
 
     /// Consumes the simulation, returning the tracked agents, the bulk
@@ -248,7 +234,6 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> FlipEngine for HybridSimulatio
         let mut accepted = 0u64;
         let mut flips = 0u64;
         let mut suppressed = 0u64;
-        let record_activations = self.trace.options().record_activations;
         if sent > 0 {
             let p_receive = pool.receive_probability(self.n);
             let fraction_one = pool.fraction_one();
@@ -271,9 +256,6 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> FlipEngine for HybridSimulatio
                 if FaultPlan::is_deaf(faults, idx, round) {
                     suppressed += 1;
                     continue;
-                }
-                if record_activations {
-                    self.trace.on_delivery(idx, round);
                 }
                 let _ = agent.deliver(round, delivered, &mut self.rng);
             }
@@ -318,7 +300,6 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> FlipEngine for HybridSimulatio
         let span = self.telemetry.begin();
         let census = self.census();
         self.telemetry.end(Phase::CensusApply, span);
-        self.trace.on_round_end(round, &census, sent);
         RoundSummary {
             metrics: round_metrics,
             census_active: census.active(),

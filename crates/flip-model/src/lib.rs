@@ -80,7 +80,6 @@
 mod agent;
 mod backend;
 mod channel;
-mod clock;
 mod config;
 mod dense;
 mod dense_protocols;
@@ -95,12 +94,10 @@ mod population;
 mod rng;
 mod scheduler;
 mod stratified;
-mod trace;
 
 pub use agent::{Agent, AgentId, OpinionDelta, Round};
 pub use backend::{Backend, DEFAULT_HYBRID_TRACKED};
 pub use channel::{AdversarialCapChannel, BinarySymmetricChannel, Channel, NoiselessChannel};
-pub use clock::{ClockModel, LocalClock};
 pub use config::SimulationConfig;
 pub use dense::{DensePopulation, DenseProtocol, DenseSimulation};
 pub use dense_protocols::{
@@ -109,7 +106,7 @@ pub use dense_protocols::{
 };
 pub use engine::{FlipEngine, RoundSummary, Simulation};
 pub use error::FlipError;
-pub use faults::{AdversarialSchedule, FaultKind, FaultPlan, FaultRole, FaultSpec};
+pub use faults::{FaultKind, FaultPlan, FaultRole, FaultSpec};
 pub use hybrid::HybridSimulation;
 pub use metrics::{Metrics, RoundMetrics};
 pub use opinion::Opinion;
@@ -119,4 +116,3 @@ pub use rng::{BernoulliSkip, SimRng};
 pub use scheduler::{Delivery, GossipScheduler, RoundRouting, RADIX_BUCKET_BITS, RADIX_MIN_N};
 pub use stratified::{StratifiedPopulation, StratifiedProtocol, StratifiedSimulation};
 pub use telemetry::{Event, Phase, PhaseProfile, PhaseSpan, PhaseStat, Recorder, Telemetry};
-pub use trace::{TraceOptions, TraceRecorder};

@@ -25,7 +25,7 @@ use crate::orchestrator::{SweepOutcome, SweepRunner};
 use crate::registry::ProtocolRegistry;
 use crate::runner::default_threads;
 use crate::spec::{fnv1a, SweepSpec};
-use crate::store::SweepStore;
+use crate::store::{atomic_write, SweepStore};
 
 /// The report-store format version written to `report.json`.
 pub const REPORT_FORMAT: u64 = 1;
@@ -296,14 +296,6 @@ fn read_report_manifest(path: &Path) -> Result<ReportManifest, SweepError> {
         name,
         member_names,
     })
-}
-
-/// Writes via a temp file + rename so a kill never leaves a half manifest.
-fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), SweepError> {
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 /// One member's slice of a composed run.

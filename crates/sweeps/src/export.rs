@@ -32,9 +32,8 @@ use std::fmt::Write as _;
 use crate::aggregate::CellRecord;
 use crate::error::SweepError;
 use crate::json::{put, required, write_f64, write_str, Json, Scanner};
-use crate::runner::default_threads;
+use crate::runner::{default_threads, on_lanes};
 use crate::spec::{ScenarioSpec, SweepSpec};
-use crate::store::on_lanes;
 
 /// Pairs every grid cell with its persisted record, in grid order.
 ///

@@ -281,28 +281,6 @@ impl ProtocolRegistry {
         self.run_trial_with_context(spec, trial, &TrialContext::sequential())
     }
 
-    /// Runs one trial of `spec`, granting it `round_threads` intra-round
-    /// worker lanes (the orchestrator passes
-    /// [`TrialRunner::round_threads`](crate::TrialRunner::round_threads)
-    /// here so trial fan-out and round workers share one budget).
-    ///
-    /// Results are bit-identical to [`ProtocolRegistry::run_trial`] for
-    /// every `round_threads` value — the lanes trade wall-clock for cores,
-    /// never determinism.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ProtocolRegistry::resolve`] failures and simulation
-    /// errors from the protocol itself.
-    pub fn run_trial_with_threads(
-        &self,
-        spec: &ScenarioSpec,
-        trial: u64,
-        round_threads: usize,
-    ) -> Result<Vec<(&'static str, f64)>, SweepError> {
-        self.run_trial_with_context(spec, trial, &TrialContext::new(round_threads))
-    }
-
     /// Runs one trial of `spec` under an explicit [`TrialContext`] (thread
     /// budget plus optional telemetry hub).  The telemetry attachment obeys
     /// the same invariance contract as the thread budget: metrics are
@@ -1868,10 +1846,12 @@ mod tests {
                 backend,
                 &[("n", 400.0), ("epsilon", 0.25), ("informed", 3.0)],
             );
-            let sequential = registry.run_trial_with_threads(&spec, 0, 1).unwrap();
+            let sequential = registry
+                .run_trial_with_context(&spec, 0, &TrialContext::new(1))
+                .unwrap();
             for round_threads in [2, 4, 7] {
                 let threaded = registry
-                    .run_trial_with_threads(&spec, 0, round_threads)
+                    .run_trial_with_context(&spec, 0, &TrialContext::new(round_threads))
                     .unwrap();
                 assert_eq!(
                     threaded, sequential,

@@ -36,12 +36,11 @@ pub fn default_threads() -> usize {
 
 /// Runs independent trials in parallel with stable per-trial seeds.
 ///
-/// The fan-out is lock-free: the pre-sized results vector is split into one
-/// disjoint contiguous chunk per worker (`chunks_mut`), so every worker
-/// writes its own slots and no result ever crosses a lock.  Results are
-/// returned in trial order, and because each trial's value depends only on
-/// its trial index, a parallel run is *bit-identical* to a sequential one by
-/// construction.
+/// The fan-out is lock-free: every worker runs one contiguous range of
+/// trials and keeps its own results, so no result ever crosses a lock.
+/// Results are returned in trial order, and because each trial's value
+/// depends only on its trial index, a parallel run is *bit-identical* to a
+/// sequential one by construction.
 ///
 /// # The shared thread budget
 ///
@@ -140,9 +139,10 @@ impl TrialRunner {
     /// Runs `task` once per trial index (0-based) and collects the results in
     /// trial order.
     ///
-    /// Each worker owns a disjoint chunk of the pre-sized results vector and
-    /// runs the contiguous trial range backing it, so no synchronisation is
-    /// needed beyond the scope join.
+    /// Each worker runs one contiguous range of trials on `on_lanes`, the
+    /// first range on the calling thread, so no synchronisation is needed
+    /// beyond the scope join.  A trial that panics panics the caller with
+    /// its own payload.
     pub fn run<T, F>(&self, task: F) -> Vec<T>
     where
         T: Send,
@@ -152,30 +152,41 @@ impl TrialRunner {
             return Vec::new();
         }
         let trials = usize::try_from(self.trials).expect("trial count fits in memory");
-        let threads = self.threads().min(trials).max(1);
-        if threads == 1 {
-            return (0..self.trials).map(task).collect();
-        }
-
-        let mut results: Vec<Option<T>> = (0..trials).map(|_| None).collect();
-        let chunk_len = trials.div_ceil(threads);
-        let task = &task;
-        std::thread::scope(|scope| {
-            for (chunk_index, chunk) in results.chunks_mut(chunk_len).enumerate() {
-                scope.spawn(move || {
-                    let first_trial = (chunk_index * chunk_len) as u64;
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(task(first_trial + offset as u64));
-                    }
-                });
-            }
-        });
-
-        results
+        let chunk = trials.div_ceil(self.threads().min(trials));
+        let ranges = (0..self.trials)
+            .step_by(chunk)
+            .map(|first| first..self.trials.min(first + chunk as u64))
+            .collect();
+        on_lanes(ranges, |range| range.map(&task).collect::<Vec<T>>())
             .into_iter()
-            .map(|v| v.expect("every chunk fills all of its slots"))
+            .flatten()
             .collect()
     }
+}
+
+/// Runs `work` once per share, the first share on the calling thread and
+/// every other one on a scoped thread of its own, and returns the results
+/// in share order.  The one lane fan-out of the trial runner, the store
+/// loader and the exports: one share spawns nothing, and a panicking lane
+/// panics the caller with its own payload.
+pub(crate) fn on_lanes<S: Send, R: Send>(shares: Vec<S>, work: impl Fn(S) -> R + Sync) -> Vec<R> {
+    let mut shares = shares.into_iter();
+    let Some(first) = shares.next() else {
+        return Vec::new();
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let lanes: Vec<_> = shares
+            .map(|share| scope.spawn(move || work(share)))
+            .collect();
+        let mut results = Vec::with_capacity(lanes.len() + 1);
+        results.push(work(first));
+        results.extend(lanes.into_iter().map(|lane| {
+            lane.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        results
+    })
 }
 
 #[cfg(test)]
@@ -187,6 +198,28 @@ mod tests {
         let runner = TrialRunner::new(0);
         let out: Vec<u64> = runner.run(|t| t);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_panicking_trial_reaches_the_caller_with_its_own_payload() {
+        // 8 trials at widths 1, 2 and 4: trial 5 runs on the caller, then
+        // on the second and on the third lane.
+        for threads in [1, 2, 4] {
+            let outcome = std::panic::catch_unwind(|| {
+                TrialRunner::new(8).with_threads(threads).run(|trial| {
+                    assert_ne!(trial, 5, "trial {trial} failed");
+                    trial
+                })
+            });
+            let payload = outcome.expect_err("the panic reaches the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("the trial's formatted message");
+            assert!(
+                message.contains("trial 5 failed"),
+                "threads {threads}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::aggregate::CellRecord;
 use crate::error::SweepError;
 use crate::json::{parse, Json};
 use crate::observe::CellTelemetry;
-use crate::runner::default_threads;
+use crate::runner::{default_threads, on_lanes};
 use crate::spec::SweepSpec;
 
 /// The store format version written to manifests.
@@ -345,31 +345,6 @@ fn load_shards<T: Send, E: Display + Send>(
     }
 }
 
-/// Runs `work` once per share, the first share on the calling thread and
-/// every other one on a scoped thread of its own, and returns the results
-/// in share order.  The one lane fan-out of the store loader and the
-/// exports: one share spawns nothing, and a panicking lane panics the
-/// caller with its own payload.
-pub(crate) fn on_lanes<S: Send, R: Send>(shares: Vec<S>, work: impl Fn(S) -> R + Sync) -> Vec<R> {
-    let mut shares = shares.into_iter();
-    let Some(first) = shares.next() else {
-        return Vec::new();
-    };
-    let work = &work;
-    std::thread::scope(|scope| {
-        let lanes: Vec<_> = shares
-            .map(|share| scope.spawn(move || work(share)))
-            .collect();
-        let mut results = Vec::with_capacity(lanes.len() + 1);
-        results.push(work(first));
-        results.extend(lanes.into_iter().map(|lane| {
-            lane.join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        }));
-        results
-    })
-}
-
 /// One past the highest run generation among `prefix`-named files in `dir`.
 fn next_generation(dir: &Path, prefix: &str) -> Result<u64, SweepError> {
     let mut generation = 0u64;
@@ -505,7 +480,7 @@ fn read_manifest(path: &Path) -> Result<(String, SweepSpec), SweepError> {
 }
 
 /// Writes via a temp file + rename so a kill never leaves a half manifest.
-fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), SweepError> {
+pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), SweepError> {
     let tmp = path.with_extension("json.tmp");
     fs::write(&tmp, bytes)?;
     fs::rename(&tmp, path)?;

@@ -1,11 +1,12 @@
 //! Observability contracts: fault accounting in [`Metrics`], telemetry
-//! bit-neutrality, and trace coverage on the hybrid backend.
+//! bit-neutrality, and per-round summaries on the hybrid backend.
 //!
 //! The telemetry crate's unit suite pins the recorder mechanics; this file
 //! pins the system-level promises: enabling telemetry never perturbs a
 //! seeded run (timing reads the wall clock, never the RNG stream), the
 //! fault counters in `Metrics` account for every interception, and the
-//! hybrid engine records activations and snapshots for its tracked prefix.
+//! hybrid engine's round summaries count its tracked prefix and its bulk
+//! together.
 
 use breathe_paper as _;
 use flip_model::{
@@ -161,51 +162,47 @@ fn hybrid_telemetry_counts_tracked_corrections_without_perturbing_the_run() {
     }
 }
 
-/// TraceRecorder on the hybrid backend: activations index the tracked
-/// prefix, snapshots cover the whole split population.
+/// Per-round summaries on the hybrid backend: one per executed round, in
+/// round order, each counting the whole split population (the tracked
+/// prefix and the bulk together).
 #[test]
-fn hybrid_trace_records_tracked_activations_and_population_snapshots() {
+fn hybrid_round_summaries_census_the_whole_split_population() {
     let n = 10_000u64;
     let tracked = 32usize;
-    // No tracked agent starts informed: every activation seen below is a
-    // real first delivery.
+    // No tracked agent starts informed: the run below ends only once the
+    // rumor has reached every one of them.
     let agents = RumorAgent::population(tracked, 0, 0);
     let bulk = StratifiedPopulation::single(RumorProtocol::population(n - tracked as u64, 0, 100));
     let channel = BinarySymmetricChannel::from_epsilon(0.3).expect("valid epsilon");
     let config = SimulationConfig::new(n as usize)
         .with_seed(0x7E20)
-        .with_reference(Opinion::One)
-        .with_history(true)
-        .with_activation_trace(true);
+        .with_reference(Opinion::One);
     let mut sim = HybridSimulation::new(agents, RumorProtocol, channel, bulk, config)
         .expect("valid parameters");
-    let executed = sim.run_until(200, |s| {
-        s.tracked().iter().filter(|a| a.opinion().is_some()).count() == tracked
-    });
-    assert!(executed < 200, "the rumor reaches every tracked agent");
-
-    let trace = sim.trace();
-    assert_eq!(
-        trace.history().len(),
-        executed as usize,
-        "one snapshot per round"
-    );
-    let last = trace.history().last().expect("non-empty history");
-    assert_eq!(
-        last.active,
-        sim.census().active(),
-        "snapshots track the full census"
-    );
-    assert!(last.correct.is_some(), "reference configured");
-
-    assert_eq!(trace.activation_rounds().len(), tracked);
-    for idx in 0..tracked {
-        let round = trace
-            .activation_round(idx)
-            .expect("every tracked agent was activated");
-        assert!(round < executed, "activation within the executed window");
+    let mut summaries = Vec::new();
+    while summaries.len() < 200 && sim.tracked().iter().any(|a| a.opinion().is_none()) {
+        let summary = sim.step();
+        let census = sim.census();
+        assert_eq!(summary.census_active, census.active(), "the full census");
+        assert_eq!(
+            summary.census_correct,
+            Some(census.holding(Opinion::One)),
+            "reference configured"
+        );
+        summaries.push(summary);
     }
-    // Monotone spread: the first activation precedes the last.
-    let first = (0..tracked).filter_map(|i| trace.activation_round(i)).min();
-    assert!(first.expect("non-empty") < executed);
+    assert!(
+        summaries.len() < 200,
+        "the rumor reaches every tracked agent"
+    );
+    assert_eq!(sim.metrics().rounds, summaries.len() as u64);
+    for (round, summary) in summaries.iter().enumerate() {
+        assert_eq!(summary.metrics.round, round as u64, "one summary per round");
+    }
+    assert!(
+        summaries
+            .windows(2)
+            .all(|pair| pair[0].census_active <= pair[1].census_active),
+        "an informed agent stays informed"
+    );
 }
