@@ -5,11 +5,9 @@
 //! * [`stirling`] — Stirling-formula bounds on central binomial probabilities
 //!   (Claim 2.12) and the two-step imaginary process of Lemma 2.11.
 //! * [`theory`] — closed-form predictions: round/message complexities, the
-//!   per-phase boost guarantee, per-hop deterioration and the §1.4 lower
-//!   bounds.
+//!   per-phase boost guarantee and the §1.4 lower bounds.
 //! * [`estimators`] — empirical success rates with Wilson confidence
 //!   intervals, means and standard deviations.
-//! * [`bias`] — bias/fraction-correct bookkeeping shared by experiments.
 //! * [`fitting`] — least-squares fits used to check the `log n` and `1/ε²`
 //!   scaling shapes.
 //! * [`streaming`] — single-pass aggregation: online moments (Welford) and
@@ -20,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bias;
 pub mod chernoff;
 pub mod estimators;
 pub mod fitting;
@@ -29,7 +26,6 @@ pub mod streaming;
 pub mod tables;
 pub mod theory;
 
-pub use bias::BiasTrajectory;
 pub use estimators::{mean, std_dev, SuccessRate};
 pub use fitting::{fit_linear, fit_power_law, LinearFit};
 pub use streaming::{P2Quantile, P2State, StreamingEstimator, StreamingMoments};

@@ -43,13 +43,6 @@ pub fn two_party_samples(epsilon: f64, failure: f64) -> f64 {
     (1.0 / failure).ln() / (2.0 * epsilon * epsilon)
 }
 
-/// Per-hop deterioration of §1.6: a message relayed over `c` hops is correct
-/// with probability `1/2 + (2ε)^c / 2`.
-#[must_use]
-pub fn relay_correct_probability(epsilon: f64, hops: u32) -> f64 {
-    0.5 + 0.5 * (2.0 * epsilon).powi(hops as i32)
-}
-
 /// Per-sample correctness during Stage II (Lemma 2.11): sampling a population
 /// with bias `δ` over a channel with margin `ε` yields a correct bit with
 /// probability `1/2 + 2εδ`.
@@ -129,13 +122,6 @@ mod tests {
         assert!(two_party_samples(0.1, 0.0001) > two_party_samples(0.1, 0.01));
         assert_eq!(two_party_samples(0.1, 0.0), f64::INFINITY);
         assert_eq!(two_party_samples(0.1, 1.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn relay_probability_matches_single_hop_and_decays() {
-        assert!((relay_correct_probability(0.2, 1) - 0.7).abs() < 1e-12);
-        assert!(relay_correct_probability(0.2, 10) < 0.51);
-        assert!((relay_correct_probability(0.5, 7) - 1.0).abs() < 1e-12);
     }
 
     #[test]

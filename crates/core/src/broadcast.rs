@@ -10,7 +10,7 @@ use flip_model::{
 
 use crate::agent_core::ProtocolCore;
 use crate::params::Params;
-use crate::schedule::{Schedule, StageKind};
+use crate::schedule::Schedule;
 use crate::stage1::Stage1State;
 
 /// A fully-synchronous agent running the two-stage protocol.
@@ -326,12 +326,6 @@ impl BroadcastProtocol {
     }
 }
 
-/// Returns the phase kind of the schedule entry `phase` (handy for reports).
-#[must_use]
-pub fn phase_kind(schedule: &Schedule, phase: usize) -> StageKind {
-    schedule.phases()[phase].kind
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,16 +414,5 @@ mod tests {
         );
         assert_eq!(agents[0].opinion(), Some(Opinion::One));
         assert_eq!(agents[1].opinion(), None);
-    }
-
-    #[test]
-    fn phase_kind_helper_reports_stages() {
-        let params = Params::practical(100, 0.35).unwrap();
-        let schedule = Schedule::broadcast(&params);
-        assert_eq!(phase_kind(&schedule, 0), StageKind::Spreading);
-        assert_eq!(
-            phase_kind(&schedule, schedule.phase_count() - 1),
-            StageKind::Boosting
-        );
     }
 }

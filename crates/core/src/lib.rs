@@ -64,7 +64,7 @@ pub use async_clock::{
     AsyncBroadcastProtocol, AsyncOutcome, AsyncVariant, OffsetAgent, ResyncAgent,
 };
 pub use broadcast::{
-    phase_kind, BreatheAgent, BroadcastOutcome, BroadcastProtocol, DetailedOutcome, LevelStats,
+    BreatheAgent, BroadcastOutcome, BroadcastProtocol, DetailedOutcome, LevelStats,
 };
 pub use majority::{InitialSet, MajorityConsensusProtocol, MajorityOutcome};
 pub use memory::{footprint, theoretical_bits, MemoryFootprint};

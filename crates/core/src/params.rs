@@ -241,13 +241,6 @@ impl Params {
         self.stage1_rounds() + self.stage2_rounds()
     }
 
-    /// The paper's asymptotic round bound `Θ(ln n / ε²)` evaluated without
-    /// constants, useful for scaling fits.
-    #[must_use]
-    pub fn theoretical_round_scale(&self) -> f64 {
-        self.ln_n() * self.inv_eps_sq()
-    }
-
     /// The starting Stage I phase `i_A` for the majority-consensus protocol
     /// (Corollary 2.18): `i_A = ln(|A| / ln n) / (2 ln(1/ε))`, clamped to
     /// `[0, T + 1]`.
@@ -444,12 +437,5 @@ mod tests {
         assert!(p.majority_start_phase(10_000) <= t + 1);
         // Larger initial sets never start earlier than smaller ones.
         assert!(p.majority_start_phase(5_000) >= p.majority_start_phase(50));
-    }
-
-    #[test]
-    fn theoretical_scale_matches_formula() {
-        let p = Params::practical(1_000, 0.25).unwrap();
-        let expected = (1_000f64).ln() / (0.25 * 0.25);
-        assert!((p.theoretical_round_scale() - expected).abs() < 1e-9);
     }
 }

@@ -43,10 +43,12 @@
 //! trials/s, ETA) to stderr.  `sweep report DIR --telemetry` re-renders the
 //! profile table from the persisted shards of any past run.
 
-use std::path::{Path, PathBuf};
+use std::error::Error;
+use std::path::Path;
 use std::process::ExitCode;
 
-use experiments::{cli, specs, ExperimentConfig};
+use experiments::cli::{self, Args};
+use experiments::{specs, ExperimentConfig};
 use sweeps::{
     export_csv, export_json, is_report_store, ordered_cells, ProtocolRegistry, ReportRunner,
     ReportSpec, ReportStore, SweepError, SweepRunner, SweepSpec, SweepStore,
@@ -55,7 +57,7 @@ use telemetry::Recorder;
 
 const USAGE: &str = "usage:
   sweep list
-  sweep gen <name> [--full] [--trials N] [--seed N] [--rounds N] [--faults D]
+  sweep gen <name> [--full] [--trials N] [--seed N] [--rounds N] [--faults D] [--allow-supermajority-faults]
   sweep table <experiment> [--full] [--backend B] [--trials N] [--threads N] [--seed N] [--faults D] [--allow-supermajority-faults]
   sweep run <spec.json> --out <dir> [--threads N] [--max-cells N] [--telemetry] [--progress]
   sweep run report --out <dir> [--full] [--trials N] [--seed N] [--threads N] [--max-cells N] [--telemetry] [--progress]
@@ -66,8 +68,61 @@ const USAGE: &str = "usage:
  a zero would silently produce empty runs or empty aggregates;
  --telemetry is also honoured via the FLIP_TELEMETRY environment variable)";
 
+// What each command takes: the words of its `USAGE` line, for `cli::parse`.
+const LIST: &[&str] = &[];
+const GEN: &[&str] = &[
+    "<name>",
+    "--full",
+    "--trials",
+    "--seed",
+    "--rounds",
+    "--faults",
+    "--allow-supermajority-faults",
+];
+const TABLE: &[&str] = &[
+    "<experiment>",
+    "--full",
+    "--backend",
+    "--trials",
+    "--threads",
+    "--seed",
+    "--faults",
+    "--allow-supermajority-faults",
+];
+const RUN: &[&str] = &[
+    "<spec.json>",
+    "--out",
+    "--threads",
+    "--max-cells",
+    "--telemetry",
+    "--progress",
+];
+const RUN_REPORT: &[&str] = &[
+    "--out",
+    "--full",
+    "--trials",
+    "--seed",
+    "--threads",
+    "--max-cells",
+    "--telemetry",
+    "--progress",
+];
+const RESUME: &[&str] = &[
+    "<dir>",
+    "--threads",
+    "--max-cells",
+    "--telemetry",
+    "--progress",
+];
+const EXPORT: &[&str] = &["<dir>", "--csv", "--json", "--out", "--partial"];
+const REPORT: &[&str] = &["<dir>", "--telemetry"];
+
 /// Environment opt-in for `--telemetry`: any non-empty value except `0`.
 const TELEMETRY_ENV: &str = "FLIP_TELEMETRY";
+
+/// A command's result: a parser message or a library error, each printed
+/// as itself.
+type Outcome = Result<(), Box<dyn Error>>;
 
 /// `println!` through [`cli::print`]: a reader that closes stdout early ends
 /// the run quietly.
@@ -79,21 +134,20 @@ macro_rules! out {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     let result = match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("table") => cmd_table(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("resume") => cmd_resume(&args[1..]),
-        Some("export") => cmd_export(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
+        Some("list") => cmd_list(rest),
+        Some("gen") => cmd_gen(rest),
+        Some("table") => cmd_table(rest),
+        Some("run") => cmd_run(rest),
+        Some("resume") => cmd_resume(rest),
+        Some("export") => cmd_export(rest),
+        Some("report") => cmd_report(rest),
         Some("--help" | "-h" | "help") | None => {
             out!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(SweepError::Spec(format!(
-            "unknown subcommand `{other}`\n{USAGE}"
-        ))),
+        Some(other) => Err(format!("unknown subcommand `{other}`\n{USAGE}").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -104,7 +158,14 @@ fn main() -> ExitCode {
     }
 }
 
-fn cmd_list() -> Result<(), SweepError> {
+/// Whether this invocation records telemetry: the `--telemetry` flag or
+/// the `FLIP_TELEMETRY` environment opt-in.
+fn telemetry_requested(args: &Args) -> bool {
+    args.telemetry || std::env::var(TELEMETRY_ENV).is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+fn cmd_list(args: &[String]) -> Outcome {
+    cli::parse("sweep list", args, LIST)?;
     out!("builtin sweeps (sweep gen <name>), by experiment family:");
     let cfg = ExperimentConfig::quick();
     let mut family = "";
@@ -138,34 +199,27 @@ fn cmd_list() -> Result<(), SweepError> {
     Ok(())
 }
 
-/// Splits `gen`/`table` arguments into the name and the experiment-config
-/// flags after it.  Requiring the name up front keeps `gen --trials 2 e01`
-/// from misreading `2` as the name and `e01` as a flag value.
-fn name_first<'a>(
-    command: &str,
-    args: &'a [String],
-) -> Result<(&'a String, &'a [String]), SweepError> {
-    let Some((name, cfg_args)) = args.split_first() else {
-        return Err(SweepError::Spec(format!("{command} needs a name\n{USAGE}")));
-    };
-    if name.starts_with('-') {
-        return Err(SweepError::Spec(format!(
-            "{command} takes the name first, then flags (got `{name}`)\n{USAGE}"
-        )));
+/// Parses `gen`/`table` arguments, which take the name first, then flags.
+fn parse_named(command: &str, args: &[String], accepted: &[&str]) -> Result<Args, String> {
+    match args.first() {
+        None => Err(format!("`{command}` needs a name\n{USAGE}")),
+        Some(name) if name.starts_with('-') => Err(format!(
+            "`{command}` takes the name first, then flags (got `{name}`)\n{USAGE}"
+        )),
+        Some(_) => cli::parse(command, args, accepted),
     }
-    Ok((name, cfg_args))
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), SweepError> {
-    let (name, cfg_args) = name_first("gen", args)?;
+fn cmd_gen(args: &[String]) -> Outcome {
+    let args = parse_named("sweep gen", args, GEN)?;
+    let name = &args.positional[0];
     if name == specs::REPORT_SPEC_NAME {
-        return Err(SweepError::Spec(
+        return Err(
             "the composed report is not a single spec; run it with: sweep run report --out <dir>"
                 .into(),
-        ));
+        );
     }
-    let cfg = cli::parse_config(cfg_args.to_vec());
-    let mut spec = specs::builtin(name, &cfg).ok_or_else(|| {
+    let mut spec = specs::builtin(name, &args.config).ok_or_else(|| {
         let suggestion = specs::nearest_builtin(name)
             .map(|near| format!(" did you mean `{near}`?"))
             .unwrap_or_default();
@@ -175,7 +229,7 @@ fn cmd_gen(args: &[String]) -> Result<(), SweepError> {
             names.join(", ")
         ))
     })?;
-    if let Some(rounds) = cfg.rounds {
+    if let Some(rounds) = args.config.rounds {
         // Zero was rejected at parse time, so this can only tighten or
         // loosen a real cap.
         spec.rounds = rounds;
@@ -187,112 +241,29 @@ fn cmd_gen(args: &[String]) -> Result<(), SweepError> {
 /// `sweep table`: runs an experiment's builtin sweeps in memory and prints
 /// their tables as markdown.  `--backend` picks the experiment's sweep on
 /// that engine family (`e01 --backend dense` runs `e01-dense`).
-fn cmd_table(args: &[String]) -> Result<(), SweepError> {
-    let (binary, cfg_args) = name_first("table", args)?;
-    let cfg = cli::parse_config(cfg_args.to_vec());
-    cli::require_no_rounds_override(&cfg, &format!("sweep table {binary}"));
-    for name in specs::binary_sweeps(binary, &cfg).map_err(SweepError::Spec)? {
-        out!("{}", specs::table(name, &cfg).to_markdown());
+fn cmd_table(args: &[String]) -> Outcome {
+    let args = parse_named("sweep table", args, TABLE)?;
+    for name in specs::binary_sweeps(&args.positional[0], &args.config)? {
+        out!("{}", specs::table(name, &args.config).to_markdown());
     }
     Ok(())
 }
 
-/// Shared flag parsing for `run` / `resume` / `export`.
-struct Flags {
-    positional: Vec<String>,
-    out: Option<PathBuf>,
-    threads: Option<usize>,
-    max_cells: Option<usize>,
-    csv: bool,
-    json: bool,
-    partial: bool,
-    telemetry: bool,
-    progress: bool,
-}
-
-impl Flags {
-    /// Whether this invocation records telemetry: the `--telemetry` flag or
-    /// the `FLIP_TELEMETRY` environment opt-in.
-    fn telemetry_requested(&self) -> bool {
-        self.telemetry || std::env::var(TELEMETRY_ENV).is_ok_and(|v| !v.is_empty() && v != "0")
-    }
-}
-
-fn parse_flags(args: &[String]) -> Result<Flags, SweepError> {
-    let mut flags = Flags {
-        positional: Vec::new(),
-        out: None,
-        threads: None,
-        max_cells: None,
-        csv: false,
-        json: false,
-        partial: false,
-        telemetry: false,
-        progress: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((f, v)) => (f, Some(v.to_string())),
-            None => (arg.as_str(), None),
-        };
-        let mut value = |name: &str| -> Result<String, SweepError> {
-            inline.clone().map_or_else(
-                || {
-                    iter.next()
-                        .cloned()
-                        .ok_or_else(|| SweepError::Spec(format!("{name} requires a value")))
-                },
-                Ok,
-            )
-        };
-        match flag {
-            "--out" => flags.out = Some(PathBuf::from(value("--out")?)),
-            "--threads" => {
-                flags.threads = Some(parse_positive(&value("--threads")?, "--threads")?);
-            }
-            "--max-cells" => {
-                flags.max_cells = Some(parse_positive(&value("--max-cells")?, "--max-cells")?);
-            }
-            "--csv" => flags.csv = true,
-            "--json" => flags.json = true,
-            "--partial" => flags.partial = true,
-            "--telemetry" => flags.telemetry = true,
-            "--progress" => flags.progress = true,
-            // Single-dash typos (`-threads`) must not pass as positionals.
-            other if other.starts_with('-') => {
-                return Err(SweepError::Spec(format!("unknown flag `{other}`\n{USAGE}")));
-            }
-            _ => flags.positional.push(arg.clone()),
-        }
-    }
-    Ok(flags)
-}
-
-fn parse_positive(raw: &str, flag: &str) -> Result<usize, SweepError> {
-    match raw.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(SweepError::Spec(format!(
-            "invalid {flag} value `{raw}`: expected an integer >= 1"
-        ))),
-    }
-}
-
-fn build_runner(flags: &Flags) -> SweepRunner {
+fn build_runner(args: &Args) -> SweepRunner {
     let mut runner = SweepRunner::new()
-        .with_telemetry(flags.telemetry_requested())
-        .with_progress(flags.progress);
-    if let Some(threads) = flags.threads {
+        .with_telemetry(telemetry_requested(args))
+        .with_progress(args.progress);
+    if let Some(threads) = args.config.threads {
         runner = runner.with_threads(threads);
     }
-    if let Some(max_cells) = flags.max_cells {
+    if let Some(max_cells) = args.max_cells {
         runner = runner.with_max_cells(max_cells);
     }
     runner
 }
 
-fn execute(spec: &SweepSpec, store: &SweepStore, flags: &Flags) -> Result<(), SweepError> {
-    let outcome = build_runner(flags).run(spec, &ProtocolRegistry::builtin(), Some(store))?;
+fn execute(spec: &SweepSpec, store: &SweepStore, args: &Args) -> Outcome {
+    let outcome = build_runner(args).run(spec, &ProtocolRegistry::builtin(), Some(store))?;
     if let Some(recorder) = &outcome.telemetry {
         if !recorder.is_empty() {
             // stderr, like the progress stream: stdout stays reserved for
@@ -328,17 +299,13 @@ fn execute(spec: &SweepSpec, store: &SweepStore, flags: &Flags) -> Result<(), Sw
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), SweepError> {
+fn cmd_run(args: &[String]) -> Outcome {
     // The composed report is a builtin composition, not a spec file on disk.
     if args.first().is_some_and(|a| a == specs::REPORT_SPEC_NAME) {
         return cmd_run_report(&args[1..]);
     }
-    let flags = parse_flags(args)?;
-    let [spec_path] = flags.positional.as_slice() else {
-        return Err(SweepError::Spec(format!(
-            "run needs exactly one spec file\n{USAGE}"
-        )));
-    };
+    let args = cli::parse("sweep run", args, RUN)?;
+    let spec_path = &args.positional[0];
     let text = std::fs::read_to_string(spec_path).map_err(|e| {
         // An unreadable path that is nearly a builtin name is almost always
         // a typo for one, not a missing file — say so.
@@ -356,12 +323,9 @@ fn cmd_run(args: &[String]) -> Result<(), SweepError> {
         SweepError::Spec(format!("cannot read {spec_path}: {e}{suggestion}"))
     })?;
     let spec = SweepSpec::from_json_text(&text)?;
-    let out = flags
-        .out
-        .clone()
-        .ok_or_else(|| SweepError::Spec("run needs --out <dir>".into()))?;
-    let store = SweepStore::create(&out, &spec)?;
-    execute(&spec, &store, &flags)
+    let out = args.out.as_deref().ok_or("`sweep run` needs --out <dir>")?;
+    let store = SweepStore::create(out, &spec)?;
+    execute(&spec, &store, &args)
 }
 
 /// `sweep run report`: the composed full report as one resumable run.
@@ -371,55 +335,25 @@ fn cmd_run(args: &[String]) -> Result<(), SweepError> {
 /// flags (`--out`, `--threads`, `--max-cells`, `--telemetry`, `--progress`)
 /// mean what they mean for a single sweep, with `--max-cells` budgeting the
 /// whole composition.
-fn cmd_run_report(args: &[String]) -> Result<(), SweepError> {
-    let (cfg_args, sweep_args) = split_config_flags(args);
-    let flags = parse_flags(&sweep_args)?;
-    if let Some(stray) = flags.positional.first() {
-        return Err(SweepError::Spec(format!(
-            "run report takes flags only (got `{stray}`)\n{USAGE}"
-        )));
-    }
-    let out = flags
+fn cmd_run_report(args: &[String]) -> Outcome {
+    let args = cli::parse("sweep run report", args, RUN_REPORT)?;
+    let out = args
         .out
-        .clone()
-        .ok_or_else(|| SweepError::Spec("run report needs --out <dir>".into()))?;
-    let cfg = cli::parse_config(cfg_args);
-    let spec = specs::report_spec(&cfg);
-    let store = ReportStore::create(&out, &spec)?;
-    execute_report(&spec, &store, &flags)
+        .as_deref()
+        .ok_or("`sweep run report` needs --out <dir>")?;
+    let spec = specs::report_spec(&args.config);
+    let store = ReportStore::create(out, &spec)?;
+    execute_report(&spec, &store, &args)
 }
 
-/// Splits `sweep run report` arguments into experiment-config flags (fed to
-/// the shared parser) and sweep flags (fed to [`parse_flags`]).
-fn split_config_flags(args: &[String]) -> (Vec<String>, Vec<String>) {
-    let mut cfg_args = Vec::new();
-    let mut sweep_args = Vec::new();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.split_once('=').map_or(arg.as_str(), |(flag, _)| flag) {
-            "--full" => cfg_args.push(arg.clone()),
-            "--trials" | "--seed" => {
-                cfg_args.push(arg.clone());
-                if !arg.contains('=') {
-                    if let Some(value) = iter.next() {
-                        cfg_args.push(value.clone());
-                    }
-                }
-            }
-            _ => sweep_args.push(arg.clone()),
-        }
-    }
-    (cfg_args, sweep_args)
-}
-
-fn execute_report(spec: &ReportSpec, store: &ReportStore, flags: &Flags) -> Result<(), SweepError> {
+fn execute_report(spec: &ReportSpec, store: &ReportStore, args: &Args) -> Outcome {
     let mut runner = ReportRunner::new()
-        .with_telemetry(flags.telemetry_requested())
-        .with_progress(flags.progress);
-    if let Some(threads) = flags.threads {
+        .with_telemetry(telemetry_requested(args))
+        .with_progress(args.progress);
+    if let Some(threads) = args.config.threads {
         runner = runner.with_threads(threads);
     }
-    if let Some(max_cells) = flags.max_cells {
+    if let Some(max_cells) = args.max_cells {
         runner = runner.with_max_cells(max_cells);
     }
     let outcome = runner.run(spec, &ProtocolRegistry::builtin(), Some(store))?;
@@ -449,105 +383,117 @@ fn execute_report(spec: &ReportSpec, store: &ReportStore, flags: &Flags) -> Resu
     Ok(())
 }
 
-fn cmd_resume(args: &[String]) -> Result<(), SweepError> {
-    let flags = parse_flags(args)?;
-    let [dir] = flags.positional.as_slice() else {
-        return Err(SweepError::Spec(format!(
-            "resume needs exactly one store directory\n{USAGE}"
-        )));
-    };
-    let dir = Path::new(dir);
+fn cmd_resume(args: &[String]) -> Outcome {
+    let args = cli::parse("sweep resume", args, RESUME)?;
+    let dir = Path::new(&args.positional[0]);
     if is_report_store(dir) {
         let (store, spec) = ReportStore::open(dir)?;
-        return execute_report(&spec, &store, &flags);
+        return execute_report(&spec, &store, &args);
     }
     let (store, spec) = SweepStore::open(dir)?;
-    execute(&spec, &store, &flags)
+    execute(&spec, &store, &args)
 }
 
-fn cmd_export(args: &[String]) -> Result<(), SweepError> {
-    let flags = parse_flags(args)?;
-    let [dir] = flags.positional.as_slice() else {
-        return Err(SweepError::Spec(format!(
-            "export needs exactly one store directory\n{USAGE}"
-        )));
-    };
-    if flags.csv == flags.json {
-        return Err(SweepError::Spec(
-            "export needs exactly one of --csv or --json".into(),
-        ));
+fn cmd_export(args: &[String]) -> Outcome {
+    let args = cli::parse("sweep export", args, EXPORT)?;
+    let dir = &args.positional[0];
+    if args.csv == args.json {
+        return Err("`sweep export` needs exactly one of --csv or --json".into());
     }
     if is_report_store(Path::new(dir)) {
         return Err(SweepError::Spec(format!(
             "{dir} is a composed report store; export its members individually \
              (sweep export {dir}/members/<name> --csv) or render the markdown report \
              with: full_report --store {dir} --export report.md"
-        )));
+        ))
+        .into());
     }
     let (store, spec) = SweepStore::open(Path::new(dir))?;
     let records = store.load_cells()?;
     let (pairs, missing) = ordered_cells(&spec, &records)?;
-    if missing > 0 && !flags.partial {
+    if missing > 0 && !args.partial {
         return Err(SweepError::Incomplete {
             done: pairs.len(),
             total: pairs.len() + missing,
-        });
+        }
+        .into());
     }
-    let document = if flags.csv {
+    let document = if args.csv {
         export_csv(&pairs)
     } else {
         export_json(&spec, &pairs)
     };
-    match &flags.out {
-        Some(path) => std::fs::write(path, document)?,
+    match &args.out {
+        Some(path) => cli::write(path, &document)?,
         None => cli::print("sweep", format_args!("{document}")),
     }
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), SweepError> {
-    let flags = parse_flags(args)?;
-    let [dir] = flags.positional.as_slice() else {
-        return Err(SweepError::Spec(format!(
-            "report needs exactly one store directory\n{USAGE}"
-        )));
+/// `sweep report`: completion status plus, with `--telemetry`, the profile
+/// aggregate merged across cells.  A composed store reports per member; a
+/// plain store reports as a one-member list without member lines.
+fn cmd_report(args: &[String]) -> Outcome {
+    let args = cli::parse("sweep report", args, REPORT)?;
+    let dir = Path::new(&args.positional[0]);
+    let composed = is_report_store(dir);
+    let (title, members, stores, rerun) = if composed {
+        let (store, spec) = ReportStore::open(dir)?;
+        let stores = spec
+            .members
+            .iter()
+            .map(|member| store.member_store(member))
+            .collect::<Result<Vec<_>, _>>()?;
+        let title = format!("report `{}` ({})", spec.name, store.report_hash());
+        (title, spec.members, stores, "sweep run report")
+    } else {
+        let (store, spec) = SweepStore::open(dir)?;
+        let title = format!("sweep `{}` ({})", spec.name, spec.hash_hex());
+        (title, vec![spec], vec![store], "sweep run <spec.json>")
     };
-    if is_report_store(Path::new(dir)) {
-        return cmd_report_composed(Path::new(dir), &flags);
+    let telemetry = telemetry_requested(&args);
+    let mut member_lines = Vec::with_capacity(members.len());
+    let (mut persisted, mut total) = (0usize, 0usize);
+    let mut merged = Recorder::default();
+    let (mut profiles, mut trials, mut cell_ns) = (0usize, 0u64, 0u64);
+    for (member, store) in members.iter().zip(&stores) {
+        let found = grid_cells_persisted(member, store)?;
+        let cells = member.grid_len();
+        member_lines.push(format!(
+            "  member `{}`: {found}/{cells} cells persisted",
+            member.name,
+        ));
+        persisted += found;
+        total += cells;
+        if telemetry {
+            // `Recorder::merge` is commutative, so the merged table equals
+            // the aggregate a live `--telemetry` run prints.
+            for profile in store.load_telemetry()?.values() {
+                merged.merge(&profile.recorder);
+                profiles += 1;
+                trials += profile.trials;
+                cell_ns += profile.elapsed_ns;
+            }
+        }
     }
-    let (store, spec) = SweepStore::open(Path::new(dir))?;
-    out!(
-        "sweep `{}` ({}): {}/{} cells persisted",
-        spec.name,
-        spec.hash_hex(),
-        grid_cells_persisted(&spec, &store)?,
-        spec.grid_len(),
-    );
-    if !flags.telemetry_requested() {
+    out!("{title}: {persisted}/{total} cells persisted");
+    if composed {
+        for line in member_lines {
+            out!("{line}");
+        }
+    }
+    if !telemetry {
         return Ok(());
     }
-    let profiles = store.load_telemetry()?;
-    if profiles.is_empty() {
+    if profiles == 0 {
         out!(
-            "no telemetry profiles recorded; capture them with: sweep run <spec.json> --out {dir} \
-             --telemetry"
+            "no telemetry profiles recorded; capture them with: {rerun} --out {} --telemetry",
+            dir.display()
         );
         return Ok(());
     }
-    // `Recorder::merge` is commutative, so the merged table equals the
-    // sweep-wide aggregate a live `--telemetry` run prints.
-    let mut merged = Recorder::default();
-    let mut trials = 0u64;
-    let mut cell_ns = 0u64;
-    for cell in profiles.values() {
-        merged.merge(&cell.recorder);
-        trials += cell.trials;
-        cell_ns += cell.elapsed_ns;
-    }
     out!(
-        "telemetry: {} cell profiles, {} trials, {:.2}s total cell time",
-        profiles.len(),
-        trials,
+        "telemetry: {profiles} cell profiles, {trials} trials, {:.2}s total cell time",
         cell_ns as f64 / 1.0e9,
     );
     if merged.is_empty() {
@@ -571,63 +517,54 @@ fn grid_cells_persisted(spec: &SweepSpec, store: &SweepStore) -> Result<usize, S
         .count())
 }
 
-/// `sweep report` on a composed report store: per-member completion status
-/// plus, with `--telemetry`, the profile aggregate merged across members.
-fn cmd_report_composed(dir: &Path, flags: &Flags) -> Result<(), SweepError> {
-    let (store, spec) = ReportStore::open(dir)?;
-    let mut member_lines = Vec::with_capacity(spec.members.len());
-    let mut persisted = 0usize;
-    let mut total = 0usize;
-    let mut merged = Recorder::default();
-    let mut profiles = 0usize;
-    let mut trials = 0u64;
-    let mut cell_ns = 0u64;
-    for member in &spec.members {
-        let sub = store.member_store(member)?;
-        let found = grid_cells_persisted(member, &sub)?;
-        let cells = member.grid_len();
-        member_lines.push(format!(
-            "  member `{}`: {found}/{cells} cells persisted",
-            member.name,
-        ));
-        persisted += found;
-        total += cells;
-        if flags.telemetry_requested() {
-            for profile in sub.load_telemetry()?.values() {
-                merged.merge(&profile.recorder);
-                profiles += 1;
-                trials += profile.trials;
-                cell_ns += profile.elapsed_ns;
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The command and the accepted words of each command line of `USAGE`:
+    /// `<placeholders>` and flags, skipping each flag's value.
+    fn usage_lines() -> Vec<(String, Vec<String>)> {
+        USAGE
+            .lines()
+            .filter(|line| line.starts_with("  sweep "))
+            .map(|line| {
+                let tokens: Vec<&str> = line
+                    .split(|c: char| c.is_whitespace() || "[]|".contains(c))
+                    .filter(|token| !token.is_empty())
+                    .collect();
+                let command_len = tokens
+                    .iter()
+                    .position(|token| token.starts_with(['<', '-']))
+                    .unwrap_or(tokens.len());
+                let mut words = Vec::new();
+                for (i, token) in tokens.iter().enumerate().skip(command_len) {
+                    let is_value = !token.starts_with("--") && tokens[i - 1].starts_with("--");
+                    if token.starts_with(['<', '-']) && !is_value {
+                        words.push((*token).to_string());
+                    }
+                }
+                (tokens[..command_len].join(" "), words)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_command_takes_exactly_its_usage_line() {
+        let commands = [
+            ("sweep list", LIST),
+            ("sweep gen", GEN),
+            ("sweep table", TABLE),
+            ("sweep run", RUN),
+            ("sweep run report", RUN_REPORT),
+            ("sweep resume", RESUME),
+            ("sweep export", EXPORT),
+            ("sweep report", REPORT),
+        ];
+        let lines = usage_lines();
+        assert_eq!(lines.len(), commands.len(), "{lines:?}");
+        for ((command, accepted), (line_command, words)) in commands.iter().zip(&lines) {
+            assert_eq!(command, line_command);
+            assert_eq!(accepted, words, "`{command}` against its usage line");
         }
     }
-    out!(
-        "report `{}` ({}): {persisted}/{total} cells persisted",
-        spec.name,
-        store.report_hash(),
-    );
-    for line in member_lines {
-        out!("{line}");
-    }
-    if !flags.telemetry_requested() {
-        return Ok(());
-    }
-    if profiles == 0 {
-        out!(
-            "no telemetry profiles recorded; capture them with: sweep run report --out {} \
-             --telemetry",
-            dir.display()
-        );
-        return Ok(());
-    }
-    out!(
-        "telemetry: {profiles} cell profiles, {trials} trials, {:.2}s total cell time",
-        cell_ns as f64 / 1.0e9,
-    );
-    if merged.is_empty() {
-        out!("profiles contain no engine phases (counts-only backend)");
-    } else {
-        cli::print("sweep", format_args!("{}", merged.render()));
-    }
-    Ok(())
 }

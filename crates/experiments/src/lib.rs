@@ -6,9 +6,10 @@
 //! (see the paper-section index in `docs/ARCHITECTURE.md`); this crate
 //! provides:
 //!
-//! * [`cli`] — the shared command-line convention of the `sweep table`,
-//!   `sweep gen` and `full_report` surfaces (`--full`, `--backend`,
-//!   `--trials`, `--threads`, `--seed`, `--faults`),
+//! * [`cli`] — the one command-line parser of the `sweep` and
+//!   `full_report` binaries: each command takes exactly the flags its usage
+//!   line lists (`--full`, `--backend`, `--trials`, `--threads`, `--seed`,
+//!   `--faults`, ...),
 //! * [`specs`] — the [`specs::EXPERIMENTS`] table: every experiment family
 //!   (E1–E13 and the ablations A1–A3) as a declarative
 //!   [`sweeps::SweepSpec`] over the sweep registry, plus the renderer that
@@ -173,37 +174,40 @@ mod tests {
         assert_ne!(cfg.seed_for(1, 2), cfg.seed_for(2, 2));
     }
 
+    /// The configuration `sweep table` parses from `args`.
+    fn table_config(args: &[&str]) -> Result<ExperimentConfig, String> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        cli::parse(
+            "sweep table",
+            &args,
+            &["<experiment>", "--full", "--backend"],
+        )
+        .map(|parsed| parsed.config)
+    }
+
     #[test]
     fn args_select_the_preset() {
+        assert_eq!(table_config(&["e01"]), Ok(ExperimentConfig::quick()));
         assert_eq!(
-            cli::parse_config(vec!["e01".to_string()]),
-            ExperimentConfig::quick()
-        );
-        assert_eq!(
-            cli::parse_config(vec!["--full".to_string()]),
-            ExperimentConfig::full()
-        );
-        assert_eq!(
-            cli::parse_config(Vec::<String>::new()),
-            ExperimentConfig::quick()
+            table_config(&["e01", "--full"]),
+            Ok(ExperimentConfig::full())
         );
     }
 
     #[test]
     fn args_select_the_backend() {
+        assert_eq!(table_config(&["e01"]).unwrap().backend, Backend::Agents);
         assert_eq!(
-            cli::parse_config(Vec::<String>::new()).backend,
-            Backend::Agents
-        );
-        assert_eq!(
-            cli::parse_config(vec!["--backend".to_string(), "dense".to_string()]).backend,
+            table_config(&["e01", "--backend", "dense"])
+                .unwrap()
+                .backend,
             Backend::Dense
         );
         assert_eq!(
-            cli::parse_config(vec!["--backend=dense".to_string()]).backend,
+            table_config(&["e01", "--backend=dense"]).unwrap().backend,
             Backend::Dense
         );
-        let cfg = cli::parse_config(vec!["--full".to_string(), "--backend=agents".to_string()]);
+        let cfg = table_config(&["e01", "--full", "--backend=agents"]).unwrap();
         assert_eq!(cfg.backend, Backend::Agents);
         assert!(!cfg.quick);
         assert_eq!(
@@ -217,6 +221,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid --backend")]
     fn unknown_backend_fails_loudly() {
-        let _ = cli::parse_config(vec!["--backend".to_string(), "gpu".to_string()]);
+        table_config(&["e01", "--backend", "gpu"]).unwrap();
     }
 }

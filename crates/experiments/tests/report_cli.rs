@@ -190,3 +190,18 @@ fn a_cut_without_a_store_is_refused() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--max-cells needs --store"), "{stderr}");
 }
+
+#[test]
+fn a_failed_export_write_names_the_file_not_the_store() {
+    let root = scratch("unwritable");
+    let target = root.join("missing").join("report.md");
+    let target = target.to_str().unwrap();
+    let out = full_report(&["--export", target]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!("full_report: cannot write {target}: "))
+            && !stderr.replace(target, "").contains("store"),
+        "{stderr}"
+    );
+}

@@ -699,3 +699,163 @@ fn table_rejects_rounds_overrides_and_unknown_experiments() {
         );
     }
 }
+
+/// Runs `binary` (`sweep` or `full_report`) and requires the flag error a
+/// usage mistake must end in: status 1, a `<binary>: ` message containing
+/// `needle`, and no panic.
+fn assert_flag_error(binary: &str, args: &[&str], needle: &str) {
+    let path = match binary {
+        "sweep" => env!("CARGO_BIN_EXE_sweep"),
+        _ => env!("CARGO_BIN_EXE_full_report"),
+    };
+    let out = Command::new(path)
+        .args(args)
+        .env_remove("FLIP_TELEMETRY")
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{binary} {args:?}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{binary} {args:?} must print nothing"
+    );
+    assert!(
+        stderr.starts_with(&format!("{binary}: "))
+            && stderr.contains(needle)
+            && !stderr.contains("panicked"),
+        "{binary} {args:?} must name {needle} without a panic, got: {stderr}"
+    );
+}
+
+#[test]
+fn every_command_rejects_what_its_usage_line_does_not_list() {
+    // Each of these once exited 0 and ignored the flag or word.
+    let root = scratch("rejects");
+    let spec = write_spec(&root);
+    let spec = spec.to_str().unwrap();
+    let store = root.join("store");
+    let store = store.to_str().unwrap();
+    sweep_ok(&["run", spec, "--out", store]);
+    let never = root.join("never");
+    let never = never.to_str().unwrap();
+    for (binary, args, needle) in [
+        (
+            "sweep",
+            vec![
+                "export",
+                store,
+                "--csv",
+                "--max-cells",
+                "3",
+                "--threads",
+                "2",
+                "--progress",
+            ],
+            "--max-cells",
+        ),
+        (
+            "sweep",
+            vec!["report", store, "--csv", "--max-cells", "3"],
+            "--csv",
+        ),
+        (
+            "sweep",
+            vec!["run", spec, "--out", never, "--csv", "--partial"],
+            "--csv",
+        ),
+        ("sweep", vec!["list", "--bogus", "extra"], "--bogus"),
+        ("sweep", vec!["list", "extra"], "`extra`"),
+        ("full_report", vec!["--trials", "1", "extra"], "`extra`"),
+        (
+            "sweep",
+            vec!["gen", "e01", "--backend", "dense", "--threads", "4", "e02"],
+            "--backend",
+        ),
+        ("sweep", vec!["gen", "e01", "e02"], "`e02`"),
+    ] {
+        assert_flag_error(binary, &args, needle);
+    }
+    assert!(
+        !Path::new(never).exists(),
+        "refused runs must not touch disk"
+    );
+}
+
+#[test]
+fn flag_errors_exit_with_a_message_not_a_panic() {
+    for (binary, args, needle) in [
+        ("sweep", &["table", "e01", "--trials", "0"][..], "--trials"),
+        ("sweep", &["gen", "e01", "--bogus"], "--bogus"),
+        ("sweep", &["table", "e11", "--rounds", "5"], "--rounds"),
+        ("full_report", &["--threads", "0"], "--threads"),
+        // Every case of the parser's own unit tests, through a command
+        // that takes the flag.
+        (
+            "sweep",
+            &["table", "e01", "--backend", "hybrid"],
+            "--backend",
+        ),
+        (
+            "sweep",
+            &["table", "e01", "--backend=hybrid:0"],
+            "--backend",
+        ),
+        ("sweep", &["gen", "e01", "--faults", "byz:0"], "--faults"),
+        ("sweep", &["gen", "e01", "--faults=byz:0"], "--faults"),
+        (
+            "sweep",
+            &["gen", "e01", "--faults", "gremlin:0.1"],
+            "--faults",
+        ),
+        ("sweep", &["gen", "e01", "--faults", "byz:1.5"], "--faults"),
+        (
+            "sweep",
+            &["gen", "e01", "--faults", "crash:0.1"],
+            "--faults",
+        ),
+        (
+            "sweep",
+            &["gen", "e01", "--faults", "byz:0.4"],
+            "--allow-supermajority-faults",
+        ),
+        ("sweep", &["gen", "e01", "--trials", "0"], "--trials"),
+        ("sweep", &["gen", "e01", "--trials=0"], "--trials"),
+        ("sweep", &["table", "e01", "--threads", "0"], "--threads"),
+        ("sweep", &["gen", "e01", "--rounds", "0"], "--rounds"),
+        ("sweep", &["gen", "e01", "--rounds=0"], "--rounds"),
+        ("sweep", &["gen", "e01", "--trials"], "--trials"),
+        ("sweep", &["gen", "e01", "--trials", "zero"], "--trials"),
+        ("sweep", &["gen", "e01", "--rounds", "none"], "--rounds"),
+        ("sweep", &["gen", "e01", "--verbose"], "--verbose"),
+        ("sweep", &["gen", "e01", "--seed", "abc"], "--seed"),
+        ("sweep", &["table", "e01", "-threads", "4"], "-threads"),
+        ("sweep", &["gen", "e01", "-full"], "-full"),
+        ("sweep", &["gen", "e01", "--full=yes"], "--full"),
+        ("sweep", &["table", "e01", "--backend", "gpu"], "--backend"),
+    ] {
+        assert_flag_error(binary, args, needle);
+    }
+}
+
+#[test]
+fn a_failed_export_write_names_the_file_not_the_store() {
+    let root = scratch("unwritable");
+    let spec = write_spec(&root);
+    let store = root.join("store");
+    sweep_ok(&[
+        "run",
+        spec.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    let target = root.join("missing").join("cells.csv");
+    let target = target.to_str().unwrap();
+    let out = sweep(&["export", store.to_str().unwrap(), "--csv", "--out", target]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!("sweep: cannot write {target}: "))
+            && !stderr.replace(target, "").contains("store"),
+        "{stderr}"
+    );
+}

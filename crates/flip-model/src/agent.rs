@@ -111,12 +111,6 @@ impl OpinionDelta {
             after: Some(opinion),
         }
     }
-
-    /// Whether the callback actually changed the opinion.
-    #[must_use]
-    pub fn is_change(&self) -> bool {
-        self.before != self.after
-    }
 }
 
 /// A per-agent protocol state machine driven by the [`Simulation`](crate::Simulation) engine.
@@ -199,9 +193,8 @@ pub trait Agent: Send {
     /// agent's bound has reached: each time the loop runs in round `r`, it
     /// calls `end_round(r)` on every agent and then takes the minimum of
     /// `next_end_round(r + 1)` over the population as the next round to run
-    /// it in.  The first bound, and the first after
-    /// [`Simulation::agents_mut`](crate::Simulation::agents_mut), is the
-    /// minimum of `next_end_round(r)` taken at the end of round `r`.
+    /// it in.  The first bound is the minimum of `next_end_round(r)` taken at
+    /// the end of round `r`.
     ///
     /// In every round before the bound, `end_round` must be a pure no-op (no
     /// state change, no RNG draw, [`OpinionDelta::NONE`]), since the engine
@@ -264,16 +257,6 @@ mod tests {
         assert_eq!(agent.next_end_round(7), 7, "the default acts every round");
         assert!(!agent.is_active());
         assert!(!agent.is_done());
-    }
-
-    #[test]
-    fn opinion_delta_reports_changes() {
-        use crate::opinion::Opinion;
-        assert!(!OpinionDelta::NONE.is_change());
-        assert!(OpinionDelta::adopted(Opinion::One).is_change());
-        assert!(!OpinionDelta::between(Some(Opinion::One), Some(Opinion::One)).is_change());
-        assert!(OpinionDelta::between(Some(Opinion::One), Some(Opinion::Zero)).is_change());
-        assert!(OpinionDelta::between(Some(Opinion::One), None).is_change());
     }
 
     #[test]

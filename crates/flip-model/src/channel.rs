@@ -1,7 +1,5 @@
 //! Noise channels applied to every accepted message.
 
-use std::cell::Cell;
-
 use crate::error::FlipError;
 use crate::opinion::Opinion;
 use crate::rng::SimRng;
@@ -149,21 +147,10 @@ impl Channel for NoiselessChannel {
 /// `1/2 − ε`; protocols must therefore tolerate message-dependent noise below
 /// the cap.  This channel draws, for every message, a flip probability
 /// uniformly from `[low, cap]`, which is useful for robustness tests.
-///
-/// An optional **flip budget** ([`AdversarialCapChannel::with_flip_budget`])
-/// models an adversary with finitely many corruptions to spend: while the
-/// budget lasts, the channel behaves exactly like its unbudgeted twin (same
-/// RNG draws, same flips); once exhausted, every message passes through
-/// untouched without consuming any RNG at all.  A budget of `0` is therefore
-/// precisely the noiseless channel, and a budget at or above the number of
-/// messages transmitted never binds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdversarialCapChannel {
     low: f64,
     cap: f64,
-    /// Remaining adversarial flips, shared across the per-message delivery
-    /// walk of one round via interior mutability (`transmit` takes `&self`).
-    budget: Option<Cell<u64>>,
 }
 
 impl AdversarialCapChannel {
@@ -183,51 +170,19 @@ impl AdversarialCapChannel {
                 message: format!("lower bound {low} must lie in [0, cap = {cap}]"),
             });
         }
-        Ok(Self {
-            low,
-            cap,
-            budget: None,
-        })
-    }
-
-    /// Caps the total number of flips the channel may ever produce.
-    ///
-    /// Both engines meter the same budget through [`Channel::transmit`]:
-    /// per-agent deliveries and the hybrid tracked path decrement one shared
-    /// counter, so `flips ≤ budget` holds for a whole run regardless of
-    /// backend.
-    #[must_use]
-    pub fn with_flip_budget(mut self, flips: u64) -> Self {
-        self.budget = Some(Cell::new(flips));
-        self
-    }
-
-    /// The remaining flip budget, when one was configured.
-    #[must_use]
-    pub fn flip_budget_remaining(&self) -> Option<u64> {
-        self.budget.as_ref().map(Cell::get)
+        Ok(Self { low, cap })
     }
 }
 
 impl Channel for AdversarialCapChannel {
     fn transmit(&self, message: Opinion, rng: &mut SimRng) -> Opinion {
         use rand::Rng;
-        // An exhausted budget passes the bit through without touching the
-        // RNG: budget 0 is *exactly* the noiseless channel, stream included.
-        if let Some(budget) = &self.budget {
-            if budget.get() == 0 {
-                return message;
-            }
-        }
         let p = if (self.cap - self.low).abs() < f64::EPSILON {
             self.cap
         } else {
             rng.gen_range(self.low..=self.cap)
         };
         if rng.chance(p) {
-            if let Some(budget) = &self.budget {
-                budget.set(budget.get() - 1);
-            }
             message.flipped()
         } else {
             message
@@ -244,13 +199,8 @@ impl Channel for AdversarialCapChannel {
     }
 
     fn fixed_crossover(&self) -> Option<f64> {
-        // A budgeted channel is stateful — the engine must call `transmit`
-        // for every message or the budget would never be metered.  Without
-        // a budget, a collapsed interval is a fixed-rate channel; anything
-        // wider has message-dependent noise and keeps the per-message path.
-        if self.budget.is_some() {
-            return None;
-        }
+        // A collapsed interval is a fixed-rate channel; anything wider has
+        // message-dependent noise and keeps the per-message path.
         ((self.cap - self.low).abs() < f64::EPSILON).then_some(self.cap)
     }
 }
@@ -258,7 +208,6 @@ impl Channel for AdversarialCapChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
 
     #[test]
     fn bsc_rejects_invalid_crossover() {
@@ -344,61 +293,6 @@ mod tests {
                 .fixed_crossover(),
             Some(0.4)
         );
-    }
-
-    #[test]
-    fn zero_flip_budget_behaves_as_noiseless() {
-        // Budget 0 must be indistinguishable from NoiselessChannel: no
-        // flips, and — crucially — no RNG consumption either.
-        let c = AdversarialCapChannel::new(0.1, 0.4)
-            .unwrap()
-            .with_flip_budget(0);
-        let mut rng = SimRng::from_seed(5);
-        for op in Opinion::ALL {
-            for _ in 0..100 {
-                assert_eq!(c.transmit(op, &mut rng), op);
-            }
-        }
-        let mut untouched = SimRng::from_seed(5);
-        assert_eq!(rng.next_u64(), untouched.next_u64(), "no RNG draws spent");
-        assert_eq!(c.flip_budget_remaining(), Some(0));
-        assert_eq!(c.fixed_crossover(), None, "budgeted channels are stateful");
-    }
-
-    #[test]
-    fn unbinding_flip_budget_matches_the_unbudgeted_channel() {
-        // A budget at (or above) the number of messages never binds: the
-        // budgeted channel must replay the unbudgeted channel's outputs and
-        // RNG stream exactly, message for message.
-        let plain = AdversarialCapChannel::new(0.1, 0.4).unwrap();
-        let budgeted = plain.clone().with_flip_budget(20_000);
-        let mut rng_plain = SimRng::from_seed(11);
-        let mut rng_budget = SimRng::from_seed(11);
-        let mut flips = 0u64;
-        for _ in 0..20_000 {
-            let a = plain.transmit(Opinion::One, &mut rng_plain);
-            let b = budgeted.transmit(Opinion::One, &mut rng_budget);
-            assert_eq!(a, b);
-            flips += u64::from(b == Opinion::Zero);
-        }
-        assert_eq!(rng_plain.next_u64(), rng_budget.next_u64());
-        assert_eq!(budgeted.flip_budget_remaining(), Some(20_000 - flips));
-        assert!(flips > 0, "the cap channel must actually flip sometimes");
-    }
-
-    #[test]
-    fn flip_budget_stops_flipping_once_spent() {
-        let c = AdversarialCapChannel::new(0.5, 0.5)
-            .unwrap()
-            .with_flip_budget(3);
-        let mut rng = SimRng::from_seed(2);
-        let flips = (0..1_000)
-            .filter(|_| c.transmit(Opinion::One, &mut rng) == Opinion::Zero)
-            .count();
-        // A p = 1/2 channel flips well over 3 times in 1000 messages
-        // unbudgeted; the budget must clamp it to exactly 3.
-        assert_eq!(flips, 3);
-        assert_eq!(c.flip_budget_remaining(), Some(0));
     }
 
     #[test]

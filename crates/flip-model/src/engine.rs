@@ -54,9 +54,8 @@ impl NoiseMode {
 /// [`Simulation`] and [`HybridSimulation`](crate::HybridSimulation).
 ///
 /// It holds the minimum of [`Agent::next_end_round`] over the population,
-/// taken the last time the loop ran; `None` before the first round and
-/// after [`Simulation::agents_mut`], when the next round asks every agent
-/// afresh.
+/// taken the last time the loop ran; `None` before the first round, which
+/// asks every agent afresh.
 #[derive(Debug, Default)]
 pub(crate) struct EndRoundGate {
     next_end: Option<Round>,
@@ -96,11 +95,6 @@ impl EndRoundGate {
             next = next.min(agent.next_end_round(round + 1));
         }
         self.next_end = Some(next);
-    }
-
-    /// Forgets the bound: the agents may have been replaced.
-    pub(crate) fn reset(&mut self) {
-        self.next_end = None;
     }
 }
 
@@ -336,9 +330,6 @@ pub struct Simulation<A, C> {
     noise: NoiseMode,
     /// Running opinion counts, maintained from agent-reported deltas.
     census: Census,
-    /// Set by [`Simulation::agents_mut`]: the caller may have changed
-    /// opinions behind the engine's back, so the next census read recounts.
-    census_dirty: bool,
     /// When the end-of-round loop runs next.
     end_round: EndRoundGate,
     /// One slot per agent, reserved at construction but filled on the first
@@ -426,7 +417,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
             metrics: Metrics::new(),
             reference: config.reference(),
             census,
-            census_dirty: false,
             end_round: EndRoundGate::default(),
             send_buffer: Vec::with_capacity(n),
             routing,
@@ -470,12 +460,6 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
 
     /// Executes one synchronous round and returns its summary.
     pub fn step(&mut self) -> RoundSummary {
-        if self.census_dirty {
-            let span = self.telemetry.begin();
-            self.census = Census::of_agents(&self.agents);
-            self.census_dirty = false;
-            self.telemetry.end(Phase::CensusApply, span);
-        }
         let round = self.round;
         let n = self.agents.len();
         if self.send_buffer.len() < n {
@@ -676,33 +660,12 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         &self.agents
     }
 
-    /// Mutable access to the agents (useful for seeding initial opinions).
-    ///
-    /// Marks the maintained census dirty: the engine recounts once on the
-    /// next [`census`](Simulation::census) read or [`step`](Simulation::step).
-    /// It also forgets the end-of-round schedule, so the next step asks
-    /// every agent for a fresh [`Agent::next_end_round`] bound.
-    #[must_use]
-    pub fn agents_mut(&mut self) -> &mut [A] {
-        self.census_dirty = true;
-        self.end_round.reset();
-        &mut self.agents
-    }
-
     /// A census of the current population.
     ///
-    /// O(1): returns the incrementally maintained counts.  After
-    /// [`agents_mut`](Simulation::agents_mut) the maintained counts are
-    /// stale, and every `census` call until the next
-    /// [`step`](Simulation::step) recounts the population in O(n) (`step`
-    /// resynchronises the maintained counts once).
+    /// O(1): returns the incrementally maintained counts.
     #[must_use]
     pub fn census(&self) -> Census {
-        if self.census_dirty {
-            Census::of_agents(&self.agents)
-        } else {
-            self.census
-        }
+        self.census
     }
 
     /// The accumulated metrics so far.
@@ -1000,21 +963,6 @@ mod tests {
         let config = SimulationConfig::new(50).with_seed(3);
         let mut sim = Simulation::new(agents, NoiselessChannel, config).unwrap();
         sim.step();
-    }
-
-    #[test]
-    fn agents_mut_invalidates_the_maintained_census() {
-        let agents = adopters(10, 0);
-        let config = SimulationConfig::new(10).with_seed(1);
-        let mut sim = Simulation::new(agents, NoiselessChannel, config).unwrap();
-        assert_eq!(sim.census().active(), 0);
-        sim.agents_mut()[4].opinion = Some(Opinion::One);
-        // The census read after external mutation must reflect it ...
-        assert_eq!(sim.census().active(), 1);
-        assert_eq!(sim.census().holding(Opinion::One), 1);
-        // ... and stepping resynchronises the maintained counts.
-        sim.step();
-        assert_eq!(sim.census(), Census::of_agents(sim.agents()));
     }
 
     #[test]

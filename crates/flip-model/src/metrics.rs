@@ -33,12 +33,6 @@ impl Metrics {
         Self::default()
     }
 
-    /// Total bit complexity of the run (one bit per pushed message).
-    #[must_use]
-    pub fn bits_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
     /// Fraction of accepted messages corrupted by the channel, if any were accepted.
     #[must_use]
     pub fn empirical_flip_rate(&self) -> Option<f64> {
@@ -46,16 +40,6 @@ impl Metrics {
             None
         } else {
             Some(self.bits_flipped as f64 / self.messages_accepted as f64)
-        }
-    }
-
-    /// Fraction of sent messages lost to collisions, if any were sent.
-    #[must_use]
-    pub fn collision_rate(&self) -> Option<f64> {
-        if self.messages_sent == 0 {
-            None
-        } else {
-            Some(self.messages_collided as f64 / self.messages_sent as f64)
         }
     }
 
@@ -121,14 +105,12 @@ mod tests {
         assert_eq!(m.messages_accepted, 13);
         assert_eq!(m.messages_collided, 2);
         assert_eq!(m.bits_flipped, 4);
-        assert_eq!(m.bits_sent(), 15);
     }
 
     #[test]
     fn rates_are_none_when_nothing_happened() {
         let m = Metrics::new();
         assert!(m.empirical_flip_rate().is_none());
-        assert!(m.collision_rate().is_none());
     }
 
     #[test]
@@ -143,6 +125,5 @@ mod tests {
             ..RoundMetrics::default()
         });
         assert!((m.empirical_flip_rate().unwrap() - 0.25).abs() < 1e-12);
-        assert!((m.collision_rate().unwrap() - 0.2).abs() < 1e-12);
     }
 }

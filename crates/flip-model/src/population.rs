@@ -13,7 +13,6 @@ use crate::opinion::Opinion;
 /// let census = Census::from_counts(60, 40, 100);
 /// assert_eq!(census.majority(), Some(Opinion::Zero));
 /// assert!((census.fraction_correct(Opinion::Zero) - 0.6).abs() < 1e-12);
-/// assert!((census.bias_towards(Opinion::Zero) - 0.1).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Census {
@@ -114,28 +113,6 @@ impl Census {
             return 0.0;
         }
         self.holding(correct) as f64 / self.n as f64
-    }
-
-    /// Fraction of the *opinionated agents* holding `correct`.
-    #[must_use]
-    pub fn fraction_correct_among_active(&self, correct: Opinion) -> f64 {
-        let active = self.active();
-        if active == 0 {
-            return 0.0;
-        }
-        self.holding(correct) as f64 / active as f64
-    }
-
-    /// Bias of the whole population towards `correct`: `fraction_correct − 1/2`.
-    #[must_use]
-    pub fn bias_towards(&self, correct: Opinion) -> f64 {
-        self.fraction_correct(correct) - 0.5
-    }
-
-    /// Bias of the opinionated agents towards `correct`.
-    #[must_use]
-    pub fn bias_among_active(&self, correct: Opinion) -> f64 {
-        self.fraction_correct_among_active(correct) - 0.5
     }
 
     /// Whether every agent holds the `correct` opinion.
@@ -276,9 +253,6 @@ mod tests {
     fn fraction_and_bias_use_population_or_active_as_documented() {
         let census = Census::from_counts(1, 2, 4);
         assert!((census.fraction_correct(Opinion::One) - 0.5).abs() < 1e-12);
-        assert!((census.fraction_correct_among_active(Opinion::One) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((census.bias_towards(Opinion::One) - 0.0).abs() < 1e-12);
-        assert!((census.bias_among_active(Opinion::One) - (2.0 / 3.0 - 0.5)).abs() < 1e-12);
     }
 
     #[test]
@@ -291,7 +265,6 @@ mod tests {
     fn empty_population_is_handled() {
         let census = Census::from_counts(0, 0, 0);
         assert_eq!(census.fraction_correct(Opinion::One), 0.0);
-        assert_eq!(census.fraction_correct_among_active(Opinion::One), 0.0);
         assert!(!census.is_unanimous(Opinion::Zero) || census.population() == 0);
     }
 

@@ -126,13 +126,6 @@ impl RoundRouting {
     pub fn accepted(&self) -> &[Delivery] {
         &self.buffer[..self.accepted_len]
     }
-
-    /// Mutable view of the accepted messages (callers may corrupt payloads
-    /// in place when applying channel noise).
-    #[must_use]
-    pub fn accepted_mut(&mut self) -> &mut [Delivery] {
-        &mut self.buffer[..self.accepted_len]
-    }
 }
 
 impl PartialEq for RoundRouting {

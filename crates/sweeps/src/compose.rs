@@ -397,18 +397,14 @@ impl ReportRunner {
                 Some(store) => Some(store.member_store(member)?),
                 None => None,
             };
-            let outcome = if budget == Some(0) {
-                status_only(member, sub.as_ref(), threads)?
-            } else {
-                let mut runner = SweepRunner::new()
-                    .with_threads(threads)
-                    .with_telemetry(self.telemetry)
-                    .with_progress(self.progress);
-                if let Some(limit) = budget {
-                    runner = runner.with_max_cells(limit);
-                }
-                runner.run(member, registry, sub.as_ref())?
-            };
+            let mut runner = SweepRunner::new()
+                .with_threads(threads)
+                .with_telemetry(self.telemetry)
+                .with_progress(self.progress);
+            if let Some(limit) = budget {
+                runner = runner.with_max_cells(limit);
+            }
+            let outcome = runner.run(member, registry, sub.as_ref())?;
             if let Some(remaining) = &mut budget {
                 *remaining = remaining.saturating_sub(outcome.executed);
             }
@@ -439,36 +435,6 @@ impl ReportRunner {
             completed,
         })
     }
-}
-
-/// The member's status without executing anything: what a drained budget
-/// reports for the members it never reached.  The store loads on `threads`
-/// lanes, the budget the member's run would have had.
-fn status_only(
-    member: &SweepSpec,
-    store: Option<&SweepStore>,
-    threads: usize,
-) -> Result<SweepOutcome, SweepError> {
-    let grid = member.expand()?;
-    let persisted = match store {
-        Some(store) => store.load_cells_on(threads)?,
-        None => std::collections::BTreeMap::new(),
-    };
-    let mut cells = Vec::new();
-    for cell in &grid {
-        if let Some(record) = persisted.get(&cell.hash_hex()) {
-            cells.push(record.clone());
-        }
-    }
-    let skipped = cells.len();
-    Ok(SweepOutcome {
-        executed: 0,
-        skipped,
-        total: grid.len(),
-        completed: skipped == grid.len(),
-        cells,
-        telemetry: None,
-    })
 }
 
 #[cfg(test)]

@@ -158,10 +158,15 @@ fn ablations_smoke() {
 
 #[test]
 fn config_from_args_matches_binary_convention() {
-    // `sweep table` parses its flags through this helper; pin its contract.
-    let quick = experiments::cli::parse_config(std::iter::empty::<String>());
+    // `sweep table` parses its flags through this parser; pin its contract.
+    let parse = |args: &[String]| {
+        experiments::cli::parse("sweep table", args, &["--full"])
+            .expect("valid flags")
+            .config
+    };
+    let quick = parse(&[]);
     assert!(quick.quick);
-    let full = experiments::cli::parse_config(["--full".to_string()]);
+    let full = parse(&["--full".to_string()]);
     assert!(!full.quick);
     assert!(full.trials > quick.trials);
 }
