@@ -244,7 +244,7 @@ fn cmd_gen(args: &[String]) -> Outcome {
 fn cmd_table(args: &[String]) -> Outcome {
     let args = parse_named("sweep table", args, TABLE)?;
     for name in specs::binary_sweeps(&args.positional[0], &args.config)? {
-        out!("{}", specs::table(name, &args.config).to_markdown());
+        out!("{}", specs::table(name, &args.config)?.to_markdown());
     }
     Ok(())
 }

@@ -30,8 +30,8 @@ use breathe::{InitialSet, Schedule};
 use flip_model::{Backend, DEFAULT_HYBRID_TRACKED};
 use sweeps::registry::params_from_spec;
 use sweeps::{
-    Axis, CellRecord, MetricAggregate, ProtocolRegistry, ReportSpec, ScenarioSpec, SweepRunner,
-    SweepSpec,
+    Axis, CellRecord, MetricAggregate, ProtocolRegistry, ReportSpec, ScenarioSpec, SweepError,
+    SweepRunner, SweepSpec,
 };
 
 use crate::{consensus, scaling, ExperimentConfig};
@@ -158,17 +158,19 @@ pub fn render(name: &str, cells: &CellPairs) -> Table {
 /// tracks [`DEFAULT_HYBRID_TRACKED`]; a backend of another family leaves
 /// the spec as built.
 ///
+/// # Errors
+///
+/// Returns the sweep's error when it fails (see [`run_in_memory`]).
+///
 /// # Panics
 ///
-/// Panics on an unknown name and when the sweep fails (see
-/// [`run_in_memory`]).
-#[must_use]
-pub fn table(name: &str, cfg: &ExperimentConfig) -> Table {
+/// Panics on an unknown name.
+pub fn table(name: &str, cfg: &ExperimentConfig) -> Result<Table, SweepError> {
     let mut spec = builtin(name, cfg).unwrap_or_else(|| panic!("no builtin sweep `{name}`"));
     if spec.backend.same_family(cfg.backend) {
         spec.backend = cfg.backend;
     }
-    render(name, &run_in_memory(&spec, cfg))
+    Ok(render(name, &run_in_memory(&spec, cfg)?))
 }
 
 /// The sweeps `sweep table <binary>` prints for `cfg.backend`: the binary's
@@ -251,25 +253,22 @@ fn edit_distance(a: &str, b: &str) -> usize {
 /// configuration's `--threads` override, and pairs each cell spec with its
 /// record in grid order.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the sweep fails — for builtin specs that means a bug, and
-/// `sweep table` has no useful way to continue.
-#[must_use]
-pub fn run_in_memory(spec: &SweepSpec, cfg: &ExperimentConfig) -> CellPairs {
+/// Returns the sweep's error: a spec the registry rejects, such as a
+/// `--faults` directive for a protocol without fault injection.
+pub fn run_in_memory(spec: &SweepSpec, cfg: &ExperimentConfig) -> Result<CellPairs, SweepError> {
     let mut runner = SweepRunner::new();
     if let Some(threads) = cfg.threads {
         runner = runner.with_threads(threads);
     }
-    let outcome = runner
-        .run(spec, &ProtocolRegistry::builtin(), None)
-        .unwrap_or_else(|e| panic!("sweep `{}` failed: {e}", spec.name));
+    let outcome = runner.run(spec, &ProtocolRegistry::builtin(), None)?;
     assert!(
         outcome.completed,
         "in-memory sweeps always run the full grid"
     );
     let grid = spec.expand().expect("a spec that ran also expands");
-    grid.into_iter().zip(outcome.cells).collect()
+    Ok(grid.into_iter().zip(outcome.cells).collect())
 }
 
 fn params_map(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
@@ -1647,7 +1646,10 @@ mod tests {
             ..tiny()
         };
         assert_eq!(binary_sweeps("e01", &cfg), Ok(vec!["e01-hybrid"]));
-        assert!(table("e01-hybrid", &cfg).to_markdown().contains("hybrid:3"));
+        assert!(table("e01-hybrid", &cfg)
+            .expect("builtin sweep runs")
+            .to_markdown()
+            .contains("hybrid:3"));
     }
 
     #[test]

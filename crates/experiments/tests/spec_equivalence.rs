@@ -53,7 +53,11 @@ fn rendered(name: &str) -> &'static str {
         .iter()
         .position(|e| e.name == name)
         .unwrap_or_else(|| panic!("`{name}` is not a builtin sweep"));
-    TABLES[index].get_or_init(|| specs::table(name, &tiny(golden_trials(name))).to_markdown())
+    TABLES[index].get_or_init(|| {
+        specs::table(name, &tiny(golden_trials(name)))
+            .expect("builtin sweep runs")
+            .to_markdown()
+    })
 }
 
 fn check(name: &str) {
@@ -177,15 +181,23 @@ fn base_seed_changes_flow_through_deterministically() {
         ..ExperimentConfig::quick()
     };
     assert_eq!(
-        specs::table("a2", &cfg).to_markdown(),
-        specs::table("a2", &cfg).to_markdown()
+        specs::table("a2", &cfg)
+            .expect("builtin sweep runs")
+            .to_markdown(),
+        specs::table("a2", &cfg)
+            .expect("builtin sweep runs")
+            .to_markdown()
     );
     let other = ExperimentConfig {
         base_seed: 0x8765_4321,
         ..cfg
     };
     assert_ne!(
-        specs::table("a2", &other).to_markdown(),
-        specs::table("a2", &cfg).to_markdown()
+        specs::table("a2", &other)
+            .expect("builtin sweep runs")
+            .to_markdown(),
+        specs::table("a2", &cfg)
+            .expect("builtin sweep runs")
+            .to_markdown()
     );
 }

@@ -838,6 +838,17 @@ fn flag_errors_exit_with_a_message_not_a_panic() {
 }
 
 #[test]
+fn table_faults_on_a_protocol_without_fault_injection_exit_with_the_sweep_error() {
+    for experiment in ["e01", "e07", "e10", "ablations"] {
+        assert_flag_error(
+            "sweep",
+            &["table", experiment, "--faults", "byz:0.1", "--trials", "1"],
+            "does not support fault injection",
+        );
+    }
+}
+
+#[test]
 fn a_failed_export_write_names_the_file_not_the_store() {
     let root = scratch("unwritable");
     let spec = write_spec(&root);

@@ -10,9 +10,33 @@
 //! results in trial order regardless of thread count), so a record is a
 //! deterministic function of the cell spec alone — the property the
 //! byte-identical-resume guarantee rests on.
+//!
+//! # One shared table per record
+//!
+//! A record's aggregates live in a [`MetricTable`]: one immutable slice,
+//! sorted by name, behind an [`Arc`].  A record is built once (folded from
+//! its trials or decoded from its line) and then only read, so cloning it —
+//! as [`crate::ordered_cells`] does to pair it with its grid cell — shares
+//! the table instead of copying three ~700-byte aggregates.
+//!
+//! # Reading in write order
+//!
+//! The record, aggregate and sketch readers take their members in the order
+//! the writers emit them (`RECORD_KEYS`, `AGGREGATE_KEYS`, `SKETCH_KEYS`),
+//! matching each key in place with no string read or lookup; the metric
+//! names arrive sorted and are appended.  At the first member out of place
+//! they fall back to a keyed read of the rest: each key read and looked up,
+//! each metric name inserted at its sorted place.  Both paths fill the same
+//! slots through the same checks (`put` for a repeated key, `required` for
+//! a missing one, a repeated metric name, [`P2Quantile::restore`] and the
+//! sketch order), so a line in any key order reads as it always did, and a
+//! malformed one fails with the same message.  A test keeps a copy of the
+//! keyed readers they replaced and compares the two on every input the
+//! codec tests generate.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Index;
+use std::sync::Arc;
 
 use analysis::streaming::{P2Quantile, P2State, StreamingEstimator, StreamingMoments};
 
@@ -21,6 +45,23 @@ use crate::json::{put, required, write_f64, write_str, write_u64, Scanner};
 
 /// The quantiles every metric tracks.
 pub const TRACKED_QUANTILES: [f64; 3] = [0.1, 0.5, 0.9];
+
+/// The members of a serialized aggregate, in write order.
+const AGGREGATE_KEYS: [&str; 7] = [
+    "count",
+    "sum",
+    "welford_mean",
+    "m2",
+    "min",
+    "max",
+    "quantiles",
+];
+
+/// The members of a serialized sketch, in write order.
+const SKETCH_KEYS: [&str; 6] = ["q", "count", "heights", "positions", "desired", "buffer"];
+
+/// The members of a serialized record, in write order.
+const RECORD_KEYS: [&str; 4] = ["cell", "point", "trials", "metrics"];
 
 /// Streaming summary of one metric across a cell's trials.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +98,8 @@ impl MetricAggregate {
     }
 
     /// Appends the full aggregate state as one JSON object: the moments,
-    /// then the three sketches in [`TRACKED_QUANTILES`] order.
+    /// then the three sketches in [`TRACKED_QUANTILES`] order (the members
+    /// of `AGGREGATE_KEYS`, in its order).
     fn write_json(&self, out: &mut String) {
         let m = &self.moments;
         out.push_str("{\"count\":");
@@ -86,17 +128,15 @@ impl MetricAggregate {
     /// key order.
     fn read_json(s: &mut Scanner<'_>) -> Result<Self, String> {
         let (mut count, mut quantiles) = (None, None);
-        let [mut sum, mut welford_mean, mut m2, mut min, mut max] = [None; 5];
-        s.object(|s, key| match &*key {
-            "count" => put(&mut count, &key, s.u64()?),
-            "sum" => put(&mut sum, &key, s.f64()?),
-            "welford_mean" => put(&mut welford_mean, &key, s.f64()?),
-            "m2" => put(&mut m2, &key, s.f64()?),
-            "min" => put(&mut min, &key, s.f64()?),
-            "max" => put(&mut max, &key, s.f64()?),
-            "quantiles" => put(&mut quantiles, &key, read_sketches(s)?),
+        // sum, welford_mean, m2, min, max: fields 1 to 5.
+        let mut moments = [None; 5];
+        s.fields(&AGGREGATE_KEYS, |s, field| match field {
+            0 => put(&mut count, AGGREGATE_KEYS[0], s.u64()?),
+            1..=5 => put(&mut moments[field - 1], AGGREGATE_KEYS[field], s.f64()?),
+            6 => put(&mut quantiles, AGGREGATE_KEYS[6], read_sketches(s)?),
             _ => s.skip_value(),
         })?;
+        let [sum, welford_mean, m2, min, max] = moments;
         Ok(Self {
             moments: StreamingMoments {
                 count: required(count, "count")?,
@@ -117,6 +157,7 @@ impl Default for MetricAggregate {
     }
 }
 
+/// Writes a sketch's state: the members of `SKETCH_KEYS`, in its order.
 fn write_sketch(out: &mut String, state: &P2State) {
     out.push_str("{\"q\":");
     write_f64(out, state.q);
@@ -173,17 +214,24 @@ fn read_sketches(s: &mut Scanner<'_>) -> Result<[P2Quantile; 3], String> {
 
 fn read_sketch(s: &mut Scanner<'_>) -> Result<P2State, String> {
     let (mut q, mut count) = (None, None);
-    let [mut heights, mut positions, mut desired] = [None; 3];
+    // heights, positions, desired: fields 2 to 4.
+    let mut markers = [None; 3];
     let mut buffer = None;
-    s.object(|s, key| match &*key {
-        "q" => put(&mut q, &key, s.f64()?),
-        "count" => put(&mut count, &key, s.u64()?),
-        "heights" => put(&mut heights, &key, read_markers(s, &key)?),
-        "positions" => put(&mut positions, &key, read_markers(s, &key)?),
-        "desired" => put(&mut desired, &key, read_markers(s, &key)?),
-        "buffer" => put(&mut buffer, &key, read_up_to_five(s, &key)?),
+    s.fields(&SKETCH_KEYS, |s, field| match field {
+        0 => put(&mut q, SKETCH_KEYS[0], s.f64()?),
+        1 => put(&mut count, SKETCH_KEYS[1], s.u64()?),
+        2..=4 => {
+            let key = SKETCH_KEYS[field];
+            put(&mut markers[field - 2], key, read_markers(s, key)?)
+        }
+        5 => put(
+            &mut buffer,
+            SKETCH_KEYS[5],
+            read_up_to_five(s, SKETCH_KEYS[5])?,
+        ),
         _ => s.skip_value(),
     })?;
+    let [heights, positions, desired] = markers;
     let (buffer, buffered) = required(buffer, "buffer")?;
     Ok(P2State {
         q: required(q, "q")?,
@@ -222,6 +270,76 @@ fn read_up_to_five(s: &mut Scanner<'_>, key: &str) -> Result<([f64; 5], usize), 
     Ok((values, len))
 }
 
+/// A record's aggregates keyed by metric name: an immutable table sorted by
+/// name, shared by every clone (see the module docs).
+///
+/// It reads like the `BTreeMap<String, MetricAggregate>` it replaced:
+/// lookups by name (`get`, `contains_key`, `table["rounds"]`), iteration in
+/// name order, and the same `==` and `Debug` output.  Collecting
+/// `(name, aggregate)` pairs into one keeps, as the map did, the last
+/// aggregate of a name given twice.
+#[derive(Clone)]
+pub struct MetricTable(pub(crate) Arc<[(String, MetricAggregate)]>);
+
+impl MetricTable {
+    /// The aggregate of metric `name`.
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<&MetricAggregate> {
+        self.0
+            .binary_search_by(|(key, _)| key.as_str().cmp(name))
+            .ok()
+            .map(|i| &self.0[i].1)
+    }
+
+    /// Whether the table holds metric `name`.
+    #[must_use]
+    pub fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// `(name, aggregate)` pairs in name order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&String, &MetricAggregate)> {
+        self.0.iter().map(|(name, aggregate)| (name, aggregate))
+    }
+
+    /// The metric names, in order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &String> {
+        self.0.iter().map(|(name, _)| name)
+    }
+}
+
+impl Index<&str> for MetricTable {
+    type Output = MetricAggregate;
+
+    /// The aggregate of metric `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table has no metric `name`.
+    fn index(&self, name: &str) -> &MetricAggregate {
+        self.get(name).expect("no entry found for key")
+    }
+}
+
+impl PartialEq for MetricTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.0[..] == other.0[..]
+    }
+}
+
+impl fmt::Debug for MetricTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<(String, MetricAggregate)> for MetricTable {
+    fn from_iter<I: IntoIterator<Item = (String, MetricAggregate)>>(pairs: I) -> Self {
+        let by_name: std::collections::BTreeMap<_, _> = pairs.into_iter().collect();
+        Self(by_name.into_iter().collect())
+    }
+}
+
 /// A completed sweep cell: its address, spec echo, and per-metric aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
@@ -232,34 +350,49 @@ pub struct CellRecord {
     /// Trials aggregated into this record.
     pub trials: u32,
     /// Aggregates keyed by metric name (sorted — canonical order).
-    pub metrics: BTreeMap<String, MetricAggregate>,
+    pub metrics: MetricTable,
 }
 
 impl CellRecord {
     /// Builds a record by folding per-trial metric lists in trial order.
     ///
     /// Every trial must report the same metric names; the fold is sequential
-    /// so the result is deterministic.
+    /// so the result is deterministic.  A trial that lists its metrics in
+    /// the previous trials' order finds each aggregate at its own index; a
+    /// name out of that order is looked up, and a new one appended.
     #[must_use]
     pub fn from_trials(
         hash: String,
         point: u64,
         trial_metrics: &[Vec<(&'static str, f64)>],
     ) -> Self {
-        let mut metrics: BTreeMap<String, MetricAggregate> = BTreeMap::new();
+        let mut folded: Vec<(&str, MetricAggregate)> = Vec::new();
         for trial in trial_metrics {
-            for (name, value) in trial {
-                metrics
-                    .entry((*name).to_string())
-                    .or_default()
-                    .observe(*value);
+            for (i, &(name, value)) in trial.iter().enumerate() {
+                let slot = match folded.get(i) {
+                    Some((known, _)) if *known == name => i,
+                    _ => match folded.iter().position(|(known, _)| *known == name) {
+                        Some(slot) => slot,
+                        None => {
+                            folded.push((name, MetricAggregate::new()));
+                            folded.len() - 1
+                        }
+                    },
+                };
+                folded[slot].1.observe(value);
             }
         }
+        folded.sort_unstable_by(|a, b| a.0.cmp(b.0));
         Self {
             hash,
             point,
             trials: u32::try_from(trial_metrics.len()).expect("trials fit in u32"),
-            metrics,
+            metrics: MetricTable(
+                folded
+                    .into_iter()
+                    .map(|(name, aggregate)| (name.to_string(), aggregate))
+                    .collect(),
+            ),
         }
     }
 
@@ -273,7 +406,7 @@ impl CellRecord {
 
     /// Appends the record's shard-store line (no trailing newline) to `out`:
     /// `{"cell":…,"point":…,"trials":…,"metrics":{name: aggregate, …}}`, the
-    /// metrics in name order.
+    /// metrics in name order (the members of `RECORD_KEYS`, in its order).
     pub(crate) fn write_json(&self, out: &mut String) {
         out.push_str("{\"cell\":");
         write_str(out, &self.hash);
@@ -314,11 +447,11 @@ impl CellRecord {
     /// a cell of a JSON export).
     pub(crate) fn read_json(s: &mut Scanner<'_>) -> Result<Self, String> {
         let (mut hash, mut point, mut trials, mut metrics) = (None, None, None, None);
-        s.object(|s, key| match &*key {
-            "cell" => put(&mut hash, &key, s.string()?.into_owned()),
-            "point" => put(&mut point, &key, s.u64()?),
-            "trials" => put(&mut trials, &key, s.u64()?),
-            "metrics" => put(&mut metrics, &key, read_metrics(s)?),
+        s.fields(&RECORD_KEYS, |s, field| match field {
+            0 => put(&mut hash, RECORD_KEYS[0], s.string()?.into_owned()),
+            1 => put(&mut point, RECORD_KEYS[1], s.u64()?),
+            2 => put(&mut trials, RECORD_KEYS[2], s.u64()?),
+            3 => put(&mut metrics, RECORD_KEYS[3], read_metrics(s)?),
             _ => s.skip_value(),
         })?;
         Ok(Self {
@@ -331,23 +464,34 @@ impl CellRecord {
     }
 }
 
-fn read_metrics(s: &mut Scanner<'_>) -> Result<BTreeMap<String, MetricAggregate>, String> {
-    let mut metrics = BTreeMap::new();
+/// Reads the metrics object into a table.  A name past the last one read
+/// is appended (the writer's order); any other is inserted at its sorted
+/// place, unless it was read before.
+fn read_metrics(s: &mut Scanner<'_>) -> Result<MetricTable, String> {
+    let mut metrics: Vec<(String, MetricAggregate)> = Vec::new();
     s.object(|s, name| {
         let aggregate = MetricAggregate::read_json(s)?;
-        match metrics.entry(name.into_owned()) {
-            Entry::Occupied(entry) => Err(format!("duplicate metric `{}`", entry.key())),
-            Entry::Vacant(entry) => {
-                entry.insert(aggregate);
-                Ok(())
+        match metrics.last() {
+            Some((last, _)) if **last >= *name => {
+                match metrics.binary_search_by(|(key, _)| key.as_str().cmp(&name)) {
+                    Ok(_) => return Err(format!("duplicate metric `{name}`")),
+                    Err(at) => metrics.insert(at, (name.into_owned(), aggregate)),
+                }
             }
+            _ => metrics.push((name.into_owned(), aggregate)),
         }
+        Ok(())
     })?;
-    Ok(metrics)
+    Ok(MetricTable(metrics.into()))
 }
 
 #[cfg(test)]
+mod keyed_reference;
+
+#[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn demo_record() -> CellRecord {
@@ -460,6 +604,138 @@ mod tests {
         assert_eq!(c.moments.mean(), 42.5);
         for q in 0..3 {
             assert_eq!(c.quantile(q), 42.5, "constant stream quantile {q}");
+        }
+    }
+
+    /// Random metric sets: `broadcast-detailed`'s level-indexed names, a
+    /// name repeated, and an aggregate fed `values` observations.
+    fn random_metrics(rng: &mut rand::rngs::StdRng) -> Vec<(String, MetricAggregate)> {
+        use rand::Rng;
+        (0..rng.gen_range(0..14usize))
+            .map(|_| {
+                let name = match rng.gen_range(0..4u32) {
+                    0 => format!("level_cum_{}", rng.gen_range(0..12u32)),
+                    1 => format!("level_bias_{}", rng.gen_range(0..12u32)),
+                    2 => format!("phase_frac_{}", rng.gen_range(0..3u32)),
+                    _ => ["rounds", "all_correct", "Rounds", "", "é"][rng.gen_range(0..5usize)]
+                        .to_string(),
+                };
+                let mut aggregate = MetricAggregate::new();
+                for _ in 0..rng.gen_range(0..7u32) {
+                    aggregate.observe(f64::from(rng.gen_range(-5..50i32)) / 4.0);
+                }
+                (name, aggregate)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn metric_table_reads_like_the_map_it_replaced() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..500 {
+            let pairs = random_metrics(&mut rng);
+            let map: BTreeMap<String, MetricAggregate> = pairs.iter().cloned().collect();
+            let table: MetricTable = pairs.iter().cloned().collect();
+            assert_eq!(format!("{table:?}"), format!("{map:?}"));
+            assert!(table.keys().eq(map.keys()));
+            assert!(table.iter().eq(map.iter()));
+            for name in [
+                "rounds",
+                "level_cum_1",
+                "level_cum_10",
+                "level_bias_11",
+                "missing",
+                "",
+            ] {
+                assert_eq!(table.get(name), map.get(name), "{name}");
+                assert_eq!(table.contains_key(name), map.contains_key(name), "{name}");
+            }
+            for (name, aggregate) in &map {
+                assert_eq!(&table[name.as_str()], aggregate);
+            }
+            // Equality follows the maps', clone or not.
+            let other = random_metrics(&mut rng);
+            let other_map: BTreeMap<String, MetricAggregate> = other.iter().cloned().collect();
+            let other_table: MetricTable = other.into_iter().collect();
+            assert_eq!(table == other_table, map == other_map);
+            assert_eq!(table.clone(), table);
+        }
+    }
+
+    /// The fold `from_trials` ran before its table: a map entry per name,
+    /// observed in trial order.
+    fn map_fold(trials: &[Vec<(&'static str, f64)>]) -> BTreeMap<String, MetricAggregate> {
+        let mut metrics: BTreeMap<String, MetricAggregate> = BTreeMap::new();
+        for trial in trials {
+            for (name, value) in trial {
+                metrics
+                    .entry((*name).to_string())
+                    .or_default()
+                    .observe(*value);
+            }
+        }
+        metrics
+    }
+
+    #[test]
+    fn from_trials_builds_the_table_the_map_fold_built() {
+        use rand::{Rng, SeedableRng};
+        const NAMES: [&str; 6] = [
+            "rounds",
+            "level_cum_0",
+            "level_cum_10",
+            "level_cum_2",
+            "b",
+            "a",
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for _ in 0..500 {
+            // Trials that list their metrics in one order, in shuffled
+            // orders, with a name missing or repeated.
+            let base: Vec<&'static str> = NAMES[..rng.gen_range(0..=NAMES.len())].to_vec();
+            let trials: Vec<Vec<(&'static str, f64)>> = (0..rng.gen_range(0..9usize))
+                .map(|_| {
+                    let mut names = base.clone();
+                    match rng.gen_range(0..4u32) {
+                        0 => names.reverse(),
+                        1 if !names.is_empty() => {
+                            names.remove(rng.gen_range(0..names.len()));
+                        }
+                        2 => names.push(NAMES[rng.gen_range(0..NAMES.len())]),
+                        _ => {}
+                    }
+                    names
+                        .into_iter()
+                        .map(|name| (name, f64::from(rng.gen_range(0..100u32)) / 8.0))
+                        .collect()
+                })
+                .collect();
+            let record = CellRecord::from_trials("feed".into(), 3, &trials);
+            let expected: MetricTable = map_fold(&trials).into_iter().collect();
+            assert_eq!(record.metrics, expected);
+            assert_eq!(format!("{:?}", record.metrics), format!("{expected:?}"));
+        }
+    }
+
+    #[test]
+    fn written_members_come_in_the_in_order_readers_key_order() {
+        let line = demo_record().to_json_line();
+        let keys = |value: &crate::json::Json| match value {
+            crate::json::Json::Object(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("an object, not {other}"),
+        };
+        let record = crate::json::parse(&line).unwrap();
+        assert_eq!(keys(&record), RECORD_KEYS);
+        let metrics = record.get("metrics").unwrap();
+        let names: Vec<String> = keys(metrics);
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        for name in &names {
+            let aggregate = metrics.get(name).unwrap();
+            assert_eq!(keys(aggregate), AGGREGATE_KEYS);
+            for sketch in aggregate.get("quantiles").unwrap().as_array().unwrap() {
+                assert_eq!(keys(sketch), SKETCH_KEYS);
+            }
         }
     }
 

@@ -38,7 +38,9 @@ use crate::spec::{ScenarioSpec, SweepSpec};
 /// Pairs every grid cell with its persisted record, in grid order.
 ///
 /// Returns the pairs plus the number of missing cells (0 means complete);
-/// callers decide whether partial is acceptable.
+/// callers decide whether partial is acceptable.  A paired record is a
+/// clone that shares its metric table with the record in `records`, so
+/// pairing copies no aggregate.
 ///
 /// # Errors
 ///
@@ -347,6 +349,22 @@ mod tests {
         let (partial, missing) = ordered_cells(&spec, &records).unwrap();
         assert_eq!(partial.len(), 1);
         assert_eq!(missing, 1);
+    }
+
+    #[test]
+    fn paired_records_share_their_tables_with_the_loaded_ones() {
+        let (spec, pairs) = run_demo();
+        let records: BTreeMap<String, CellRecord> = pairs
+            .into_iter()
+            .map(|(_, r)| (r.hash.clone(), r))
+            .collect();
+        let (paired, missing) = ordered_cells(&spec, &records).unwrap();
+        assert_eq!((paired.len(), missing), (2, 0));
+        for (_, record) in &paired {
+            let loaded = &records[&record.hash];
+            assert_eq!(record, loaded);
+            assert!(std::sync::Arc::ptr_eq(&record.metrics.0, &loaded.metrics.0));
+        }
     }
 
     /// The first `count` cells of a sweep over `n`, with records of one to

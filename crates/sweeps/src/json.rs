@@ -8,7 +8,9 @@
 //!    byte-identical across resumes, so numbers keep their type: unsigned and
 //!    signed integers are preserved as integers, and floats are written with
 //!    Rust's shortest round-trip formatting (`{:?}`) and re-parsed to the
-//!    identical bits.
+//!    identical bits.  The writer prints integral floats and short decimals
+//!    itself, byte for byte what `{:?}` prints (see `write_f64` for why),
+//!    and hands every other float to `{:?}`.
 //! 2. **Stable output.**  Objects preserve insertion order; writers always
 //!    emit the same bytes for the same value, which is what makes spec
 //!    hashing and byte-identical resume possible.
@@ -16,9 +18,11 @@
 //!    literals, strings with their escapes, numbers, and containers nested at
 //!    most [`MAX_DEPTH`] deep.  [`parse`] builds a [`Json`] tree with it; the
 //!    cell-record codec reads records field by field with the same scanner
-//!    and never builds a tree.  The writers (`write_str`, `write_f64`)
-//!    likewise serve both the tree and the codec, so a record written either
-//!    way has the same bytes.
+//!    and never builds a tree; it reads the members of its own objects in
+//!    the order it writes them (`Scanner::fields`) and takes any other
+//!    order too.  The writers (`write_str`, `write_f64`) likewise serve both
+//!    the tree and the codec, so a record written either way has the same
+//!    bytes.
 //! 4. **Small surface.**  Only what the sweep store needs: no comments, no
 //!    trailing commas, UTF-8 strings with the standard escapes.
 
@@ -196,41 +200,150 @@ pub(crate) fn write_str<W: Write + ?Sized>(out: &mut W, s: &str) {
 /// written as `null`, which keeps the document well-formed (sweeps never
 /// emit non-finite metrics, so this is a guard, not a code path).
 ///
-/// Integral values below 1e16 — most of a record: counts, ranks, marker
-/// positions — skip the float formatter.  `{:?}` prints them in decimal
-/// notation with every integer digit (an integer that small is the only
-/// value its digits round to, so no shorter digit string exists) and
-/// `.0`, which is what the integer path writes.
+/// Two kinds of value skip the float formatter, and each prints what `{:?}`
+/// prints:
+///
+/// * Integral values below 1e16 — most of a record: counts, ranks, marker
+///   positions.  `{:?}` prints them in decimal notation with every integer
+///   digit (an integer that small is the only value its digits round to, so
+///   no shorter digit string exists) and `.0`, which is what the integer
+///   path writes.
+/// * Short decimals: a non-integral `v` with 1e-4 ≤ |v| < 1e16, where `{:?}`
+///   prints positionally, whose shortest form fits the digits
+///   [`short_decimal`] tries.  It writes `m / 10^d` for the fewest fraction
+///   digits `d` that read back as `|v|`; the proof that this is the string
+///   `{:?}` prints is on [`short_decimal`].
 pub(crate) fn write_f64<W: Write + ?Sized>(out: &mut W, value: f64) {
-    if value.fract() == 0.0 && value.abs() < 1e16 {
-        if value.is_sign_negative() {
-            push(out, "-");
-        }
-        write_u64(out, value.abs() as u64);
-        push(out, ".0");
+    // The token, built at the end of `buffer`: at most a sign, 16 integer
+    // digits and `.0`, or a sign and 21 characters of a short decimal.
+    let mut buffer = [b'0'; 24];
+    let end = buffer.len();
+    let mut start = if value.fract() == 0.0 && value.abs() < 1e16 {
+        buffer[end - 2..].copy_from_slice(b".0");
+        fill_digits(&mut buffer[..end - 2], value.abs() as u64)
+    } else if let Some((digits, fraction)) = short_decimal(value.abs()) {
+        // At least one integer digit: `0.05` is `5` padded to three digits.
+        let point = end - fraction - 1;
+        let first = fill_digits(&mut buffer, digits).min(point);
+        buffer.copy_within(first..=point, first - 1);
+        buffer[point] = b'.';
+        first - 1
     } else if value.is_finite() {
         let _ = write!(out, "{value:?}");
+        return;
     } else {
         push(out, "null");
+        return;
+    };
+    if value.is_sign_negative() {
+        start -= 1;
+        buffer[start] = b'-';
+    }
+    push_ascii(out, &buffer[start..]);
+}
+
+/// A non-integral `a` as `m / 10^d` with the fewest fraction digits `d`,
+/// when `1e-4 ≤ a < 1e16` (where `{:?}` prints positionally) and some
+/// decimal of at most `D` fraction digits reads back as `a`; `None`
+/// otherwise.  `D` is the largest count with `10^D ≤ 2^(50−e)`, where
+/// `2^e ≤ a < 2^(e+1)`: 15 digits for `a` in [1, 2), 19 at the bottom of
+/// the range, none from `2^47` up.
+///
+/// Why this is the decimal `{:?}` prints.  `{:?}` prints the shortest
+/// decimal that reads back as `a` (the nearest one on a tie in length).
+/// The reals that read back as `a` form an interval `I` at most
+/// `ulp(a) = 2^(e−52)` wide, and `ulp(a) · 10^D ≤ 1/4`.
+///
+/// 1. `I` holds at most one multiple of `10^−D`, since they lie `10^−D`
+///    apart: so at most one decimal of at most `D` fraction digits reads
+///    back as `a`, and no tie arises.
+/// 2. If that decimal `c = m′ / 10^D` exists, the test finds it.  The real
+///    `a · 10^D` lies within `1/8` of `m′`, and its computed product `p` is
+///    no farther from it than the double `m′` is, so `p` is within `1/4` of
+///    `m′` and rounding it gives `m′`.  `m′ ≤ 2^51` and `10^D` (`D ≤ 19`)
+///    are exact doubles, so `m′ / 10^D` is correctly rounded: it equals `a`
+///    exactly because `c` reads back as `a`.  Conversely an `m` that passes
+///    the test is a decimal in `I`, so by (1) it is `m′`.
+/// 3. Dropping `c`'s trailing zero digits gives the fewest fraction digits
+///    `d`: a decimal with fewer that reads back as `a` is also a multiple of
+///    `10^−D` in `I`, hence `c`.  All of `I` lies between the same powers of
+///    ten (a power of ten in `I` has one digit and wins outright), so the
+///    fewest fraction digits are the fewest digits: the shortest decimal.
+/// 4. `d ≥ 1`, so `{:?}` prints `m / 10^d` with no `.0` appended: no
+///    integer reads back as a non-integral `a`, whose fractional part is a
+///    non-zero multiple of `ulp(a)`.
+fn short_decimal(a: f64) -> Option<(u64, usize)> {
+    const POW10: [f64; 20] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+        1e17, 1e18, 1e19,
+    ];
+    if !(1e-4..1e16).contains(&a) {
+        return None;
+    }
+    // `a ≥ 1e-4` is normal, so its biased exponent is `e + 1023`.
+    let e = ((a.to_bits() >> 52) & 0x7FF) as i64 - 1023;
+    // ⌊(50 − e) · log₁₀ 2⌋, with log₁₀ 2 rounded down to 78913 / 2¹⁸.
+    let max_digits = usize::try_from(((50 - e) * 78_913) >> 18).ok()?;
+    let scale = POW10[max_digits];
+    // Round half up.  The sum is exact below 2^51; at the top of the range
+    // a rounded sum can only miss `m′`, which then fails the test.
+    let m = (a * scale + 0.5).trunc();
+    if m / scale != a {
+        return None;
+    }
+    let (mut m, mut d) = (m as u64, max_digits);
+    for (zeros, pow) in [(8, 100_000_000), (4, 10_000), (2, 100), (1, 10)] {
+        while d > zeros && m.is_multiple_of(pow) {
+            m /= pow;
+            d -= zeros;
+        }
+    }
+    Some((m, d))
+}
+
+/// `"00"`, `"01"`, …, `"99"`: the digits of each value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `value`'s decimal digits into the end of `buffer`, two per step,
+/// and returns the index of the first.
+fn fill_digits(buffer: &mut [u8], mut value: u64) -> usize {
+    let mut start = buffer.len();
+    while value >= 100 {
+        let pair = (value % 100) as usize * 2;
+        value /= 100;
+        start -= 2;
+        buffer[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if value >= 10 {
+        let pair = value as usize * 2;
+        start -= 2;
+        buffer[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        start -= 1;
+        buffer[start] = b'0' + value as u8;
+    }
+    start
+}
+
+/// Writes a number token built in a byte buffer (digits, `.`, `-`) one
+/// character at a time: for a token this short, cheaper than checking the
+/// bytes as UTF-8 to write them as one `&str`.
+fn push_ascii<W: Write + ?Sized>(out: &mut W, token: &[u8]) {
+    for &byte in token {
+        let _ = out.write_char(char::from(byte));
     }
 }
 
 /// Writes an unsigned integer in decimal.
-pub(crate) fn write_u64<W: Write + ?Sized>(out: &mut W, mut value: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
-    }
-    push(
-        out,
-        std::str::from_utf8(&digits[start..]).expect("ASCII digits"),
-    );
+pub(crate) fn write_u64<W: Write + ?Sized>(out: &mut W, value: u64) {
+    let mut buffer = [b'0'; 20];
+    let start = fill_digits(&mut buffer, value);
+    push_ascii(out, &buffer[start..]);
 }
 
 /// Parses a JSON document; the whole input must be one value (surrounding
@@ -420,6 +533,56 @@ impl<'a> Scanner<'a> {
         &mut self,
         mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
     ) -> Result<(), String> {
+        self.members(|s| {
+            let key = s.key()?;
+            member(s, key)
+        })
+    }
+
+    /// Reads an object whose writer emits the members `keys` in that
+    /// order, calling `member` once per member with the index of its key in
+    /// `keys` (`keys.len()` for any other key) and the scanner at the first
+    /// byte of its value.  Keys are passed in document order; duplicates
+    /// are the caller's to detect.
+    ///
+    /// While the members come in `keys` order, each key is matched in
+    /// place as the bytes `"key"`, without reading it as a string or
+    /// looking it up.  From the first member out of place on (a key
+    /// reordered, repeated, unknown or spelled with escapes) every key is
+    /// read as [`Self::object`] reads it and looked up in `keys`.  Both
+    /// paths consume the same bytes and hand the same index to the same
+    /// `member`, so they accept the same documents with the same errors.
+    pub(crate) fn fields(
+        &mut self,
+        keys: &[&str],
+        mut member: impl FnMut(&mut Self, usize) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut next = Some(0);
+        self.members(|s| {
+            let field = match next {
+                Some(i) if keys.get(i).is_some_and(|key| s.eat_quoted(key)) => {
+                    s.skip_ws();
+                    s.expect(b':')?;
+                    s.skip_ws();
+                    next = Some(i + 1);
+                    i
+                }
+                _ => {
+                    next = None;
+                    let key = s.key()?;
+                    keys.iter().position(|k| *k == key).unwrap_or(keys.len())
+                }
+            };
+            member(s, field)
+        })
+    }
+
+    /// The loop behind [`Self::object`] and [`Self::fields`]: `member`
+    /// reads one member, key and value.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.enter(b'{')?;
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -427,15 +590,33 @@ impl<'a> Scanner<'a> {
             return Ok(());
         }
         loop {
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            member(self, key)?;
+            member(self)?;
             if self.next_or_close(b'}')? {
                 return Ok(());
             }
         }
+    }
+
+    /// Reads a member's key and the `:` after it.
+    fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// Consumes `"key"` when the input holds exactly those bytes here.
+    fn eat_quoted(&mut self, key: &str) -> bool {
+        let (rest, len) = (&self.bytes()[self.pos..], key.len());
+        let found = rest.len() > len + 1
+            && rest[0] == b'"'
+            && rest[len + 1] == b'"'
+            && rest[1..=len] == *key.as_bytes();
+        if found {
+            self.pos += len + 2;
+        }
+        found
     }
 
     /// Reads a string.  An escape-free string borrows from the input.
@@ -538,9 +719,12 @@ impl<'a> Scanner<'a> {
     /// fits in 64 bits, `Float` otherwise.
     ///
     /// One pass: the scan that finds the token's end also takes its sign,
-    /// its first 19 digits as an integer `m` (19 digits never overflow a
-    /// `u64`) and the digit count before the `.`.  That settles the tokens a
-    /// store holds without a second look at the text:
+    /// its digits as an integer `m` (exact up to 19 digits, which never
+    /// overflow a `u64`) and the digit count before the `.`.  It reads the
+    /// integer digits, then a `.` and the fraction digits, each in a tight
+    /// loop.  A token that goes on after them (a second `.`, an exponent, a
+    /// sign) is not plain: the scan runs on to its end.  That settles the
+    /// tokens a store holds without a second look at the text:
     ///
     /// * `-?digits`, at most 19 digits: `m` itself, negated for `Int` (`-0`
     ///   is `Int(0)`, and `m = 2⁶³` negates to `i64::MIN`);
@@ -548,7 +732,8 @@ impl<'a> Scanner<'a> {
     ///   fraction digits, negated when signed (`-0.0` stays -0.0).  Both
     ///   operands are exact doubles (powers of ten are exact up to 10²²), so
     ///   the one division is correctly rounded: the value `str::parse`
-    ///   returns (Clinger's fast path).
+    ///   returns (Clinger's fast path).  For `N.0` the quotient is the
+    ///   integer `m / 10`, taken without a float division.
     ///
     /// Everything else — exponents, more than 19 digits, a larger mantissa,
     /// an integer outside 64 bits, malformed tokens — goes to `str::parse`,
@@ -591,37 +776,51 @@ impl<'a> Scanner<'a> {
             Some(b'0'..=b'9') => false,
             _ => return Err(format!("expected a number at byte {start}")),
         };
-        let mut end = start + usize::from(negative);
-        // `plain`: digits and at most one `.`; `point`: digits before it.
-        let (mut mantissa, mut digits, mut point, mut plain) = (0u64, 0usize, None, true);
-        while let Some(&b) = bytes.get(end) {
-            match b {
-                b'0'..=b'9' => {
-                    if digits < 19 {
-                        mantissa = mantissa * 10 + u64::from(b - b'0');
-                    }
-                    digits += 1;
-                }
-                b'.' if point.is_none() => point = Some(digits),
-                b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
-                _ => break,
+        // Reads the digits from `at` on into `mantissa` (wrapping past 19
+        // digits, where it is not used) and returns where they end.
+        let digits_from = |mut at: usize, mantissa: &mut u64| {
+            while let Some(&b @ b'0'..=b'9') = bytes.get(at) {
+                *mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                at += 1;
             }
-            end += 1;
-        }
-        self.pos = end;
+            at
+        };
+        let first = start + usize::from(negative);
+        let mut mantissa = 0u64;
+        let int_end = digits_from(first, &mut mantissa);
+        // `point`: digits before the `.`; `plain`: digits and at most one `.`.
+        let (mut end, point) = if bytes.get(int_end) == Some(&b'.') {
+            (
+                digits_from(int_end + 1, &mut mantissa),
+                Some(int_end - first),
+            )
+        } else {
+            (int_end, None)
+        };
+        let plain = !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        let digits = end - first - usize::from(point.is_some());
         if plain && digits <= 19 {
+            self.pos = end;
             match point {
                 None if !negative => return Ok(Number::UInt(mantissa)),
                 None if digits > 0 && mantissa <= 1 << 63 => {
                     return Ok(Number::Int((mantissa as i64).wrapping_neg()));
                 }
                 Some(int) if int > 0 && int < digits && mantissa <= 1 << 53 => {
-                    let value = mantissa as f64 / POW10[digits - int];
+                    let value = if digits - int == 1 && mantissa.is_multiple_of(10) {
+                        (mantissa / 10) as f64
+                    } else {
+                        mantissa as f64 / POW10[digits - int]
+                    };
                     return Ok(Number::Float(if negative { -value } else { value }));
                 }
                 _ => {}
             }
         }
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(end) {
+            end += 1;
+        }
+        self.pos = end;
         let text = &self.text[start..end];
         if plain && point.is_none() {
             // Past 19 digits an integer may still fit in 64 bits.
@@ -762,6 +961,67 @@ mod tests {
                 "{text}"
             );
         }
+    }
+
+    /// `write_f64` against `{:?}` on decimals `m / 10^d` at every fraction
+    /// digit count the short-decimal path takes (1 to 19), at the edges of
+    /// its range and their neighbours, and at ±0.0.  The random values of
+    /// `number_fast_paths_match_the_general_ones` run through the same
+    /// check there.
+    #[test]
+    fn short_decimals_print_as_debug() {
+        use rand::{Rng, SeedableRng};
+
+        let check = |v: f64| {
+            for v in [v, -v] {
+                let mut text = String::new();
+                write_f64(&mut text, v);
+                assert_eq!(text, format!("{v:?}"), "write {v:e}");
+            }
+        };
+        // Per fraction digit count: decimals written by the short path.
+        let mut taken = [0u32; 20];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        for i in 0..400_000u32 {
+            let d = 1 + i % 19;
+            // Half with a random digit count, half from 1e-4 up.
+            let m = if i % 2 == 0 {
+                let len = rng.gen_range(1..=16);
+                rng.gen_range(1..10u64.pow(len))
+            } else {
+                rng.gen_range(10u64.pow(d.saturating_sub(4))..10u64.pow((d + 5).min(16)))
+            };
+            let v = m as f64 / 10f64.powi(d as i32);
+            check(v);
+            if v.fract() == 0.0 {
+                continue;
+            }
+            if let Some((digits, fraction)) = short_decimal(v) {
+                taken[fraction] += 1;
+                // The path's digits are those of `{:?}`.
+                let shown = format!("{v:?}").replace('.', "");
+                assert_eq!(digits.to_string(), shown.trim_start_matches('0'), "{v:e}");
+            }
+        }
+        for (d, &count) in taken.iter().enumerate().skip(1) {
+            assert!(count >= 100, "{d} fraction digits taken {count} times");
+        }
+        assert_eq!(taken[0], 0, "a short decimal has a fraction digit");
+
+        // The range edges, every binade (where the digit budget changes),
+        // the top of the path (2^47) and their neighbours.
+        let mut edges = vec![0.0, 1e-4, 1e16, 0.1, 0.5, 1.5];
+        edges.extend((-14..=53).map(|e| 2f64.powi(e)));
+        for edge in edges {
+            for v in [edge, edge.next_up(), edge.next_down()] {
+                check(v);
+                check(v + 0.5);
+            }
+        }
+        assert!(short_decimal(1e-4).is_some());
+        assert!(short_decimal(1e-4f64.next_down()).is_none());
+        assert!(short_decimal(2f64.powi(47) - 0.5).is_some());
+        assert!(short_decimal(2f64.powi(47) + 0.5).is_none());
     }
 
     /// The two-pass number reader the one-pass `Scanner::number` replaced:

@@ -74,7 +74,7 @@ pub mod runner;
 pub mod spec;
 pub mod store;
 
-pub use aggregate::{CellRecord, MetricAggregate, TRACKED_QUANTILES};
+pub use aggregate::{CellRecord, MetricAggregate, MetricTable, TRACKED_QUANTILES};
 pub use compose::{
     is_report_store, MemberOutcome, ReportOutcome, ReportRunner, ReportSpec, ReportStore,
     REPORT_FORMAT,

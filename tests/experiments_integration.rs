@@ -32,7 +32,7 @@ fn every_experiment_is_reachable_through_sweep_table() {
 
 #[test]
 fn e01_success_rates_are_high_everywhere() {
-    let table = specs::table("e01", &tiny());
+    let table = specs::table("e01", &tiny()).expect("builtin sweep runs");
     // Last row is the fit; the others carry an all-correct rate in column 4.
     for row in &table.rows()[..table.len() - 1] {
         let fraction: f64 = row[3].parse().unwrap();
@@ -43,7 +43,7 @@ fn e01_success_rates_are_high_everywhere() {
 
 #[test]
 fn e03_normalised_message_cost_is_bounded() {
-    let table = specs::table("e03", &tiny());
+    let table = specs::table("e03", &tiny()).expect("builtin sweep runs");
     for row in table.rows() {
         let normalised: f64 = row[3].parse().unwrap();
         assert!(
@@ -55,7 +55,7 @@ fn e03_normalised_message_cost_is_bounded() {
 
 #[test]
 fn e07_sampling_table_shows_the_boost_growing_with_delta() {
-    let sampling = &specs::table("e07a", &tiny());
+    let sampling = &specs::table("e07a", &tiny()).expect("builtin sweep runs");
     let measured: Vec<f64> = sampling
         .rows()
         .iter()
@@ -68,7 +68,7 @@ fn e07_sampling_table_shows_the_boost_growing_with_delta() {
 
 #[test]
 fn e08_largest_most_biased_committee_reaches_near_consensus() {
-    let table = specs::table("e08", &tiny());
+    let table = specs::table("e08", &tiny()).expect("builtin sweep runs");
     let last = table.rows().last().unwrap();
     let fraction: f64 = last[3].parse().unwrap();
     assert!(fraction > 0.8, "row = {last:?}");
@@ -76,7 +76,7 @@ fn e08_largest_most_biased_committee_reaches_near_consensus() {
 
 #[test]
 fn e10_breathe_rows_dominate_the_failing_baselines() {
-    let table = specs::table("e10", &tiny());
+    let table = specs::table("e10", &tiny()).expect("builtin sweep runs");
     // Rows come in blocks of six per epsilon: breathe first, then baselines.
     let rows = table.rows();
     assert_eq!(rows.len() % 6, 0);
@@ -91,7 +91,7 @@ fn e10_breathe_rows_dominate_the_failing_baselines() {
 
 #[test]
 fn e12_sample_counts_scale_like_inverse_epsilon_squared() {
-    let table = specs::table("e12", &tiny());
+    let table = specs::table("e12", &tiny()).expect("builtin sweep runs");
     let normalised: Vec<f64> = table.rows().iter().map(|r| r[2].parse().unwrap()).collect();
     let max = normalised.iter().cloned().fold(f64::MIN, f64::max);
     let min = normalised.iter().cloned().fold(f64::MAX, f64::min);

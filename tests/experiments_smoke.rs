@@ -76,7 +76,8 @@ fn smoke(name: &str) -> &'static Table {
         .iter()
         .position(|e| e.name == name)
         .unwrap_or_else(|| panic!("`{name}` is not a builtin sweep"));
-    let table = TABLES[index].get_or_init(|| specs::table(name, &smoke_config()));
+    let table = TABLES[index]
+        .get_or_init(|| specs::table(name, &smoke_config()).expect("builtin sweep runs"));
     assert_well_formed(table);
     table
 }
@@ -176,7 +177,7 @@ fn experiments_are_deterministic_for_a_fixed_seed() {
     // Two runs of the same entrypoint with the same config must be
     // byte-identical; this is the property that makes `sweep table`
     // a reproducible report generator rather than a one-off sample.
-    let first = specs::table("e01", &smoke_config());
-    let second = specs::table("e01", &smoke_config());
+    let first = specs::table("e01", &smoke_config()).expect("builtin sweep runs");
+    let second = specs::table("e01", &smoke_config()).expect("builtin sweep runs");
     assert_eq!(first.to_csv(), second.to_csv());
 }
