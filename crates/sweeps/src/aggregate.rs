@@ -26,7 +26,7 @@
 //! matching each key in place with no string read or lookup; the metric
 //! names arrive sorted and are appended.  At the first member out of place
 //! they fall back to a keyed read of the rest: each key read and looked up,
-//! each metric name inserted at its sorted place.  Both paths fill the same
+//! the metric names collected in a `BTreeMap`.  Both paths fill the same
 //! slots through the same checks (`put` for a repeated key, `required` for
 //! a missing one, a repeated metric name, [`P2Quantile::restore`] and the
 //! sketch order), so a line in any key order reads as it always did, and a
@@ -34,6 +34,8 @@
 //! keyed readers they replaced and compares the two on every input the
 //! codec tests generate.
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
@@ -335,7 +337,7 @@ impl fmt::Debug for MetricTable {
 
 impl FromIterator<(String, MetricAggregate)> for MetricTable {
     fn from_iter<I: IntoIterator<Item = (String, MetricAggregate)>>(pairs: I) -> Self {
-        let by_name: std::collections::BTreeMap<_, _> = pairs.into_iter().collect();
+        let by_name: BTreeMap<_, _> = pairs.into_iter().collect();
         Self(by_name.into_iter().collect())
     }
 }
@@ -357,9 +359,7 @@ impl CellRecord {
     /// Builds a record by folding per-trial metric lists in trial order.
     ///
     /// Every trial must report the same metric names; the fold is sequential
-    /// so the result is deterministic.  A trial that lists its metrics in
-    /// the previous trials' order finds each aggregate at its own index; a
-    /// name out of that order is looked up, and a new one appended.
+    /// so the result is deterministic.
     #[must_use]
     pub fn from_trials(
         hash: String,
@@ -368,16 +368,13 @@ impl CellRecord {
     ) -> Self {
         let mut folded: Vec<(&str, MetricAggregate)> = Vec::new();
         for trial in trial_metrics {
-            for (i, &(name, value)) in trial.iter().enumerate() {
-                let slot = match folded.get(i) {
-                    Some((known, _)) if *known == name => i,
-                    _ => match folded.iter().position(|(known, _)| *known == name) {
-                        Some(slot) => slot,
-                        None => {
-                            folded.push((name, MetricAggregate::new()));
-                            folded.len() - 1
-                        }
-                    },
+            for &(name, value) in trial {
+                let slot = match folded.iter().position(|(known, _)| *known == name) {
+                    Some(slot) => slot,
+                    None => {
+                        folded.push((name, MetricAggregate::new()));
+                        folded.len() - 1
+                    }
                 };
                 folded[slot].1.observe(value);
             }
@@ -464,25 +461,31 @@ impl CellRecord {
     }
 }
 
-/// Reads the metrics object into a table.  A name past the last one read
-/// is appended (the writer's order); any other is inserted at its sorted
-/// place, unless it was read before.
+/// Reads the metrics object into a table.  While the names come sorted
+/// (the writer's order) each is appended; from the first one out of order
+/// on, every name goes into a map, which becomes the table at the end.
 fn read_metrics(s: &mut Scanner<'_>) -> Result<MetricTable, String> {
-    let mut metrics: Vec<(String, MetricAggregate)> = Vec::new();
+    let mut sorted: Vec<(String, MetricAggregate)> = Vec::new();
+    let mut unsorted: Option<BTreeMap<String, MetricAggregate>> = None;
     s.object(|s, name| {
         let aggregate = MetricAggregate::read_json(s)?;
-        match metrics.last() {
-            Some((last, _)) if **last >= *name => {
-                match metrics.binary_search_by(|(key, _)| key.as_str().cmp(&name)) {
-                    Ok(_) => return Err(format!("duplicate metric `{name}`")),
-                    Err(at) => metrics.insert(at, (name.into_owned(), aggregate)),
-                }
-            }
-            _ => metrics.push((name.into_owned(), aggregate)),
+        if unsorted.is_none() && sorted.last().is_none_or(|(last, _)| **last < *name) {
+            sorted.push((name.into_owned(), aggregate));
+            return Ok(());
         }
-        Ok(())
+        let map = unsorted.get_or_insert_with(|| sorted.drain(..).collect());
+        match map.entry(name.into_owned()) {
+            Entry::Occupied(entry) => Err(format!("duplicate metric `{}`", entry.key())),
+            Entry::Vacant(entry) => {
+                entry.insert(aggregate);
+                Ok(())
+            }
+        }
     })?;
-    Ok(MetricTable(metrics.into()))
+    Ok(MetricTable(match unsorted {
+        Some(map) => map.into_iter().collect(),
+        None => sorted.into(),
+    }))
 }
 
 #[cfg(test)]
@@ -490,8 +493,6 @@ mod keyed_reference;
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
-
     use super::*;
 
     fn demo_record() -> CellRecord {

@@ -2,8 +2,9 @@
 //! every member's key is read as a string and matched, and the metrics are
 //! collected into a `BTreeMap`.  On the inputs the codec property tests
 //! generate (records respelled, reordered, with a member duplicated, torn
-//! or bit-flipped) and on every line of both store fixtures, the in-order
-//! readers must return the same record or fail with the same message.
+//! or bit-flipped), on every line of both store fixtures and on a record
+//! whose metric names come in descending order, the in-order readers must
+//! return the same record or fail with the same message.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -17,6 +18,12 @@ use rand::{Rng, SeedableRng};
 use super::{read_markers, read_up_to_five, CellRecord, MetricAggregate, TRACKED_QUANTILES};
 use crate::error::SweepError;
 use crate::json::{parse, put, required, Json, Scanner};
+
+/// The generators of `tests/codec_properties.rs`.
+#[path = "../../tests/codec_inputs/mod.rs"]
+mod codec_inputs;
+
+use codec_inputs::{count_objects, duplicate_member, flip_bit, record, respell, torn};
 
 fn keyed_line(line: &str) -> Result<CellRecord, String> {
     let mut scanner = Scanner::new(line);
@@ -139,208 +146,6 @@ fn keyed_sketch(s: &mut Scanner<'_>) -> Result<P2State, String> {
     })
 }
 
-/// Floats a shortest-round-trip codec can get wrong, then random ones.
-fn float(rng: &mut StdRng) -> f64 {
-    const EDGES: [f64; 10] = [
-        0.0,
-        -0.0,
-        5e-324,
-        1e300,
-        f64::MAX,
-        1e16,
-        1e16 + 2.0,
-        1e-4,
-        0.1,
-        -7.25,
-    ];
-    match rng.gen_range(0..4u32) {
-        0 => EDGES[rng.gen_range(0..EDGES.len())],
-        1 => loop {
-            let v = f64::from_bits(rng.gen::<u64>());
-            if v.is_finite() {
-                break v;
-            }
-        },
-        2 => f64::from(rng.gen_range(-1000..1000i32)),
-        _ => rng.gen_range(-10.0..10.0f64),
-    }
-}
-
-/// A metric name: level-indexed as `broadcast-detailed` reports them, or
-/// random characters that need escaping.
-fn name(rng: &mut StdRng) -> String {
-    const CHARS: [char; 10] = [
-        'a',
-        'z',
-        '0',
-        '_',
-        '"',
-        '\\',
-        '\n',
-        '\u{1}',
-        'é',
-        '\u{1F980}',
-    ];
-    match rng.gen_range(0..3u32) {
-        0 => format!("level_cum_{}", rng.gen_range(0..12u32)),
-        1 => format!("level_bias_{}", rng.gen_range(0..12u32)),
-        _ => (0..rng.gen_range(1..6usize))
-            .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
-            .collect(),
-    }
-}
-
-fn aggregate(rng: &mut StdRng, trials: u32) -> MetricAggregate {
-    let count = u64::from(trials);
-    let quantiles = TRACKED_QUANTILES.map(|q| {
-        let buffered = if count < 5 { count as usize } else { 0 };
-        let mut buffer = [0.0; 5];
-        for slot in &mut buffer[..buffered] {
-            *slot = float(rng);
-        }
-        let mut markers = || [(); 5].map(|()| float(rng));
-        let (heights, positions, desired) = (markers(), markers(), markers());
-        P2Quantile::restore(P2State {
-            q,
-            count,
-            heights,
-            positions,
-            desired,
-            buffer,
-            buffered,
-        })
-        .expect("consistent sketch state")
-    });
-    let moments = StreamingMoments {
-        count,
-        sum: float(rng),
-        welford_mean: float(rng),
-        m2: float(rng),
-        min: float(rng),
-        max: float(rng),
-    };
-    MetricAggregate { moments, quantiles }
-}
-
-fn record(rng: &mut StdRng) -> CellRecord {
-    let trials = rng.gen_range(1..8u32);
-    CellRecord {
-        metrics: (0..rng.gen_range(1..5usize))
-            .map(|_| (name(rng), aggregate(rng, trials)))
-            .collect(),
-        hash: name(rng),
-        point: rng.gen(),
-        trials,
-    }
-}
-
-/// `value` with its object members shuffled and, when `escape`, random
-/// whitespace, escaped string characters and numbers in other spellings.
-fn respell(value: &Json, rng: &mut StdRng, escape: bool, out: &mut String) {
-    let ws = |rng: &mut StdRng, out: &mut String| {
-        for _ in 0..rng.gen_range(0..2u32) * u32::from(escape) {
-            out.push([' ', '\t', '\n', '\r'][rng.gen_range(0..4usize)]);
-        }
-    };
-    ws(rng, out);
-    match value {
-        Json::Object(pairs) => {
-            let mut order: Vec<usize> = (0..pairs.len()).collect();
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
-            out.push('{');
-            for (i, &index) in order.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let (key, item) = &pairs[index];
-                respell(&Json::Str(key.clone()), rng, escape, out);
-                out.push(':');
-                respell(item, rng, escape, out);
-            }
-            out.push('}');
-        }
-        Json::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                respell(item, rng, escape, out);
-            }
-            out.push(']');
-        }
-        Json::Str(s) if escape => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 || rng.gen_bool(0.3) => {
-                        for unit in c.encode_utf16(&mut [0u16; 2]) {
-                            out.push_str(&format!("\\u{unit:04X}"));
-                        }
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        Json::Float(v) if escape && rng.gen_bool(0.5) => out.push_str(&format!("{v:e}")),
-        Json::UInt(v) if escape && *v < (1 << 53) && rng.gen_bool(0.3) => {
-            out.push_str(&format!("{v}.0"));
-        }
-        other => out.push_str(&other.to_string()),
-    }
-    ws(rng, out);
-}
-
-/// Copies one member of the `target`-th object (in pre-order) to a random
-/// place in that object.
-fn duplicate_member(value: &mut Json, target: &mut usize, rng: &mut StdRng) -> bool {
-    match value {
-        Json::Object(pairs) => {
-            if *target == 0 {
-                let copy = pairs[rng.gen_range(0..pairs.len())].clone();
-                pairs.insert(rng.gen_range(0..=pairs.len()), copy);
-                return true;
-            }
-            *target -= 1;
-            pairs
-                .iter_mut()
-                .any(|(_, item)| duplicate_member(item, target, rng))
-        }
-        Json::Array(items) => items
-            .iter_mut()
-            .any(|item| duplicate_member(item, target, rng)),
-        _ => false,
-    }
-}
-
-fn count_objects(value: &Json) -> usize {
-    match value {
-        Json::Object(pairs) => 1 + pairs.iter().map(|(_, v)| count_objects(v)).sum::<usize>(),
-        Json::Array(items) => items.iter().map(count_objects).sum(),
-        _ => 0,
-    }
-}
-
-/// A proper prefix of `text`, cut at any byte (a split character becomes
-/// U+FFFD).
-fn torn(text: &str, rng: &mut StdRng) -> String {
-    let cut = rng.gen_range(1..text.len());
-    String::from_utf8_lossy(&text.as_bytes()[..cut]).into_owned()
-}
-
-/// `text` with one bit flipped (invalid UTF-8 replaced).
-fn flip_bit(text: &str, rng: &mut StdRng) -> String {
-    let mut bytes = text.as_bytes().to_vec();
-    let at = rng.gen_range(0..bytes.len());
-    bytes[at] ^= 1 << rng.gen_range(0..8u32);
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
 /// The in-order readers' result, an error as its message.
 fn in_order(text: &str) -> Result<CellRecord, String> {
     CellRecord::from_json_line(text).map_err(|err| match err {
@@ -359,21 +164,19 @@ fn assert_same(text: &str) {
 #[test]
 fn in_order_readers_match_the_keyed_readers() {
     let mut rng = StdRng::seed_from_u64(22);
-    for _ in 0..400 {
-        let line = record(&mut rng).to_json_line();
+    for seed in 0..400 {
+        let line = record(seed, rng.gen_range(1..8)).to_json_line();
         let tree = parse(&line).expect("a written line parses");
-        let mut inputs = vec![line.clone()];
-        for escape in [false, true] {
-            let mut text = String::new();
-            respell(&tree, &mut rng, escape, &mut text);
-            inputs.push(text);
-        }
+        let mut respelled = String::new();
+        respell(&tree, &mut rng, &mut respelled);
+        // The members reordered alone: the respelling written compactly.
+        let reordered = parse(&respelled).expect("a respelling parses").to_string();
         let mut duplicated = tree.clone();
         let mut target = rng.gen_range(0..count_objects(&tree));
         assert!(duplicate_member(&mut duplicated, &mut target, &mut rng));
         let duplicated = duplicated.to_string();
         assert!(keyed_line(&duplicated).is_err(), "{duplicated}");
-        inputs.push(duplicated);
+        let mut inputs = vec![line.clone(), respelled, reordered, duplicated];
         for _ in 0..3 {
             inputs.push(torn(&line, &mut rng));
             inputs.push(flip_bit(&line, &mut rng));
@@ -403,4 +206,40 @@ fn in_order_readers_match_the_keyed_readers() {
         }
     }
     assert_eq!(lines, 12, "both fixtures, six cells each");
+}
+
+/// Metric names in descending order leave the in-order path at the second
+/// name; the rest go through the fallback, which must read them as the
+/// keyed reader does, a repeated name included.
+#[test]
+fn descending_metric_names_read_like_the_keyed_readers() {
+    const NAMES: usize = 4_000;
+    let mut aggregate = MetricAggregate::new();
+    for x in [3.0, 1.5, 4.0] {
+        aggregate.observe(x);
+    }
+    let mut member = String::new();
+    aggregate.write_json(&mut member);
+    let line = |names: &[usize]| {
+        let metrics: Vec<String> = names
+            .iter()
+            .map(|i| format!("\"level_cum_{i}\":{member}"))
+            .collect();
+        format!(
+            "{{\"cell\":\"x\",\"point\":1,\"trials\":3,\"metrics\":{{{}}}}}",
+            metrics.join(",")
+        )
+    };
+    let descending: Vec<usize> = (0..NAMES).rev().collect();
+    let text = line(&descending);
+    let record = in_order(&text).expect("descending names read");
+    assert_eq!(record.metrics.keys().len(), NAMES);
+    assert!(record.metrics.keys().is_sorted());
+    assert_same(&text);
+    // A repeated name, near either end, fails as in the keyed reader.
+    for at in [1, NAMES / 2, NAMES - 1] {
+        let mut names = descending.clone();
+        names.insert(at, descending[at / 2]);
+        assert_same(&line(&names));
+    }
 }

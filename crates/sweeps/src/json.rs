@@ -208,11 +208,12 @@ pub(crate) fn write_str<W: Write + ?Sized>(out: &mut W, s: &str) {
 ///   digit (an integer that small is the only value its digits round to, so
 ///   no shorter digit string exists) and `.0`, which is what the integer
 ///   path writes.
-/// * Short decimals: a non-integral `v` with 1e-4 ≤ |v| < 1e16, where `{:?}`
-///   prints positionally, whose shortest form fits the digits
-///   [`short_decimal`] tries.  It writes `m / 10^d` for the fewest fraction
-///   digits `d` that read back as `|v|`; the proof that this is the string
-///   `{:?}` prints is on [`short_decimal`].
+/// * Short decimals: a non-integral `v` with 1e-4 ≤ |v| < 2^47
+///   ([`SHORT_DECIMAL_END`]), where `{:?}` prints positionally, whose
+///   shortest form fits the digits [`short_decimal`] tries.  It writes
+///   `m / 10^d` for the fewest fraction digits `d` that read back as `|v|`;
+///   the proof that this is the string `{:?}` prints is on
+///   [`short_decimal`].
 pub(crate) fn write_f64<W: Write + ?Sized>(out: &mut W, value: f64) {
     // The token, built at the end of `buffer`: at most a sign, 16 integer
     // digits and `.0`, or a sign and 21 characters of a short decimal.
@@ -242,12 +243,17 @@ pub(crate) fn write_f64<W: Write + ?Sized>(out: &mut W, value: f64) {
     push_ascii(out, &buffer[start..]);
 }
 
+/// The end of [`short_decimal`]'s range: `2^47`, the first magnitude with
+/// fewer than one fraction digit to try.
+const SHORT_DECIMAL_END: f64 = 140_737_488_355_328.0;
+
 /// A non-integral `a` as `m / 10^d` with the fewest fraction digits `d`,
-/// when `1e-4 ≤ a < 1e16` (where `{:?}` prints positionally) and some
+/// when `1e-4 ≤ a < 2^47` (where `{:?}` prints positionally) and some
 /// decimal of at most `D` fraction digits reads back as `a`; `None`
 /// otherwise.  `D` is the largest count with `10^D ≤ 2^(50−e)`, where
 /// `2^e ≤ a < 2^(e+1)`: 15 digits for `a` in [1, 2), 19 at the bottom of
-/// the range, none from `2^47` up.
+/// the range, 1 below [`SHORT_DECIMAL_END`].  From there on `D` would be 0
+/// and no non-integral value passes the test, so the range ends there.
 ///
 /// Why this is the decimal `{:?}` prints.  `{:?}` prints the shortest
 /// decimal that reads back as `a` (the nearest one on a tie in length).
@@ -277,13 +283,14 @@ fn short_decimal(a: f64) -> Option<(u64, usize)> {
         1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
         1e17, 1e18, 1e19,
     ];
-    if !(1e-4..1e16).contains(&a) {
+    if !(1e-4..SHORT_DECIMAL_END).contains(&a) {
         return None;
     }
     // `a ≥ 1e-4` is normal, so its biased exponent is `e + 1023`.
     let e = ((a.to_bits() >> 52) & 0x7FF) as i64 - 1023;
-    // ⌊(50 − e) · log₁₀ 2⌋, with log₁₀ 2 rounded down to 78913 / 2¹⁸.
-    let max_digits = usize::try_from(((50 - e) * 78_913) >> 18).ok()?;
+    // ⌊(50 − e) · log₁₀ 2⌋, with log₁₀ 2 rounded down to 78913 / 2¹⁸:
+    // between 1 (e = 46) and 19 (e = −14).
+    let max_digits = (((50 - e) * 78_913) >> 18) as usize;
     let scale = POW10[max_digits];
     // Round half up.  The sum is exact below 2^51; at the top of the range
     // a rounded sum can only miss `m′`, which then fails the test.
@@ -732,8 +739,7 @@ impl<'a> Scanner<'a> {
     ///   fraction digits, negated when signed (`-0.0` stays -0.0).  Both
     ///   operands are exact doubles (powers of ten are exact up to 10²²), so
     ///   the one division is correctly rounded: the value `str::parse`
-    ///   returns (Clinger's fast path).  For `N.0` the quotient is the
-    ///   integer `m / 10`, taken without a float division.
+    ///   returns (Clinger's fast path).
     ///
     /// Everything else — exponents, more than 19 digits, a larger mantissa,
     /// an integer outside 64 bits, malformed tokens — goes to `str::parse`,
@@ -807,11 +813,7 @@ impl<'a> Scanner<'a> {
                     return Ok(Number::Int((mantissa as i64).wrapping_neg()));
                 }
                 Some(int) if int > 0 && int < digits && mantissa <= 1 << 53 => {
-                    let value = if digits - int == 1 && mantissa.is_multiple_of(10) {
-                        (mantissa / 10) as f64
-                    } else {
-                        mantissa as f64 / POW10[digits - int]
-                    };
+                    let value = mantissa as f64 / POW10[digits - int];
                     return Ok(Number::Float(if negative { -value } else { value }));
                 }
                 _ => {}
@@ -1008,9 +1010,11 @@ mod tests {
         }
         assert_eq!(taken[0], 0, "a short decimal has a fraction digit");
 
-        // The range edges, every binade (where the digit budget changes),
-        // the top of the path (2^47) and their neighbours.
-        let mut edges = vec![0.0, 1e-4, 1e16, 0.1, 0.5, 1.5];
+        // The path's range edges (1e-4 and 2^47), the integer path's (1e16),
+        // every binade (where the digit budget changes) and their
+        // neighbours.
+        assert_eq!(SHORT_DECIMAL_END, 2f64.powi(47));
+        let mut edges = vec![0.0, 1e-4, SHORT_DECIMAL_END, 1e16, 0.1, 0.5, 1.5];
         edges.extend((-14..=53).map(|e| 2f64.powi(e)));
         for edge in edges {
             for v in [edge, edge.next_up(), edge.next_down()] {
@@ -1020,8 +1024,8 @@ mod tests {
         }
         assert!(short_decimal(1e-4).is_some());
         assert!(short_decimal(1e-4f64.next_down()).is_none());
-        assert!(short_decimal(2f64.powi(47) - 0.5).is_some());
-        assert!(short_decimal(2f64.powi(47) + 0.5).is_none());
+        assert!(short_decimal(SHORT_DECIMAL_END - 0.5).is_some());
+        assert!(short_decimal(SHORT_DECIMAL_END + 0.5).is_none());
     }
 
     /// The two-pass number reader the one-pass `Scanner::number` replaced:
