@@ -191,10 +191,15 @@ fn cmd_list(args: &[String]) -> Outcome {
         report.members.len(),
         report.total_cells()?,
     );
-    out!("registered protocols:");
-    for (id, backends) in ProtocolRegistry::builtin().list() {
-        let names: Vec<&str> = backends.iter().map(|b| b.as_str()).collect();
-        out!("  {id:<20} backends: {}", names.join(", "));
+    out!("registered protocols (each also reads n and epsilon; * marks a required param):");
+    for (id, protocol) in ProtocolRegistry::builtin().list() {
+        let backends: Vec<&str> = protocol.backends.iter().map(|b| b.as_str()).collect();
+        let params: Vec<String> = protocol
+            .declared()
+            .map(|p| format!("{}{}", p.key, if p.required { "*" } else { "" }))
+            .collect();
+        out!("  {id:<20} backends: {}", backends.join(", "));
+        out!("  {:<20} params: {}", "", params.join(", "));
     }
     Ok(())
 }

@@ -283,6 +283,13 @@ fn metric<'a>(record: &'a CellRecord, name: &str) -> &'a MetricAggregate {
         .unwrap_or_else(|| panic!("cell {} has no `{name}` metric", record.point))
 }
 
+/// A param every builtin grid sets, or a loud failure naming what is
+/// missing: a renderer has no default of its own to disagree with a runner's.
+fn param(spec: &ScenarioSpec, key: &str) -> f64 {
+    let missing = || panic!("cell {} has no `{key}` param", spec.point);
+    *spec.params.get(key).unwrap_or_else(missing)
+}
+
 /// Success-rate estimator from a 0/1 metric (the sum counts the successes).
 fn success_rate(record: &CellRecord, name: &str) -> SuccessRate {
     let agg = metric(record, name);
@@ -766,7 +773,7 @@ fn render_e07a(cells: &CellPairs) -> Table {
     );
     for (spec, record) in cells {
         let epsilon = spec.epsilon();
-        let delta = spec.param_or("delta", 0.0);
+        let delta = param(spec, "delta");
         let gamma = params_from_spec(spec)
             .expect("grid parameters are valid")
             .gamma();
@@ -890,8 +897,8 @@ fn render_e08(cells: &CellPairs) -> Table {
     );
     for (spec, record) in cells {
         let n = spec.n();
-        let size = spec.param_or("initial_size", 0.0) as usize;
-        let bias = spec.param_or("initial_bias", 0.0);
+        let size = param(spec, "initial_size") as usize;
+        let bias = param(spec, "initial_bias");
         let initial = InitialSet::with_bias(size, bias).expect("grid bias is valid");
         let required = ((n as f64).ln() / size as f64).sqrt().min(0.5);
         table.push_row(&[
@@ -952,7 +959,7 @@ fn render_e08_dense(cells: &CellPairs) -> Table {
         let phases = 2 * (n as f64).log2().ceil() as u64;
         table.push_row(&[
             n.to_string(),
-            fmt_float(spec.param_or("initial_bias", 0.0)),
+            fmt_float(param(spec, "initial_bias")),
             phases.to_string(),
             fmt_float(metric(record, "fraction_correct").moments.mean()),
             fmt_float(success_rate(record, "majority_preserved").estimate()),
@@ -1006,7 +1013,7 @@ fn render_e09(cells: &CellPairs) -> Table {
     );
     for (spec, record) in cells {
         let n = spec.n();
-        let name = if spec.param_or("variant", 0.0) == 0.0 {
+        let name = if param(spec, "variant") == 0.0 {
             "bounded offsets"
         } else {
             "resynchronised"
@@ -1076,7 +1083,7 @@ fn render_e10(cells: &CellPairs) -> Table {
         ],
     );
     for (spec, record) in cells {
-        let idx = spec.param_or("baseline", 0.0) as usize;
+        let idx = param(spec, "baseline") as usize;
         let budget = params_from_spec(spec)
             .expect("grid parameters are valid")
             .total_rounds();
@@ -1140,7 +1147,7 @@ fn render_e11(cells: &CellPairs) -> Table {
     );
     for (spec, record) in cells {
         let epsilon = spec.epsilon();
-        let hops = spec.param_or("hops", 0.0) as u32;
+        let hops = param(spec, "hops") as u32;
         table.push_row(&[
             fmt_float(epsilon),
             hops.to_string(),
@@ -1193,7 +1200,7 @@ fn render_e12(cells: &CellPairs) -> Table {
     );
     for (spec, record) in cells {
         let epsilon = spec.epsilon();
-        let confidence = spec.param_or("confidence", 0.99);
+        let confidence = param(spec, "confidence");
         let needed = constant_u64(record, "samples");
         table.push_row(&[
             fmt_float(epsilon),
@@ -1241,7 +1248,7 @@ fn render_a1(cells: &CellPairs) -> Table {
         let n = spec.n();
         let threshold = ((n as f64).ln() / n as f64).sqrt();
         table.push_row(&[
-            fmt_float(spec.param_or("initial_bias", 0.0)),
+            fmt_float(param(spec, "initial_bias")),
             fmt_float(threshold),
             fmt_float(metric(record, "fraction_correct").moments.mean()),
             fmt_float(success_rate(record, "all_correct").estimate()),
@@ -1285,7 +1292,7 @@ fn render_a2(cells: &CellPairs) -> Table {
     for (spec, record) in cells {
         let params = params_from_spec(spec).expect("grid parameters are valid");
         table.push_row(&[
-            fmt_float(spec.param_or("gamma_mult", 1.0)),
+            fmt_float(param(spec, "gamma_mult")),
             params.gamma().to_string(),
             fmt_float(metric(record, "fraction_correct").moments.mean()),
             fmt_float(success_rate(record, "all_correct").estimate()),
@@ -1327,7 +1334,7 @@ fn render_a3(cells: &CellPairs) -> Table {
         ],
     );
     for (spec, record) in cells {
-        let s_mult = spec.param_or("s_mult", 1.0);
+        let s_mult = param(spec, "s_mult");
         table.push_row(&[
             fmt_float(s_mult),
             params_from_spec(spec)
@@ -1406,7 +1413,7 @@ fn render_e13(cells: &CellPairs) -> Table {
     for (spec, record) in cells {
         table.push_row(&[
             fmt_float(spec.epsilon()),
-            fmt_float(spec.param_or("fault_fraction", 0.0)),
+            fmt_float(param(spec, "fault_fraction")),
             fmt_float(metric(record, "majority_fraction_correct").moments.mean()),
             fmt_float(success_rate(record, "majority_all_correct").estimate()),
             fmt_float(metric(record, "benor_fraction_correct").moments.mean()),
@@ -1439,6 +1446,42 @@ mod tests {
             assert!(spec.expand().is_ok(), "{name} must expand");
         }
         assert!(builtin("e99", &cfg).is_none());
+    }
+
+    #[test]
+    fn every_builtin_and_checked_in_spec_resolves_before_any_trial() {
+        let registry = ProtocolRegistry::builtin();
+        let resolve_all = |spec: &SweepSpec, origin: &str| {
+            for cell in spec.expand().unwrap_or_else(|e| panic!("{origin}: {e}")) {
+                if let Err(err) = registry.resolve(&cell) {
+                    panic!("{origin}, point {}: {err}", cell.point);
+                }
+            }
+        };
+        for cfg in [ExperimentConfig::quick(), ExperimentConfig::full()] {
+            for experiment in EXPERIMENTS {
+                let spec = (experiment.build)(&cfg);
+                resolve_all(
+                    &spec,
+                    &format!("{} (quick = {})", experiment.name, cfg.quick),
+                );
+            }
+        }
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&dir).expect("specs/ is readable") {
+            let path = entry.expect("specs/ entry").path();
+            let text = std::fs::read_to_string(&path).expect("spec file readable");
+            let spec = SweepSpec::from_json_text(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            resolve_all(&spec, &path.display().to_string());
+            files += 1;
+        }
+        assert_eq!(
+            files,
+            EXPERIMENTS.len(),
+            "one checked-in spec per builtin sweep"
+        );
     }
 
     #[test]

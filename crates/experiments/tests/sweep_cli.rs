@@ -870,3 +870,89 @@ fn a_failed_export_write_names_the_file_not_the_store() {
         "{stderr}"
     );
 }
+
+/// Lines across every result shard of the store at `dir` (none when the
+/// store has no shard file).
+fn shard_lines(dir: &Path) -> usize {
+    fs::read_dir(dir.join("shards")).map_or(0, |entries| {
+        entries
+            .map(|entry| {
+                fs::read_to_string(entry.unwrap().path())
+                    .unwrap()
+                    .lines()
+                    .count()
+            })
+            .sum()
+    })
+}
+
+/// Runs `spec` (JSON text) with `sweep run` into a fresh store and returns
+/// the failure's stderr after requiring status 1 and an empty store.
+fn run_refused(tag: &str, spec: &str) -> String {
+    let root = scratch(tag);
+    let path = root.join("spec.json");
+    fs::write(&path, spec).unwrap();
+    let store = root.join("store");
+    let out = sweep(&[
+        "run",
+        path.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(shard_lines(&store), 0, "no cell may run: {stderr}");
+    stderr
+}
+
+#[test]
+fn a_misspelt_param_fails_before_any_trial_and_lists_the_declared_keys() {
+    // `s_mul` for `s_mult` once ran at the default multiplier and exported
+    // an `s_mul` column.
+    let stderr = run_refused(
+        "misspelt-param",
+        r#"{
+  "name": "misspelt",
+  "protocol": "broadcast",
+  "backend": "agents",
+  "trials": 2,
+  "base_seed": 5,
+  "point_base": 0,
+  "rounds": 0,
+  "defaults": {"n": 200.0, "epsilon": 0.3, "s_mul": 99.0},
+  "axes": []
+}"#,
+    );
+    assert!(
+        stderr.starts_with("sweep: ")
+            && stderr.contains("cell at point 0")
+            && stderr.contains("`s_mul`")
+            && stderr.contains("s_mult"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn an_out_of_range_param_in_the_last_cell_fails_before_the_first_cell_runs() {
+    // The bias check once ran inside the trial, so the first three cells
+    // ran and were persisted before the fourth failed.
+    let stderr = run_refused(
+        "last-cell-bias",
+        r#"{
+  "name": "last-cell-bias",
+  "protocol": "majority-sampler",
+  "backend": "dense",
+  "trials": 2,
+  "base_seed": 5,
+  "point_base": 1800,
+  "rounds": 0,
+  "defaults": {"n": 20000.0, "epsilon": 0.3},
+  "axes": [{"key": "initial_bias", "values": [0.01, 0.02, 0.05, 0.7]}]
+}"#,
+    );
+    assert!(
+        stderr.contains("cell at point 1803") && stderr.contains("`initial_bias`"),
+        "{stderr}"
+    );
+}

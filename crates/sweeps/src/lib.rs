@@ -83,7 +83,9 @@ pub use error::SweepError;
 pub use export::{export_csv, export_json, ordered_cells, parse_export_json};
 pub use observe::{CellTelemetry, ProgressReporter, TelemetryHub, TrialContext};
 pub use orchestrator::{SweepOutcome, SweepRunner};
-pub use registry::{fault_spec_for, samples_for_confidence, ProtocolRegistry, TrialFn};
+pub use registry::{
+    fault_spec_for, samples_for_confidence, Param, Protocol, ProtocolRegistry, TrialFn,
+};
 pub use runner::{default_threads, TrialRunner, THREADS_ENV};
 pub use spec::{Axis, ScenarioSpec, SweepSpec};
-pub use store::{ShardWriter, SweepStore, TelemetryShardWriter};
+pub use store::{ShardRecord, ShardWriter, SweepStore};

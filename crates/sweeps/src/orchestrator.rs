@@ -44,7 +44,7 @@ use crate::observe::{CellTelemetry, ProgressReporter, TelemetryHub, TrialContext
 use crate::registry::ProtocolRegistry;
 use crate::runner::{default_threads, TrialRunner};
 use crate::spec::{ScenarioSpec, SweepSpec};
-use crate::store::{ShardWriter, SweepStore, TelemetryShardWriter};
+use crate::store::{ShardWriter, SweepStore};
 
 /// Result of one [`SweepRunner::run`] call.
 #[derive(Debug)]
@@ -208,8 +208,8 @@ impl SweepRunner {
                     scope.spawn(move || {
                         let mut mine: Vec<(usize, CellRecord)> = Vec::new();
                         let run = |index: usize,
-                                   shard: Option<&mut ShardWriter>,
-                                   tele_shard: Option<&mut TelemetryShardWriter>|
+                                   shard: Option<&mut ShardWriter<CellRecord>>,
+                                   tele_shard: Option<&mut ShardWriter<CellTelemetry>>|
                          -> Result<CellRecord, SweepError> {
                             let cell = &grid_ref[index];
                             let cell_start = Instant::now();
@@ -420,23 +420,29 @@ mod tests {
 
     #[test]
     fn a_cell_error_aborts_the_queue_instead_of_draining_it() {
+        use crate::registry::{Param, Protocol};
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
         let executed = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&executed);
+        const INFORMED: &[Param] = &[Param::int("informed", 0, 8)];
         let mut registry = crate::ProtocolRegistry::new();
         registry.register(
             "fail-second",
-            &[Backend::Agents],
-            Box::new(move |spec, _trial, _ctx| {
-                seen.fetch_add(1, Ordering::Relaxed);
-                if spec.point == 1 {
-                    Err(crate::SweepError::Simulation("boom".into()))
-                } else {
-                    Ok(vec![("x", 1.0)])
-                }
-            }),
+            Protocol::new(
+                &[Backend::Agents],
+                false,
+                &[INFORMED],
+                move |spec, _trial, _ctx| {
+                    seen.fetch_add(1, Ordering::Relaxed);
+                    if spec.point == 1 {
+                        Err(crate::SweepError::Simulation("boom".into()))
+                    } else {
+                        Ok(vec![("x", 1.0)])
+                    }
+                },
+            ),
         );
         let mut spec = tiny_sweep();
         spec.protocol = "fail-second".into();

@@ -1,48 +1,50 @@
 //! The protocol registry: scenario ids resolved to executable trial runners.
 //!
 //! A [`ProtocolRegistry`] maps a protocol id (the `protocol` field of a
-//! [`ScenarioSpec`]) to a [`TrialFn`] that runs **one trial** of one cell and
-//! returns its metrics as `(name, value)` pairs.  Every entry declares which
-//! [`Backend`]s it supports, so a spec that asks the dense engine for an
-//! agents-only protocol fails loudly at lookup time — before any cell runs.
+//! [`ScenarioSpec`]) to one [`Protocol`] declaration: the [`TrialFn`] that
+//! runs **one trial** of one cell and returns its metrics as `(name, value)`
+//! pairs, the [`Backend`] families it runs on (`hybrid:16` stands for every
+//! `hybrid:k`), whether it takes fault directives, and every [`Param`] its
+//! runner reads besides `n` and `epsilon`.  [`ProtocolRegistry::builtin`]
+//! declares the paper's workloads in one table, which `sweep list` prints:
 //!
-//! [`ProtocolRegistry::builtin`] registers the workloads the paper's sweeps
-//! need:
+//! | id                   | protocol                                       |
+//! |----------------------|------------------------------------------------|
+//! | `broadcast`          | full two-stage noisy broadcast (`breathe`)     |
+//! | `broadcast-detailed` | broadcast with per-level Stage I statistics    |
+//! | `mc-boost`           | Monte-Carlo noisy-majority boost (Lemma 2.11)  |
+//! | `async-broadcast`    | broadcast on local clocks (Theorem 3.1)        |
+//! | `baseline-compare`   | breathe vs the §1.2/§1.6 baseline protocols    |
+//! | `chain-relay`        | relayed-bit reliability vs chain length (§1.6) |
+//! | `two-party-samples`  | exact majority-decoder sample counts (§1.4)    |
+//! | `majority-consensus` | noisy majority-consensus from an initial set   |
+//! | `rumor`              | push rumor spreading until full activation     |
+//! | `rumor-zealot`       | rumor spreading against a zealot subpopulation |
+//! | `majority-sampler`   | Stage-II style repeated noisy majority boost   |
+//! | `ben-or`             | Ben-Or randomized consensus (gossip adapted)   |
+//! | `bv-broadcast`       | the BV-broadcast primitive (gossip adapted)    |
+//! | `safe-bbc`           | safe binary Byzantine consensus (EST/AUX)      |
+//! | `bft-compare`        | Stage-II majority vs Ben-Or, one trial each    |
 //!
-//! | id                   | backends               | faults | protocol                                       |
-//! |----------------------|------------------------|--------|------------------------------------------------|
-//! | `broadcast`          | agents                 |        | full two-stage noisy broadcast (`breathe`)     |
-//! | `broadcast-detailed` | agents                 |        | broadcast with per-level Stage I statistics    |
-//! | `majority-consensus` | agents                 |        | noisy majority-consensus from an initial set   |
-//! | `rumor`              | agents, dense, hybrid  | ✓      | push rumor spreading until full activation     |
-//! | `rumor-zealot`       | agents, dense, hybrid  |        | rumor spreading against a zealot subpopulation |
-//! | `majority-sampler`   | dense                  |        | Stage-II style repeated noisy majority boost   |
-//! | `mc-boost`           | agents                 |        | Monte-Carlo noisy-majority boost (Lemma 2.11)  |
-//! | `async-broadcast`    | agents                 |        | broadcast on local clocks (Theorem 3.1)        |
-//! | `baseline-compare`   | agents                 |        | breathe vs the §1.2/§1.6 baseline protocols    |
-//! | `chain-relay`        | agents                 |        | relayed-bit reliability vs chain length (§1.6) |
-//! | `two-party-samples`  | agents                 |        | exact majority-decoder sample counts (§1.4)    |
-//! | `ben-or`             | agents                 | ✓      | Ben-Or randomized consensus (gossip adapted)   |
-//! | `bv-broadcast`       | agents                 | ✓      | the BV-broadcast primitive (gossip adapted)    |
-//! | `safe-bbc`           | agents                 | ✓      | safe binary Byzantine consensus (EST/AUX)      |
-//! | `bft-compare`        | agents                 | ✓      | Stage-II majority vs Ben-Or, one trial each    |
+//! [`ProtocolRegistry::resolve`] checks a cell against its declaration: an
+//! unknown id, an unsupported backend, a fault directive for a protocol
+//! without fault injection, an undeclared param key, and a missing or
+//! out-of-range value are all errors, the param errors naming the cell's
+//! point.  The sweep runner resolves every cell before any trial, so a bad
+//! value in the last cell fails before the first one runs.  Runners read
+//! checked values; checks that relate two values, or a value to the cell
+//! (`informed ≤ n`, a hybrid's `k < n`, a round cap, `trials = 1`), stay in
+//! the runners.  An optional param's default lives where its runner reads
+//! it, never in the spec, so a spec hashes as it was written.  This is the
+//! workspace's single backend dispatch point: experiment tables and sweep
+//! specs both resolve a `(protocol, backend)` pair here.
 //!
-//! Backend capabilities are **family-level** ([`Backend::same_family`]): an
-//! entry that lists `hybrid:16` accepts every `hybrid:k`.  The registry is
-//! the workspace's single backend dispatch point — experiment bins and sweep
-//! specs both resolve a `(protocol, backend)` pair here instead of matching
-//! on the enum themselves.
-//!
-//! **Faults** — a spec whose `faults` field carries a directive (`byz:0.1`,
-//! `crash:0.05@20`, ...) resolves only against fault-capable entries (the ✓
-//! column; [`ProtocolRegistry::register_faulty`]); everything else rejects
-//! it at lookup time.  Fault-capable runners parse the directive through
-//! [`fault_spec_for`], which also honours the `fault_fraction` *param* so a
-//! sweep axis can vary the faulty fraction cell-by-cell (`0` meaning
-//! fault-free) without changing the directive string.
-//!
-//! Custom protocols register with [`ProtocolRegistry::register`]; the sweep
-//! runner treats them identically.
+//! Fault-capable runners read a spec's `faults` directive through
+//! [`fault_spec_for`].  A custom protocol builds its declaration with
+//! [`Protocol::new`] and registers it with [`ProtocolRegistry::register`].
+
+use std::collections::BTreeMap;
+use std::fmt;
 
 use analysis::chernoff::majority_correct_probability;
 use analysis::theory;
@@ -59,7 +61,7 @@ use flip_model::{
     Agent, Backend, BinarySymmetricChannel, Channel, DenseSimulation, FaultSpec, FlipEngine,
     HybridSimulation, MajoritySamplerProtocol, Opinion, RumorAgent, RumorProtocol, SimRng,
     Simulation, SimulationConfig, StratifiedPopulation, StratifiedSimulation, ZealotAgent,
-    ZealotRumorProtocol, DEFAULT_HYBRID_TRACKED,
+    ZealotRumorProtocol,
 };
 use rand::Rng;
 
@@ -88,15 +90,203 @@ pub type TrialFn = Box<
         + Sync,
 >;
 
-struct ProtocolEntry {
-    backends: Vec<Backend>,
-    supports_faults: bool,
+/// One spec param a protocol reads besides `n` and `epsilon`: a value of
+/// its kind in its closed range `[min, max]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Param {
+    /// The key in a cell's `params`.
+    pub key: &'static str,
+    /// Whole numbers only.  An integer range ends by 2⁵³ ([`Param::int`]
+    /// checks it), where `f64` holds every integer, so a checked value
+    /// casts exactly.
+    pub integer: bool,
+    /// The smallest accepted value.
+    pub min: f64,
+    /// The largest accepted value.
+    pub max: f64,
+    /// Whether every cell must set it; an optional param's default lives
+    /// where its runner reads it.
+    pub required: bool,
+}
+
+impl Param {
+    /// An optional integer param accepting `min..=max`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time in a constant) when `max` exceeds 2⁵³.
+    #[must_use]
+    pub const fn int(key: &'static str, min: u64, max: u64) -> Self {
+        assert!(max <= MAX_INT, "an integer param's range ends by 2^53");
+        Self {
+            integer: true,
+            ..Self::real(key, min as f64, max as f64)
+        }
+    }
+
+    /// An optional real param accepting `[min, max]`.
+    #[must_use]
+    pub const fn real(key: &'static str, min: f64, max: f64) -> Self {
+        Self {
+            key,
+            integer: false,
+            min,
+            max,
+            required: false,
+        }
+    }
+
+    /// The same param, required in every cell.
+    #[must_use]
+    pub const fn required(self) -> Self {
+        Self {
+            required: true,
+            ..self
+        }
+    }
+}
+
+impl fmt::Display for Param {
+    /// What the param accepts: `a non-negative integer in 0..=5` or
+    /// `a real in [-0.5, 0.5]`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.integer {
+            let (min, max) = (self.min as u64, self.max as u64);
+            write!(f, "a non-negative integer in {min}..={max}")
+        } else {
+            write!(f, "a real in [{:?}, {:?}]", self.min, self.max)
+        }
+    }
+}
+
+/// A protocol's declaration: what [`ProtocolRegistry::resolve`] checks a
+/// cell against, and the runner it hands back.
+pub struct Protocol {
+    /// The backend families the runner builds an engine for.
+    pub backends: &'static [Backend],
+    /// Whether the runner honours a `faults` directive (through
+    /// [`fault_spec_for`]).
+    pub faults: bool,
+    /// The params the runner reads besides `n` and `epsilon`, in groups so
+    /// protocols can share one (the Breathe schedule multipliers).
+    pub params: &'static [&'static [Param]],
+    /// Runs one trial of a cell that passed the checks; only
+    /// [`ProtocolRegistry::resolve`] hands it out.
     run: TrialFn,
 }
 
-/// The scenario-id → runner mapping driving a sweep.
+impl Protocol {
+    /// Declares `run`, which may rely on every cell it gets having passed
+    /// the checks: a declared key holds a value in its range, and a
+    /// required one is set.
+    pub fn new(
+        backends: &'static [Backend],
+        faults: bool,
+        params: &'static [&'static [Param]],
+        run: impl Fn(&ScenarioSpec, u64, &TrialContext) -> TrialResult + Send + Sync + 'static,
+    ) -> Self {
+        Self {
+            backends,
+            faults,
+            params,
+            run: Box::new(run),
+        }
+    }
+
+    /// Every declared param, group by group.
+    pub fn declared(&self) -> impl Iterator<Item = &'static Param> {
+        self.params.iter().copied().flatten()
+    }
+
+    /// Checks a cell's params against the declaration; allocates only to
+    /// report a failure, naming the cell by its seed point.
+    fn check(&self, spec: &ScenarioSpec) -> Result<(), SweepError> {
+        let point = spec.point;
+        let fail = |message| {
+            Err(SweepError::Spec(format!(
+                "cell at point {point}: {message}"
+            )))
+        };
+        for (key, &value) in &spec.params {
+            if key == "n" || key == "epsilon" {
+                continue;
+            }
+            let Some(param) = self.declared().find(|p| p.key == key) else {
+                let keys: String = self.declared().map(|p| format!(", {}", p.key)).collect();
+                let protocol = &spec.protocol;
+                return fail(format!(
+                    "`{key}` is not a param of `{protocol}`, which reads n, epsilon{keys}"
+                ));
+            };
+            let admitted = (param.min..=param.max).contains(&value)
+                && !(param.integer && value.fract() != 0.0);
+            if !admitted {
+                return fail(format!("`{key}` must be {param}, got {value}"));
+            }
+        }
+        let missing = self
+            .declared()
+            .find(|p| p.required && !spec.params.contains_key(p.key));
+        match missing {
+            Some(p) => fail(format!("`{}` needs `{}`, {p}", spec.protocol, p.key)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The largest integer param value: `f64` holds every integer up to 2⁵³.
+const MAX_INT: u64 = 1 << 53;
+/// The largest `u32`, the cap of the params a runner reads as one.
+const MAX_U32: u64 = u32::MAX as u64;
+/// The smallest positive `f64`: `[POSITIVE, f64::MAX]` is every positive
+/// finite real.
+const POSITIVE: f64 = f64::from_bits(1);
+/// The largest `f64` below 1: `[0, BELOW_ONE]` is `[0, 1)`.
+const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+
+/// The Breathe schedule multipliers [`params_from_spec`] reads; [`Params`]
+/// takes any positive finite multiplier.
+const SCHEDULE: &[Param] = &[
+    Param::real("s_mult", POSITIVE, f64::MAX),
+    Param::real("beta_mult", POSITIVE, f64::MAX),
+    Param::real("f_mult", POSITIVE, f64::MAX),
+    Param::real("gamma_mult", POSITIVE, f64::MAX),
+    Param::real("final_mult", POSITIVE, f64::MAX),
+    Param::int("extra_boost_phases", 0, MAX_INT),
+];
+const MC_BOOST: &[Param] = &[
+    Param::real("delta", -0.5, 0.5).required(),
+    Param::int("mc_trials", 1, MAX_U32).required(),
+    Param::int("seed_point", 0, MAX_INT),
+];
+const CHAIN_RELAY: &[Param] = &[
+    Param::int("hops", 0, MAX_U32).required(),
+    Param::int("samples", 1, MAX_U32).required(),
+    Param::int("seed_point", 0, MAX_INT),
+];
+/// [`InitialSet::with_bias`] takes a majority-bias in `[0, 1/2]`.
+const INITIAL_SET: &[Param] = &[
+    Param::int("initial_size", 0, MAX_INT),
+    Param::real("initial_bias", 0.0, 0.5),
+];
+/// `0` runs fault-free; [`FaultSpec::new`] takes any other fraction below 1.
+const FAULT_FRACTION: Param = Param::real("fault_fraction", 0.0, BELOW_ONE);
+const INFORMED: Param = Param::int("informed", 0, MAX_INT);
+/// A whole-population bias towards the correct opinion.
+const POPULATION_BIAS: Param = Param::real("initial_bias", -0.5, 0.5);
+/// What [`consensus_setup`] and the fault assignment read.
+const CONSENSUS: &[Param] = &[
+    POPULATION_BIAS,
+    Param::int("phase_len", 1, MAX_INT),
+    FAULT_FRACTION,
+];
+
+/// What a trial returns: its metric pairs, or why it could not run.
+type TrialResult = Result<Vec<(&'static str, f64)>, SweepError>;
+
+/// The scenario-id → declaration mapping driving a sweep.
 pub struct ProtocolRegistry {
-    entries: std::collections::BTreeMap<String, ProtocolEntry>,
+    entries: BTreeMap<String, Protocol>,
 }
 
 impl ProtocolRegistry {
@@ -104,138 +294,70 @@ impl ProtocolRegistry {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            entries: std::collections::BTreeMap::new(),
+            entries: BTreeMap::new(),
         }
     }
 
     /// The registry with the built-in protocols (see the module docs).
     #[must_use]
     pub fn builtin() -> Self {
-        let mut registry = Self::new();
-        registry.register("broadcast", &[Backend::Agents], Box::new(run_broadcast));
-        registry.register(
-            "broadcast-detailed",
-            &[Backend::Agents],
-            Box::new(run_broadcast_detailed),
-        );
-        registry.register("mc-boost", &[Backend::Agents], Box::new(run_mc_boost));
-        registry.register(
-            "async-broadcast",
-            &[Backend::Agents],
-            Box::new(run_async_broadcast),
-        );
-        registry.register(
-            "baseline-compare",
-            &[Backend::Agents],
-            Box::new(run_baseline_compare),
-        );
-        registry.register("chain-relay", &[Backend::Agents], Box::new(run_chain_relay));
-        registry.register(
-            "two-party-samples",
-            &[Backend::Agents],
-            Box::new(run_two_party_samples),
-        );
-        registry.register(
-            "majority-consensus",
-            &[Backend::Agents],
-            Box::new(run_majority_consensus),
-        );
-        registry.register_faulty(
-            "rumor",
-            &[
-                Backend::Agents,
-                Backend::Dense,
-                Backend::Hybrid(DEFAULT_HYBRID_TRACKED),
-            ],
-            Box::new(run_rumor),
-        );
-        registry.register(
-            "rumor-zealot",
-            &[
-                Backend::Agents,
-                Backend::Dense,
-                Backend::Hybrid(DEFAULT_HYBRID_TRACKED),
-            ],
-            Box::new(run_rumor_zealot),
-        );
-        registry.register(
-            "majority-sampler",
-            &[Backend::Dense],
-            Box::new(run_majority_sampler),
-        );
-        registry.register_faulty(
-            "ben-or",
-            &[Backend::Agents],
-            Box::new(|spec, trial, ctx| {
-                run_decider(
-                    spec,
-                    trial,
-                    ctx,
-                    BenOrAgent::population,
-                    BenOrAgent::decided,
-                )
-            }),
-        );
-        registry.register_faulty(
-            "bv-broadcast",
-            &[Backend::Agents],
-            Box::new(run_bv_broadcast),
-        );
-        registry.register_faulty(
-            "safe-bbc",
-            &[Backend::Agents],
-            Box::new(|spec, trial, ctx| {
-                run_decider(
-                    spec,
-                    trial,
-                    ctx,
-                    SafeBbcAgent::population,
-                    SafeBbcAgent::decided,
-                )
-            }),
-        );
-        registry.register_faulty("bft-compare", &[Backend::Agents], Box::new(run_bft_compare));
-        registry
+        const AGENTS: &[Backend] = &[Backend::Agents];
+        const DENSE: &[Backend] = &[Backend::Dense];
+        const EVERY: &[Backend] = &Backend::ALL;
+        const VARIANT: Param = Param::int("variant", 0, 1);
+        const BASELINE: Param = Param::int("baseline", 0, 5).required();
+        const CONFIDENCE: Param = Param::real("confidence", POSITIVE, BELOW_ONE);
+        const RUMOR: &[Param] = &[INFORMED, FAULT_FRACTION];
+        const RUMOR_ZEALOT: &[Param] = &[INFORMED, Param::int("zealots", 1, MAX_INT).required()];
+        #[rustfmt::skip]
+        let table: [(&str, Protocol); 15] = [
+            // id                                backends faults params                    runner
+            ("broadcast",          Protocol::new(AGENTS,  false, &[SCHEDULE],              run_broadcast)),
+            ("broadcast-detailed", Protocol::new(AGENTS,  false, &[SCHEDULE],              run_broadcast_detailed)),
+            ("mc-boost",           Protocol::new(AGENTS,  false, &[SCHEDULE, MC_BOOST],    run_mc_boost)),
+            ("async-broadcast",    Protocol::new(AGENTS,  false, &[SCHEDULE, &[VARIANT]],  run_async_broadcast)),
+            ("baseline-compare",   Protocol::new(AGENTS,  false, &[SCHEDULE, &[BASELINE]], run_baseline_compare)),
+            ("chain-relay",        Protocol::new(AGENTS,  false, &[CHAIN_RELAY],           run_chain_relay)),
+            ("two-party-samples",  Protocol::new(AGENTS,  false, &[&[CONFIDENCE]],         run_two_party_samples)),
+            ("majority-consensus", Protocol::new(AGENTS,  false, &[SCHEDULE, INITIAL_SET], run_majority_consensus)),
+            ("rumor",              Protocol::new(EVERY,   true,  &[RUMOR],                 run_rumor)),
+            ("rumor-zealot",       Protocol::new(EVERY,   false, &[RUMOR_ZEALOT],          run_rumor_zealot)),
+            ("majority-sampler",   Protocol::new(DENSE,   false, &[&[POPULATION_BIAS]],    run_majority_sampler)),
+            ("ben-or",             Protocol::new(AGENTS,  true,  &[CONSENSUS],             |s, t, c| run_decider(s, t, c, BenOrAgent::population, BenOrAgent::decided))),
+            ("bv-broadcast",       Protocol::new(AGENTS,  true,  &[CONSENSUS],             run_bv_broadcast)),
+            ("safe-bbc",           Protocol::new(AGENTS,  true,  &[CONSENSUS],             |s, t, c| run_decider(s, t, c, SafeBbcAgent::population, SafeBbcAgent::decided))),
+            ("bft-compare",        Protocol::new(AGENTS,  true,  &[CONSENSUS],             run_bft_compare)),
+        ];
+        Self {
+            entries: table
+                .into_iter()
+                .map(|(id, p)| (id.to_string(), p))
+                .collect(),
+        }
     }
 
-    /// Registers (or replaces) a protocol that rejects fault directives.
-    pub fn register(&mut self, id: &str, backends: &[Backend], run: TrialFn) {
-        self.insert(id, backends, false, run);
+    /// Registers (or replaces) the protocol `id`.
+    pub fn register(&mut self, id: &str, protocol: Protocol) {
+        self.entries.insert(id.to_string(), protocol);
     }
 
-    /// Registers (or replaces) a fault-capable protocol: its runner is
-    /// expected to honour the spec's `faults` directive (usually through
-    /// [`fault_spec_for`]).
-    pub fn register_faulty(&mut self, id: &str, backends: &[Backend], run: TrialFn) {
-        self.insert(id, backends, true, run);
+    /// The registered protocols with their declarations, in id order.  A
+    /// declaration's runner is private: only [`Self::resolve`] hands it out,
+    /// after checking the cell.
+    pub fn list(&self) -> impl Iterator<Item = (&str, &Protocol)> {
+        self.entries.iter().map(|(id, p)| (id.as_str(), p))
     }
 
-    fn insert(&mut self, id: &str, backends: &[Backend], supports_faults: bool, run: TrialFn) {
-        self.entries.insert(
-            id.to_string(),
-            ProtocolEntry {
-                backends: backends.to_vec(),
-                supports_faults,
-                run,
-            },
-        );
-    }
-
-    /// The registered protocol ids with their supported backends, in id order.
-    #[must_use]
-    pub fn list(&self) -> Vec<(String, Vec<Backend>)> {
-        self.entries
-            .iter()
-            .map(|(id, e)| (id.clone(), e.backends.clone()))
-            .collect()
-    }
-
-    /// Resolves a cell to its trial runner, checking backend support.
+    /// Resolves a cell to its trial runner, checking it against the
+    /// protocol's declaration (see the module docs).  The runner expects
+    /// this cell: it reads the checked values without checking them again.
     ///
     /// # Errors
     ///
-    /// Returns [`SweepError::Protocol`] for unknown ids or unsupported
-    /// protocol/backend combinations.
+    /// Returns [`SweepError::Protocol`] for unknown ids, unsupported
+    /// protocol/backend combinations and fault directives the protocol
+    /// does not take, and [`SweepError::Spec`] naming the cell's point for
+    /// an undeclared param key or a missing or out-of-range value.
     pub fn resolve(&self, spec: &ScenarioSpec) -> Result<&TrialFn, SweepError> {
         let entry = self.entries.get(&spec.protocol).ok_or_else(|| {
             SweepError::Protocol(format!(
@@ -257,13 +379,14 @@ impl ProtocolRegistry {
                     .join(", ")
             )));
         }
-        if !spec.faults.is_empty() && !entry.supports_faults {
+        if !spec.faults.is_empty() && !entry.faults {
             return Err(SweepError::Protocol(format!(
                 "protocol `{}` does not support fault injection, but the spec carries \
                  `faults: {}`; drop the directive or pick a fault-capable protocol",
                 spec.protocol, spec.faults
             )));
         }
+        entry.check(spec)?;
         Ok(&entry.run)
     }
 
@@ -273,11 +396,7 @@ impl ProtocolRegistry {
     ///
     /// Propagates [`ProtocolRegistry::resolve`] failures and simulation
     /// errors from the protocol itself.
-    pub fn run_trial(
-        &self,
-        spec: &ScenarioSpec,
-        trial: u64,
-    ) -> Result<Vec<(&'static str, f64)>, SweepError> {
+    pub fn run_trial(&self, spec: &ScenarioSpec, trial: u64) -> TrialResult {
         self.run_trial_with_context(spec, trial, &TrialContext::sequential())
     }
 
@@ -295,7 +414,7 @@ impl ProtocolRegistry {
         spec: &ScenarioSpec,
         trial: u64,
         context: &TrialContext,
-    ) -> Result<Vec<(&'static str, f64)>, SweepError> {
+    ) -> TrialResult {
         (self.resolve(spec)?)(spec, trial, context)
     }
 }
@@ -304,29 +423,6 @@ impl Default for ProtocolRegistry {
     fn default() -> Self {
         Self::builtin()
     }
-}
-
-/// Reads the integer param `key`, or `default` when the spec omits it.
-///
-/// Applies the check [`ScenarioSpec::n`] makes of `n`: the value must be
-/// finite, non-negative, integral and at most 2⁵³, and it must fit in `T`.
-///
-/// # Errors
-///
-/// [`SweepError::Spec`] naming `key` when the value fails the check.
-fn int_param<T: TryFrom<u64>>(spec: &ScenarioSpec, key: &str, default: T) -> Result<T, SweepError> {
-    let Some(&raw) = spec.params.get(key) else {
-        return Ok(default);
-    };
-    if raw >= 0.0 && raw.fract() == 0.0 && raw <= 2f64.powi(53) {
-        if let Ok(value) = T::try_from(raw as u64) {
-            return Ok(value);
-        }
-    }
-    Err(SweepError::Spec(format!(
-        "`{key}` must be a non-negative integer that fits in {}, got {raw}",
-        std::any::type_name::<T>()
-    )))
 }
 
 /// The cell's `n` as a population size.
@@ -346,6 +442,29 @@ fn population_size(spec: &ScenarioSpec) -> Result<usize, SweepError> {
 fn channel(spec: &ScenarioSpec) -> Result<BinarySymmetricChannel, SweepError> {
     BinarySymmetricChannel::from_epsilon(spec.epsilon())
         .map_err(|e| SweepError::Spec(e.to_string()))
+}
+
+/// Requires `trials = 1` of a runner that `does` its whole measurement in
+/// one trial.
+fn one_trial(spec: &ScenarioSpec, does: &str) -> Result<(), SweepError> {
+    if spec.trials == 1 {
+        return Ok(());
+    }
+    let (protocol, trials) = (&spec.protocol, spec.trials);
+    Err(SweepError::Spec(format!(
+        "`{protocol}` {does} in one trial; set `trials` to 1 (got {trials})"
+    )))
+}
+
+/// Requires the round cap a run-until-done runner stops at.
+fn round_cap(spec: &ScenarioSpec) -> Result<(), SweepError> {
+    if spec.rounds > 0 {
+        return Ok(());
+    }
+    let protocol = &spec.protocol;
+    Err(SweepError::Spec(format!(
+        "`{protocol}` needs a round cap (`rounds` > 0)"
+    )))
 }
 
 /// The engine config every runner builds: `n` agents seeded with `seed`,
@@ -373,8 +492,11 @@ fn engine_config(
 ///
 /// # Errors
 ///
-/// [`SweepError::Spec`] when `n` does not fit in `usize` or the parameters
-/// are invalid.
+/// [`SweepError::Spec`] when `n` does not fit in `usize` or [`Params`]
+/// rejects the values.  The multipliers' declared ranges are not checked
+/// here: the cell must be one that [`ProtocolRegistry::resolve`] accepted
+/// for a protocol reading them.  On any other cell a bad
+/// `extra_boost_phases` is cast, not reported (`-1` reads as 0, `1.5` as 1).
 pub fn params_from_spec(spec: &ScenarioSpec) -> Result<Params, SweepError> {
     let practical = Multipliers::practical();
     let multipliers = Multipliers {
@@ -382,7 +504,8 @@ pub fn params_from_spec(spec: &ScenarioSpec) -> Result<Params, SweepError> {
         beta_mult: spec.param_or("beta_mult", practical.beta_mult),
         f_mult: spec.param_or("f_mult", practical.f_mult),
         gamma_mult: spec.param_or("gamma_mult", practical.gamma_mult),
-        extra_boost_phases: int_param(spec, "extra_boost_phases", practical.extra_boost_phases)?,
+        extra_boost_phases: spec.param_or("extra_boost_phases", practical.extra_boost_phases as f64)
+            as usize,
         final_mult: spec.param_or("final_mult", practical.final_mult),
     };
     Params::with_multipliers(population_size(spec)?, spec.epsilon(), multipliers)
@@ -390,11 +513,7 @@ pub fn params_from_spec(spec: &ScenarioSpec) -> Result<Params, SweepError> {
 }
 
 /// `broadcast`: the full two-stage protocol, one source, opinion `One`.
-fn run_broadcast(
-    spec: &ScenarioSpec,
-    trial: u64,
-    ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
+fn run_broadcast(spec: &ScenarioSpec, trial: u64, ctx: &TrialContext) -> TrialResult {
     let params = params_from_spec(spec)?;
     let protocol = BroadcastProtocol::new(params, Opinion::One);
     let mut sim = protocol.build_simulation(spec.seed_for_trial(trial))?;
@@ -419,7 +538,6 @@ fn run_broadcast(
 /// returns.  Names are leaked once and reused forever; the universe of
 /// per-level names is tiny (a few dozen across a whole report run).
 fn indexed_metric(prefix: &str, index: usize) -> &'static str {
-    use std::collections::BTreeMap;
     use std::sync::{Mutex, OnceLock};
     static NAMES: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
     let name = format!("{prefix}{index}");
@@ -446,11 +564,7 @@ fn indexed_metric(prefix: &str, index: usize) -> &'static str {
 /// `level_bias_i`/`claim28_holds_i` are omitted for a trial whose level `i`
 /// activated no agents (the aggregates then cover the reporting trials
 /// only, matching the legacy per-level vectors).
-fn run_broadcast_detailed(
-    spec: &ScenarioSpec,
-    trial: u64,
-    _ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
+fn run_broadcast_detailed(spec: &ScenarioSpec, trial: u64, _ctx: &TrialContext) -> TrialResult {
     let params = params_from_spec(spec)?;
     let epsilon = spec.epsilon();
     let protocol = BroadcastProtocol::new(params.clone(), Opinion::One);
@@ -524,32 +638,13 @@ fn run_broadcast_detailed(
 /// point - seed_point)` with `seed_point` defaulting to the legacy `700`, so
 /// the cell at `point = seed_point + idx` reproduces
 /// `cfg.seed_for(seed_point, idx)` exactly.
-fn run_mc_boost(
-    spec: &ScenarioSpec,
-    _trial: u64,
-    _ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
-    if spec.trials != 1 {
-        return Err(SweepError::Spec(format!(
-            "`mc-boost` cells are single-draw Monte-Carlo estimates; set `trials` to 1 and put \
-             the sample count in the `mc_trials` param (got trials = {})",
-            spec.trials
-        )));
-    }
+fn run_mc_boost(spec: &ScenarioSpec, _trial: u64, _ctx: &TrialContext) -> TrialResult {
+    one_trial(spec, "draws its `mc_trials`-sample estimate")?;
     let params = params_from_spec(spec)?;
     let gamma = params.gamma();
-    let Some(&delta) = spec.params.get("delta") else {
-        return Err(SweepError::Spec(
-            "`mc-boost` needs a `delta` param (the population bias to boost)".into(),
-        ));
-    };
-    let mc_trials: u32 = int_param(spec, "mc_trials", 0)?;
-    if mc_trials == 0 {
-        return Err(SweepError::Spec(
-            "`mc-boost` needs `mc_trials` >= 1 (the Monte-Carlo sample count)".into(),
-        ));
-    }
-    let seed_point: u64 = int_param(spec, "seed_point", 700)?;
+    let delta = spec.params["delta"];
+    let mc_trials = spec.params["mc_trials"] as u32;
+    let seed_point = spec.param_or("seed_point", 700.0) as u64;
     let Some(idx) = spec.point.checked_sub(seed_point) else {
         return Err(SweepError::Spec(format!(
             "`mc-boost` cell point {} precedes its seed point {seed_point}",
@@ -585,29 +680,21 @@ fn run_mc_boost(
 }
 
 /// `async-broadcast`: the Theorem 3.1 local-clock broadcast.  The `variant`
-/// param selects the construction: `0` runs bounded clock offsets (with the
-/// legacy `d = 2⌈log₂ n⌉` bound), `1` the resynchronised schedule.
+/// param selects the construction: `0` (the default) runs bounded clock
+/// offsets (with the legacy `d = 2⌈log₂ n⌉` bound), `1` the resynchronised
+/// schedule.
 ///
 /// `all_correct` is reported every trial; the round counts
 /// (`sync_rounds`/`total_rounds`/`overhead_rounds`) are fixed by the
 /// schedule, so they are recorded on trial 0 only — exactly the values the
 /// legacy E9 table displayed from its first outcome.
-fn run_async_broadcast(
-    spec: &ScenarioSpec,
-    trial: u64,
-    _ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
+fn run_async_broadcast(spec: &ScenarioSpec, trial: u64, _ctx: &TrialContext) -> TrialResult {
     let params = params_from_spec(spec)?;
     let d = 2 * (spec.n() as f64).log2().ceil() as u64;
-    let variant = match spec.param_or("variant", 0.0) {
-        0.0 => AsyncVariant::BoundedOffsets { max_offset: d },
-        1.0 => AsyncVariant::Resynchronised,
-        other => {
-            return Err(SweepError::Spec(format!(
-                "`async-broadcast` knows variants 0 (bounded offsets) and 1 (resynchronised), \
-                 got `variant = {other}`"
-            )))
-        }
+    let variant = if spec.param_or("variant", 0.0) == 0.0 {
+        AsyncVariant::BoundedOffsets { max_offset: d }
+    } else {
+        AsyncVariant::Resynchronised
     };
     let protocol = AsyncBroadcastProtocol::new(params, Opinion::One, variant);
     let outcome = protocol.run_with_seed(spec.seed_for_trial(trial))?;
@@ -627,11 +714,7 @@ fn run_async_broadcast(
 /// `5` noisy voter with a zealot.  Every baseline gets the breathe round
 /// budget (`Params::total_rounds` for the cell's `n`/`ε`), the legacy
 /// apples-to-apples rule.
-fn run_baseline_compare(
-    spec: &ScenarioSpec,
-    trial: u64,
-    _ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
+fn run_baseline_compare(spec: &ScenarioSpec, trial: u64, _ctx: &TrialContext) -> TrialResult {
     let n = population_size(spec)?;
     let epsilon = spec.epsilon();
     let params = params_from_spec(spec)?;
@@ -639,46 +722,30 @@ fn run_baseline_compare(
     let correct = Opinion::One;
     let seed = spec.seed_for_trial(trial);
     let spec_err = |e: flip_model::FlipError| SweepError::Spec(e.to_string());
-    let (fraction, all_correct) = match int_param::<i64>(spec, "baseline", -1)? {
-        0 => {
-            let outcome = BroadcastProtocol::new(params, correct).run_with_seed(seed)?;
-            (outcome.fraction_correct, outcome.all_correct)
-        }
-        1 => {
-            let outcome = ForwardingProtocol::new(n, epsilon, budget)
+    let baseline = spec.params["baseline"] as u8;
+    let (fraction, all_correct) = if baseline == 0 {
+        let outcome = BroadcastProtocol::new(params, correct).run_with_seed(seed)?;
+        (outcome.fraction_correct, outcome.all_correct)
+    } else {
+        let outcome = match baseline {
+            1 => ForwardingProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
-                .run_with_seed(correct, seed)?;
-            (outcome.fraction_correct, outcome.all_correct)
-        }
-        2 => {
-            let outcome = WaitForSourceProtocol::new(n, epsilon, budget)
+                .run_with_seed(correct, seed),
+            2 => WaitForSourceProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
-                .run_with_seed(correct, seed)?;
-            (outcome.fraction_correct, outcome.all_correct)
-        }
-        3 => {
-            let outcome = TwoChoicesProtocol::new(n, epsilon, budget)
+                .run_with_seed(correct, seed),
+            3 => TwoChoicesProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
-                .run_with_seed(correct, n / 2 + 1, seed)?;
-            (outcome.fraction_correct, outcome.all_correct)
-        }
-        4 => {
-            let outcome = ThreeStateProtocol::new(n, epsilon, budget)
+                .run_with_seed(correct, n / 2 + 1, seed),
+            4 => ThreeStateProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
-                .run_with_seed(correct, 1, 0, seed)?;
-            (outcome.fraction_correct, outcome.all_correct)
-        }
-        5 => {
-            let outcome = NoisyVoterProtocol::new(n, epsilon, budget)
+                .run_with_seed(correct, 1, 0, seed),
+            5 => NoisyVoterProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
-                .run_with_seed(correct, seed)?;
-            (outcome.fraction_correct, outcome.all_correct)
-        }
-        other => {
-            return Err(SweepError::Spec(format!(
-                "`baseline-compare` knows baselines 0..=5, got `baseline = {other}`"
-            )))
-        }
+                .run_with_seed(correct, seed),
+            _ => unreachable!("`resolve` admits baselines 0..=5"),
+        }?;
+        (outcome.fraction_correct, outcome.all_correct)
     };
     Ok(vec![
         ("fraction_correct", fraction),
@@ -693,32 +760,12 @@ fn run_baseline_compare(
 /// Seeding matches the legacy E11 loop: `stream_seed(stream_seed(base_seed,
 /// seed_point), hops)` with `seed_point` defaulting to the legacy `1100` —
 /// the legacy seed depended on the hop count only, never on `ε`.
-fn run_chain_relay(
-    spec: &ScenarioSpec,
-    _trial: u64,
-    _ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
-    if spec.trials != 1 {
-        return Err(SweepError::Spec(format!(
-            "`chain-relay` cells are single-draw Monte-Carlo estimates; set `trials` to 1 and \
-             put the chain count in the `samples` param (got trials = {})",
-            spec.trials
-        )));
-    }
+fn run_chain_relay(spec: &ScenarioSpec, _trial: u64, _ctx: &TrialContext) -> TrialResult {
+    one_trial(spec, "draws its `samples`-chain estimate")?;
     let epsilon = spec.epsilon();
-    if !spec.params.contains_key("hops") {
-        return Err(SweepError::Spec(
-            "`chain-relay` needs a `hops` param (the chain length)".into(),
-        ));
-    }
-    let hops: u32 = int_param(spec, "hops", 0)?;
-    let samples: u32 = int_param(spec, "samples", 0)?;
-    if samples == 0 {
-        return Err(SweepError::Spec(
-            "`chain-relay` needs `samples` >= 1 (the number of chains to simulate)".into(),
-        ));
-    }
-    let seed_point: u64 = int_param(spec, "seed_point", 1_100)?;
+    let hops = spec.params["hops"] as u32;
+    let samples = spec.params["samples"] as u32;
+    let seed_point = spec.param_or("seed_point", 1_100.0) as u64;
     let seed = SimRng::stream_seed(
         SimRng::stream_seed(spec.base_seed, seed_point),
         u64::from(hops),
@@ -732,8 +779,8 @@ fn run_chain_relay(
 /// binary symmetric channel with crossover `1/2 - epsilon` reaches the given
 /// confidence (searched in steps of two; capped at ~10⁶ samples).
 ///
-/// This is the E12 workhorse; it lives here so the `two-party-samples`
-/// protocol and the experiment renderers share one definition.
+/// The `two-party-samples` runner records this count as its `samples`
+/// metric, which the E12 table prints.
 #[must_use]
 pub fn samples_for_confidence(epsilon: f64, confidence: f64) -> u64 {
     let p = 0.5 + epsilon;
@@ -751,36 +798,18 @@ pub fn samples_for_confidence(epsilon: f64, confidence: f64) -> u64 {
 /// (deterministic) majority-decoder sample count for the cell's `ε` at the
 /// `confidence` param (default `0.99`).  Deterministic, so `trials` must be
 /// 1.
-fn run_two_party_samples(
-    spec: &ScenarioSpec,
-    _trial: u64,
-    _ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
-    if spec.trials != 1 {
-        return Err(SweepError::Spec(format!(
-            "`two-party-samples` is deterministic; set `trials` to 1 (got {})",
-            spec.trials
-        )));
-    }
+fn run_two_party_samples(spec: &ScenarioSpec, _trial: u64, _ctx: &TrialContext) -> TrialResult {
+    one_trial(spec, "computes its exact count")?;
     let confidence = spec.param_or("confidence", 0.99);
-    if !(0.0..1.0).contains(&confidence) || confidence <= 0.0 {
-        return Err(SweepError::Spec(format!(
-            "`confidence` must be in (0, 1), got {confidence}"
-        )));
-    }
     let needed = samples_for_confidence(spec.epsilon(), confidence);
     Ok(vec![("samples", needed as f64)])
 }
 
-/// `majority-consensus`: params `initial_size` and `initial_bias` select the
-/// opinionated set.
-fn run_majority_consensus(
-    spec: &ScenarioSpec,
-    trial: u64,
-    ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
+/// `majority-consensus`: params `initial_size` (default `n`) and
+/// `initial_bias` (default `0.1`) select the opinionated set.
+fn run_majority_consensus(spec: &ScenarioSpec, trial: u64, ctx: &TrialContext) -> TrialResult {
     let params = params_from_spec(spec)?;
-    let size: usize = int_param(spec, "initial_size", spec.n() as usize)?;
+    let size = spec.param_or("initial_size", spec.n() as f64) as usize;
     let bias = spec.param_or("initial_bias", 0.1);
     let initial = InitialSet::with_bias(size, bias).map_err(|e| SweepError::Spec(e.to_string()))?;
     let protocol = MajorityConsensusProtocol::new(params, Opinion::One, initial)
@@ -890,18 +919,10 @@ fn run_to_activation<E: FlipEngine>(
 /// (and on the tracked side of `hybrid:k`, whose constructor checks that
 /// `k` covers the faulty count).  The dense backend has no per-agent roles
 /// and rejects faults loudly.
-fn run_rumor(
-    spec: &ScenarioSpec,
-    trial: u64,
-    ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
-    if spec.rounds == 0 {
-        return Err(SweepError::Spec(
-            "`rumor` needs a round cap (`rounds` > 0)".into(),
-        ));
-    }
+fn run_rumor(spec: &ScenarioSpec, trial: u64, ctx: &TrialContext) -> TrialResult {
+    round_cap(spec)?;
     let n = population_size(spec)?;
-    let informed: u64 = int_param(spec, "informed", 1)?;
+    let informed = spec.param_or("informed", 1.0) as u64;
     if informed > spec.n() {
         return Err(SweepError::Spec(format!(
             "`informed` = {informed} exceeds n = {}",
@@ -949,24 +970,11 @@ fn run_rumor(
 /// dense engine, the same split agent-by-agent on the reference engine, and
 /// on `hybrid:k` the first `k` agents of the per-agent layout (honest
 /// first, zealots last) tracked exactly against the stratified bulk.
-fn run_rumor_zealot(
-    spec: &ScenarioSpec,
-    trial: u64,
-    ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
-    if spec.rounds == 0 {
-        return Err(SweepError::Spec(
-            "`rumor-zealot` needs a round cap (`rounds` > 0)".into(),
-        ));
-    }
+fn run_rumor_zealot(spec: &ScenarioSpec, trial: u64, ctx: &TrialContext) -> TrialResult {
+    round_cap(spec)?;
     let n = population_size(spec)?;
-    let informed: u64 = int_param(spec, "informed", 1)?;
-    let zealots: u64 = int_param(spec, "zealots", 0)?;
-    if zealots == 0 {
-        return Err(SweepError::Spec(
-            "`rumor-zealot` needs `zealots` > 0 (use `rumor` for the homogeneous case)".into(),
-        ));
-    }
+    let informed = spec.param_or("informed", 1.0) as u64;
+    let zealots = spec.params["zealots"] as u64;
     if informed + zealots > spec.n() {
         return Err(SweepError::Spec(format!(
             "`informed` + `zealots` = {} exceeds n = {}",
@@ -1029,19 +1037,10 @@ const MAX_SAMPLER_STATES: u64 = 1 << 21;
 /// paper's odd `L = ⌈2/ε²⌉ | 1` and the phase count `2·⌈log₂ n⌉` (the E8-D
 /// schedule).  The sampler has `(L+1)(L+2)` states, which must not exceed
 /// [`MAX_SAMPLER_STATES`].
-fn run_majority_sampler(
-    spec: &ScenarioSpec,
-    trial: u64,
-    ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
+fn run_majority_sampler(spec: &ScenarioSpec, trial: u64, ctx: &TrialContext) -> TrialResult {
     let epsilon = spec.epsilon();
     let n = spec.n();
     let bias = spec.param_or("initial_bias", 0.01);
-    if !(-0.5..=0.5).contains(&bias) {
-        return Err(SweepError::Spec(format!(
-            "`initial_bias` must be in [-0.5, 0.5] (a whole-population bias), got {bias}"
-        )));
-    }
     let phase_len = ((2.0 / (epsilon * epsilon)).ceil() as u64) | 1;
     let states = phase_len
         .checked_add(1)
@@ -1079,24 +1078,11 @@ fn run_majority_sampler(
 /// count, phase length)` from the `initial_bias` (default `0.1`) and
 /// `phase_len` (default `15`) params, requiring a round cap.
 fn consensus_setup(spec: &ScenarioSpec) -> Result<(usize, usize, u64), SweepError> {
-    if spec.rounds == 0 {
-        return Err(SweepError::Spec(format!(
-            "`{}` needs a round cap (`rounds` > 0)",
-            spec.protocol
-        )));
-    }
+    round_cap(spec)?;
     let n = population_size(spec)?;
     let bias = spec.param_or("initial_bias", 0.1);
-    if !(-0.5..=0.5).contains(&bias) {
-        return Err(SweepError::Spec(format!(
-            "`initial_bias` must be in [-0.5, 0.5] (a whole-population bias), got {bias}"
-        )));
-    }
     let correct = ((0.5 + bias) * n as f64).round() as usize;
-    let phase_len: u64 = int_param(spec, "phase_len", 15)?;
-    if phase_len == 0 {
-        return Err(SweepError::Spec("`phase_len` must be >= 1".into()));
-    }
+    let phase_len = spec.param_or("phase_len", 15.0) as u64;
     Ok((n, correct.min(n), phase_len))
 }
 
@@ -1158,7 +1144,7 @@ fn run_decider<A: Agent>(
     ctx: &TrialContext,
     population: fn(usize, usize, u64) -> Vec<A>,
     decided: fn(&A) -> Option<Opinion>,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
+) -> TrialResult {
     let (n, correct, phase_len) = consensus_setup(spec)?;
     let agents = population(n, correct, phase_len);
     let mut sim = consensus_engine(spec, spec.seed_for_trial(trial), ctx, agents)?;
@@ -1178,11 +1164,7 @@ fn run_decider<A: Agent>(
 
 /// `bv-broadcast`: the BV primitive run for the full round cap; reports
 /// which values achieved delivery among the honest agents.
-fn run_bv_broadcast(
-    spec: &ScenarioSpec,
-    trial: u64,
-    ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
+fn run_bv_broadcast(spec: &ScenarioSpec, trial: u64, ctx: &TrialContext) -> TrialResult {
     let (n, correct, phase_len) = consensus_setup(spec)?;
     let agents = BvBroadcastAgent::population(n, correct, phase_len);
     let mut sim = consensus_engine(spec, spec.seed_for_trial(trial), ctx, agents)?;
@@ -1206,11 +1188,7 @@ fn run_bv_broadcast(
 /// engines sub-seeded from the trial seed
 /// ([`SimRng::stream_seed`]`(trial_seed, 0 | 1)`), so the comparison is
 /// apples-to-apples per trial and remains thread-count-invariant.
-fn run_bft_compare(
-    spec: &ScenarioSpec,
-    trial: u64,
-    ctx: &TrialContext,
-) -> Result<Vec<(&'static str, f64)>, SweepError> {
+fn run_bft_compare(spec: &ScenarioSpec, trial: u64, ctx: &TrialContext) -> TrialResult {
     let (n, correct, phase_len) = consensus_setup(spec)?;
     let trial_seed = spec.seed_for_trial(trial);
 
@@ -1345,11 +1323,8 @@ mod tests {
 
     #[test]
     fn listing_names_every_builtin() {
-        let ids: Vec<String> = ProtocolRegistry::builtin()
-            .list()
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
+        let registry = ProtocolRegistry::builtin();
+        let ids: Vec<&str> = registry.list().map(|(id, _)| id).collect();
         assert_eq!(
             ids,
             vec![
@@ -1987,12 +1962,82 @@ mod tests {
     }
 
     #[test]
+    fn params_are_checked_against_the_declaration_before_any_trial() {
+        let registry = ProtocolRegistry::builtin();
+        let message = |spec: &ScenarioSpec| match registry.resolve(spec) {
+            Ok(_) => panic!("{spec:?} must be rejected"),
+            Err(err) => err.to_string(),
+        };
+        // A misspelt key names the cell's point and lists what the protocol
+        // reads.
+        let mut misspelt = cell(
+            "broadcast",
+            Backend::Agents,
+            &[("n", 100.0), ("epsilon", 0.2), ("s_mul", 99.0)],
+        );
+        misspelt.point = 7;
+        let err = message(&misspelt);
+        assert!(
+            err.contains("point 7") && err.contains("`s_mul`") && err.contains("s_mult, beta_mult"),
+            "{err}"
+        );
+        // The list leads with the keys every protocol reads.
+        let relay = ScenarioSpec {
+            trials: 1,
+            ..cell(
+                "chain-relay",
+                Backend::Agents,
+                &[
+                    ("n", 1.0),
+                    ("epsilon", 0.2),
+                    ("hops", 2.0),
+                    ("informed", 1.0),
+                ],
+            )
+        };
+        assert!(message(&relay).contains("reads n, epsilon, hops, samples, seed_point"));
+        // A required param that is missing is named with its range.
+        let missing = cell(
+            "baseline-compare",
+            Backend::Agents,
+            &[("n", 100.0), ("epsilon", 0.2)],
+        );
+        let err = message(&missing);
+        assert!(err.contains("`baseline`") && err.contains("0..=5"), "{err}");
+        // Out of range: the key, the range, the value and the point.
+        let bias = cell(
+            "majority-sampler",
+            Backend::Dense,
+            &[("n", 1_000.0), ("epsilon", 0.3), ("initial_bias", 0.7)],
+        );
+        let err = message(&bias);
+        assert!(
+            err.contains("point 0")
+                && err.contains("`initial_bias` must be a real in [-0.5, 0.5], got 0.7"),
+            "{err}"
+        );
+        // A closed range admits its ends.
+        let mut faulty = cell("rumor", Backend::Agents, &[("n", 100.0), ("epsilon", 0.2)]);
+        for value in [0.0, BELOW_ONE] {
+            faulty.params.insert("fault_fraction".into(), value);
+            assert!(registry.resolve(&faulty).is_ok(), "{value}");
+        }
+        faulty.params.insert("fault_fraction".into(), 1.0);
+        let err = message(&faulty);
+        assert!(
+            err.contains("`fault_fraction` must be a real in [0.0, 0.9999999999999999], got 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn custom_protocols_can_be_registered() {
         let mut registry = ProtocolRegistry::new();
         registry.register(
             "constant",
-            &[Backend::Agents],
-            Box::new(|spec, trial, _ctx| Ok(vec![("value", spec.n() as f64 + trial as f64)])),
+            Protocol::new(&[Backend::Agents], false, &[], |spec, trial, _ctx| {
+                Ok(vec![("value", spec.n() as f64 + trial as f64)])
+            }),
         );
         let spec = cell(
             "constant",

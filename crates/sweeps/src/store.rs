@@ -9,6 +9,8 @@
 //!     shard-0001-00.jsonl  # one CellRecord per line, appended + flushed
 //!     shard-0001-01.jsonl  #   as cells complete (generation 1, worker 1)
 //!     shard-0002-00.jsonl  # a resumed run appends a new generation
+//!   telemetry/             # with telemetry on, one CellTelemetry line per
+//!     telemetry-0001-00.jsonl  # cell, written after the cell's result line
 //! ```
 //!
 //! Each worker thread owns one shard file per run *generation*, so no line is
@@ -35,7 +37,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::fs;
-use std::io::{BufWriter, Write};
+use std::io::Write;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 use crate::aggregate::CellRecord;
@@ -150,35 +153,23 @@ impl SweepStore {
         threads: usize,
     ) -> Result<BTreeMap<String, CellRecord>, SweepError> {
         load_shards(
-            &self.dir.join("shards"),
+            &self.dir.join(CellRecord::DIR),
             threads,
             CellRecord::from_json_line,
             |record| &record.hash,
         )
     }
 
-    /// Opens one shard writer per worker for a new run generation.
+    /// Opens one result shard writer per worker for a new run generation.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] when the shards directory is unreadable.
-    pub fn open_shards(&self, workers: usize) -> Result<Vec<ShardWriter>, SweepError> {
-        let shards_dir = self.dir.join("shards");
-        let generation = next_generation(&shards_dir, "shard-")?;
-        Ok((0..workers)
-            .map(|worker| ShardWriter {
-                path: shards_dir.join(format!("shard-{generation:04}-{worker:02}.jsonl")),
-                file: None,
-                line: String::new(),
-            })
-            .collect())
+    pub fn open_shards(&self, workers: usize) -> Result<Vec<ShardWriter<CellRecord>>, SweepError> {
+        self.open_writers(workers)
     }
 
     /// Opens one telemetry shard writer per worker for a new run generation.
-    ///
-    /// Telemetry lives in its own `telemetry/` directory — [`Self::load_cells`]
-    /// treats every `*.jsonl` under `shards/` as cell records, so profile
-    /// data must never land there.
     ///
     /// # Errors
     ///
@@ -187,14 +178,25 @@ impl SweepStore {
     pub fn open_telemetry_shards(
         &self,
         workers: usize,
-    ) -> Result<Vec<TelemetryShardWriter>, SweepError> {
-        let telemetry_dir = self.dir.join("telemetry");
-        fs::create_dir_all(&telemetry_dir)?;
-        let generation = next_generation(&telemetry_dir, "telemetry-")?;
+    ) -> Result<Vec<ShardWriter<CellTelemetry>>, SweepError> {
+        self.open_writers(workers)
+    }
+
+    /// The one opener: one writer per worker under `R`'s directory, named
+    /// for the generation after the highest one already there.
+    fn open_writers<R: ShardRecord>(
+        &self,
+        workers: usize,
+    ) -> Result<Vec<ShardWriter<R>>, SweepError> {
+        let dir = self.dir.join(R::DIR);
+        fs::create_dir_all(&dir)?;
+        let generation = next_generation(&dir, R::PREFIX)?;
         Ok((0..workers)
-            .map(|worker| TelemetryShardWriter {
-                path: telemetry_dir.join(format!("telemetry-{generation:04}-{worker:02}.jsonl")),
+            .map(|worker| ShardWriter {
+                path: dir.join(format!("{}{generation:04}-{worker:02}.jsonl", R::PREFIX)),
                 file: None,
+                line: String::new(),
+                record: PhantomData,
             })
             .collect())
     }
@@ -211,7 +213,7 @@ impl SweepStore {
     /// Returns [`SweepError::Io`] on read failures, [`SweepError::Store`]
     /// on mid-file corruption.
     pub fn load_telemetry(&self) -> Result<BTreeMap<String, CellTelemetry>, SweepError> {
-        let telemetry_dir = self.dir.join("telemetry");
+        let telemetry_dir = self.dir.join(CellTelemetry::DIR);
         if !telemetry_dir.is_dir() {
             return Ok(BTreeMap::new());
         }
@@ -362,27 +364,58 @@ fn next_generation(dir: &Path, prefix: &str) -> Result<u64, SweepError> {
     Ok(generation + 1)
 }
 
-/// An append-only writer for one shard file.
+/// A record kind with shards of its own.
+///
+/// Telemetry lives in its own `telemetry/` directory: [`SweepStore::load_cells`]
+/// treats every `*.jsonl` under `shards/` as cell records, so profile data
+/// must never land there.
+pub trait ShardRecord {
+    /// The store subdirectory holding this kind's shards.
+    const DIR: &'static str;
+    /// The file-name prefix of this kind's shards.
+    const PREFIX: &'static str;
+    /// Appends the record's JSON line, without its newline, to `line`.
+    fn write_line(&self, line: &mut String);
+}
+
+impl ShardRecord for CellRecord {
+    const DIR: &'static str = "shards";
+    const PREFIX: &'static str = "shard-";
+    fn write_line(&self, line: &mut String) {
+        self.write_json(line);
+    }
+}
+
+impl ShardRecord for CellTelemetry {
+    const DIR: &'static str = "telemetry";
+    const PREFIX: &'static str = "telemetry-";
+    fn write_line(&self, line: &mut String) {
+        line.push_str(&self.to_json_line());
+    }
+}
+
+/// An append-only writer for one shard file of `R` records.
 ///
 /// The file is created lazily on the first append, so workers that never
 /// receive a cell leave no empty shard behind.  Each record is serialized
 /// into one reused line buffer and handed to the file in a single write.
 #[derive(Debug)]
-pub struct ShardWriter {
+pub struct ShardWriter<R> {
     path: PathBuf,
     file: Option<fs::File>,
     line: String,
+    record: PhantomData<fn(&R)>,
 }
 
-impl ShardWriter {
-    /// Appends one completed cell's line to the file in a single write,
-    /// with nothing held back in a user-space buffer — the checkpoint that
-    /// makes a kill at any later instant lose at most the in-flight cells.
+impl<R: ShardRecord> ShardWriter<R> {
+    /// Appends one record's line to the file in a single write, with
+    /// nothing held back in a user-space buffer — the checkpoint that makes
+    /// a kill at any later instant lose at most the in-flight cells.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] on write failures.
-    pub fn append(&mut self, record: &CellRecord) -> Result<(), SweepError> {
+    pub fn append(&mut self, record: &R) -> Result<(), SweepError> {
         if self.file.is_none() {
             self.file = Some(
                 fs::OpenOptions::new()
@@ -393,48 +426,9 @@ impl ShardWriter {
         }
         let file = self.file.as_mut().expect("just created");
         self.line.clear();
-        record.write_json(&mut self.line);
+        record.write_line(&mut self.line);
         self.line.push('\n');
         file.write_all(self.line.as_bytes())?;
-        Ok(())
-    }
-
-    /// The shard's path (for diagnostics).
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// An append-only writer for one telemetry shard file.
-///
-/// Same lifecycle as [`ShardWriter`]: lazy creation, append + flush per
-/// record, so a kill leaves at most one torn final line.
-#[derive(Debug)]
-pub struct TelemetryShardWriter {
-    path: PathBuf,
-    file: Option<BufWriter<fs::File>>,
-}
-
-impl TelemetryShardWriter {
-    /// Appends one cell's telemetry record and flushes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError::Io`] on write failures.
-    pub fn append(&mut self, record: &CellTelemetry) -> Result<(), SweepError> {
-        if self.file.is_none() {
-            self.file = Some(BufWriter::new(
-                fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)?,
-            ));
-        }
-        let file = self.file.as_mut().expect("just created");
-        file.write_all(record.to_json_line().as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()?;
         Ok(())
     }
 
